@@ -1,8 +1,8 @@
-"""Bench: compiled fused lane vs per-level host plan on deep matrices.
+"""Bench: merged vs level schedule of the fast-lane plan on deep matrices.
 
-The compiled lane exists for schedules where per-level dispatch
+The merged schedule exists for structures where per-level dispatch
 dominates: thousands of skinny levels, each a handful of rows.  This
-bench builds the two deep cases the lane targets —
+bench builds the two deep cases it targets —
 
 * ``circuit-deep`` — a rail-dominated circuit factor
   (``rail_prob=0.02, local_window=2, rail_count=4``), ~2.5k levels at
@@ -11,14 +11,16 @@ bench builds the two deep cases the lane targets —
 
 verifies the level-set depth is actually >= 1000 (a shallow matrix
 here means the generator drifted and the bench is measuring nothing),
-then times single-RHS solves through the cached per-level
-:class:`~repro.solvers.host_parallel.ExecutionPlan` and the fused
-level-merged :class:`~repro.solvers.compiled.CompiledPlan`
-(best-of-``REPRO_BENCH_COMPILED_REPEATS``).  Acceptance: the compiled
-lane clears **5x** on every deep case with residuals <= 1e-10 against
-the manufactured solution, on whichever backend is present (the
-numpy fused fallback must clear the bar on its own — numba is a
-bonus, not a prerequisite).  Artifact:
+then times single-RHS solves through the ``schedule="level"`` and
+``schedule="merged"`` variants of
+:class:`~repro.solvers.compiled.CompiledPlan`
+(best-of-``REPRO_BENCH_COMPILED_REPEATS``).  Acceptance: the merged
+variant clears **5x** over the level variant on every deep case with
+residuals <= 1e-10 against the manufactured solution, on whichever
+backend is present (the numpy fallback must clear the bar on its own —
+numba is a bonus, not a prerequisite).  The ``host`` keys of the
+artifact name the level variant, the per-level plan the host lane ran
+before the two plan types were folded into one.  Artifact:
 ``benchmarks/_output/compiled_vs_host.json`` (stable keys/ordering),
 fed to CI's regression-sentinel job.
 
@@ -36,20 +38,19 @@ import numpy as np
 
 from benchmarks.conftest import run_once
 from repro.datasets import generate
-from repro.solvers import build_plan
 from repro.solvers.compiled import HAVE_NUMBA, build_compiled_plan
 from repro.sparse import lower_triangular_system
 
 N_ROWS = int(os.environ.get("REPRO_BENCH_COMPILED_ROWS", "16000"))
 REPEATS = int(os.environ.get("REPRO_BENCH_COMPILED_REPEATS", "5"))
-#: Acceptance floor: compiled-lane speedup over the host plan.
+#: Acceptance floor: merged-variant speedup over the level variant.
 SPEEDUP_FLOOR = 5.0
 #: A "deep" case must actually be deep or the bench measures nothing.
 MIN_LEVELS = 1000
 
-#: The deep cases the compiled lane targets.  Wide-shallow domains
-#: (graph, road, social) are deliberately absent: the auto lane keeps
-#: those on the host plan, and their speedup here is ~1x by design.
+#: The deep cases the merged schedule targets.  Wide-shallow domains
+#: (graph, road, social) are deliberately absent: the merge rule keeps
+#: those on the level schedule, and their speedup here is ~1x by design.
 DEEP_CASES = (
     (
         "circuit-deep",
@@ -76,7 +77,7 @@ def _compiled_session():
     for name, make in DEEP_CASES:
         L = make(N_ROWS)
         system = lower_triangular_system(L)
-        host_plan = build_plan(system.L)
+        host_plan = build_compiled_plan(system.L, schedule="level")
         compiled = build_compiled_plan(system.L, schedule="merged")
 
         host_s = _best_of(lambda: host_plan.solve(system.b), REPEATS)
@@ -100,8 +101,8 @@ def _compiled_session():
 
 
 def test_compiled_vs_host(benchmark, output_dir):
-    """The compiled lane must clear 5x over the host plan on every
-    deep case, with residuals <= 1e-10."""
+    """The merged schedule must clear 5x over the level schedule on
+    every deep case, with residuals <= 1e-10."""
     results = run_once(benchmark, _compiled_session)
 
     doc = {
@@ -113,7 +114,7 @@ def test_compiled_vs_host(benchmark, output_dir):
         },
         "cases": {},
     }
-    lines = ["compiled fused lane vs host per-level plan", ""]
+    lines = ["merged vs level schedule of the fast-lane plan", ""]
     for name, r in results.items():
         doc["cases"][name] = {
             "schedule": {
@@ -144,7 +145,7 @@ def test_compiled_vs_host(benchmark, output_dir):
         assert r["merged_levels"] < r["base_levels"]
         assert r["residual"] <= 1e-10
         assert r["speedup"] >= SPEEDUP_FLOOR, (
-            f"{name}: compiled lane only {r['speedup']:.1f}x over host"
+            f"{name}: merged only {r['speedup']:.1f}x over level"
         )
 
     report = "\n".join(lines)

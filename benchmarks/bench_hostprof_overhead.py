@@ -1,7 +1,7 @@
 """Bench: wall-clock overhead of the host-lane profiler.
 
 Guards the tentpole budget of ``repro.obs.hostprof``: attaching a
-:class:`HostProfiler` to an :class:`ExecutionPlan` solve must cost less
+:class:`HostProfiler` to a :class:`CompiledPlan` solve must cost less
 than 5% wall time, across batch widths, and must not change a single
 bit of the answer.  The profiler adds two ``perf_counter`` reads per
 timed numpy segment (three segments per non-empty level), so its cost
@@ -33,7 +33,7 @@ import pytest
 
 from repro.datasets.domains import circuit
 from repro.obs import HostProfiler, profiling
-from repro.solvers.host_parallel import HostLevelScheduleSolver
+from repro.solvers.compiled import build_compiled_plan
 from repro.sparse.triangular import lower_triangular_system
 
 #: Matrix size and repeat count (override for a sterner run).  The
@@ -59,7 +59,7 @@ def plan_and_system():
     system = lower_triangular_system(
         circuit(N_ROWS, seed=17, avg_nnz_per_row=3.5, rail_prob=0.85)
     )
-    plan = HostLevelScheduleSolver().plan_for(system.L)
+    plan = build_compiled_plan(system.L, schedule="level")
     return plan, system
 
 
@@ -88,8 +88,10 @@ def test_hostprof_overhead(benchmark, output_dir, plan_and_system, width):
         [(r + 1.0) * system.b for r in range(width)]
     )
 
-    # answers first: profiled must be bit-identical to unprofiled
-    bare_X = plan.solve_many(B)
+    # answers first: profiled must be bit-identical to unprofiled.  The
+    # profiler always runs the numpy executor, so that is the bare path
+    # compared against (with numba installed, plain solves use the JIT)
+    bare_X = plan.solve_many(B, force_fallback=True)
     profiler = HostProfiler()
     with profiling(profiler):
         profiled_X = plan.solve_many(B)
@@ -99,7 +101,7 @@ def test_hostprof_overhead(benchmark, output_dir, plan_and_system, width):
     # both paths are warm (the bit-identity check above ran each once);
     # interleave-measure best-of-N inside a single benchmark round
     def bare_solve():
-        plan.solve_many(B)
+        plan.solve_many(B, force_fallback=True)
 
     def profiled_solve():
         with profiling(HostProfiler()):

@@ -8,7 +8,7 @@ Pipeline:
    style stencil);
 2. factor ``A ≈ L U`` with ILU(0) (`repro.factorization`);
 3. run preconditioned Richardson iteration, applying ``(LU)^{-1}`` via
-   two triangular solves per step — through the vectorized host solver
+   two triangular solves per step — through the fused fast-lane solver
    (production path) and once through the simulated Capellini kernel to
    show they agree.
 
@@ -20,7 +20,7 @@ import numpy as np
 from repro.factorization import ilu0
 from repro.gpu import SIM_SMALL
 from repro.solvers import (
-    HostLevelScheduleSolver,
+    CompiledFusedSolver,
     WritingFirstCapelliniSolver,
     solve_upper,
 )
@@ -64,7 +64,7 @@ def main() -> None:
           f"{factors.residual_pattern_norm(A):.2e} (exact on A's pattern)")
 
     # --- preconditioned Richardson with host-vectorized solves --------
-    host = HostLevelScheduleSolver()
+    host = CompiledFusedSolver(schedule="level")
 
     def apply_preconditioner(r):
         y = host.solve(factors.L, r).x

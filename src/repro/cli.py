@@ -32,7 +32,7 @@ Usage::
     repro-sptrsv serve-stats --journal-dir /tmp/journal --requests 32
     repro-sptrsv serve-cluster --workers 2 --journal-dir /tmp/journal
     repro-sptrsv journal tail /tmp/journal -n 5
-    repro-sptrsv journal query /tmp/journal --lane compiled
+    repro-sptrsv journal query /tmp/journal --lane host
     repro-sptrsv journal report /tmp/journal
     repro-sptrsv regress
     repro-sptrsv regress --quick --cycles-tol 0.01
@@ -176,8 +176,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--levels", action="store_true",
                       help="level-structure view: schedule depth, "
                       "level-width histogram, Eq. 1 granularity against "
-                      "the compiled-lane threshold, and a level-merge "
-                      "preview (merged depth, redundant-work ratio)")
+                      "the merge threshold, the schedule variant the "
+                      "serve tier would pick, and a level-merge preview "
+                      "(merged depth, redundant-work ratio)")
     p_an.add_argument("--lint", action="store_true",
                       help="run the kernel lint over repro.solvers "
                       "(no matrix needed)")
@@ -234,13 +235,12 @@ def build_parser() -> argparse.ArgumentParser:
                        "(0 to skip)")
     p_srv.add_argument("--max-batch", type=int, default=32)
     p_srv.add_argument("--execution", default="auto",
-                       choices=["auto", "compiled", "host", "sim"],
-                       help="execution lane: 'compiled' runs the fused "
-                       "level-merged plan (deep-matrix fast path), 'host' "
-                       "the registry's vectorized per-level plan, 'sim' "
-                       "the cycle-level simulator, 'auto' picks compiled "
-                       "for deep-and-skinny matrices and host otherwise, "
-                       "with a simulator fallback")
+                       choices=["auto", "host", "sim"],
+                       help="execution lane: 'host' runs the registry's "
+                       "fused plan (level-merged for deep-and-skinny "
+                       "matrices, per-level otherwise), 'sim' the "
+                       "cycle-level simulator, 'auto' the host lane with "
+                       "a simulator fallback")
     p_srv.add_argument("--device", default="SimSmall",
                        choices=["SimSmall", "SimTiny"])
     p_srv.add_argument("--json", action="store_true",
@@ -292,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
                       "(0 to skip)")
     p_cl.add_argument("--max-batch", type=int, default=32)
     p_cl.add_argument("--execution", default="host",
-                      choices=["auto", "compiled", "host", "sim"],
+                      choices=["auto", "host", "sim"],
                       help="worker engines' execution lane")
     p_cl.add_argument("--chaos-kill", action="store_true",
                       help="SIGKILL one worker mid-session and verify "
@@ -394,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep.add_argument("--batch-window", type=float, default=0.0,
                        help="replay engine's coalescing window (s)")
     p_rep.add_argument("--execution", default="host",
-                       choices=["auto", "compiled", "host", "sim"])
+                       choices=["auto", "host", "sim"])
     p_rep.add_argument("--workers", type=int, default=0,
                        help="replay through an N-worker sharded cluster "
                        "instead of one in-process engine (always "
@@ -423,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     j_query.add_argument("--matrix", default=None,
                          help="matrix fingerprint (prefix match)")
     j_query.add_argument("--lane", default=None,
-                         choices=["compiled", "host", "sim"])
+                         choices=["host", "sim"])
     j_query.add_argument("--limit", type=int, default=0,
                          help="cap printed records (0 = all)")
     j_report = jsub.add_parser(
@@ -721,14 +721,15 @@ def _analyze_levels_view(L, f, emit) -> dict:
     """Render the ``analyze --levels`` view; returns the JSON fragment.
 
     Three panels: the level-width histogram (how skinny is the DAG?),
-    the Eq. 1 granularity indicator against the compiled-lane
-    threshold, and a preview of what :func:`~repro.analysis.levels.
-    merge_levels` would do with default knobs — merged depth and the
-    redundant-work ratio the merge would pay for fewer barriers.
+    the Eq. 1 granularity indicator against the merge threshold with
+    the schedule variant the serve tier would pick, and a preview of
+    what :func:`~repro.analysis.levels.merge_levels` would do with
+    default knobs — merged depth and the redundant-work ratio the merge
+    would pay for fewer barriers.
     """
     from repro.analysis.granularity import HIGH_GRANULARITY_THRESHOLD
     from repro.analysis.levels import compute_levels, merge_levels
-    from repro.solvers.compiled import DEEP_LEVEL_COUNT, prefers_compiled
+    from repro.solvers.compiled import DEEP_LEVEL_COUNT, pick_schedule
 
     schedule = compute_levels(L)
     widths = schedule.level_sizes()
@@ -746,7 +747,7 @@ def _analyze_levels_view(L, f, emit) -> dict:
 
     deep = schedule.n_levels >= DEEP_LEVEL_COUNT
     fine = f.granularity <= HIGH_GRANULARITY_THRESHOLD
-    lane = "compiled" if prefers_compiled(f) else "host"
+    variant = pick_schedule(f)
     barrier_ratio = (
         schedule.n_levels / merged.n_levels if merged.n_levels else 1.0
     )
@@ -775,7 +776,7 @@ def _analyze_levels_view(L, f, emit) -> dict:
          f"{'fine-grained' if fine else 'coarse-grained'}")
     emit(f"depth          : {schedule.n_levels} "
          f"({'>=' if deep else '<'} deep cutoff {DEEP_LEVEL_COUNT})")
-    emit(f"auto lane      : {lane}")
+    emit(f"schedule       : {variant}")
     emit(f"merge preview  : {merged.n_levels} merged level(s) "
          f"({barrier_ratio:.1f}x fewer barriers), "
          f"redundant nnz {merged.redundant_nnz} "
@@ -788,7 +789,7 @@ def _analyze_levels_view(L, f, emit) -> dict:
         "granularity": f.granularity,
         "granularity_threshold": HIGH_GRANULARITY_THRESHOLD,
         "deep_level_count": DEEP_LEVEL_COUNT,
-        "auto_lane": lane,
+        "schedule": variant,
         "merged": {
             "n_levels": merged.n_levels,
             "n_groups": len(merged.group_sizes()),
@@ -985,11 +986,7 @@ def _cmd_serve_stats(args) -> int:
         print(f"latency (host): p50 {lat['p50']:.2f} ms, "
               f"p95 {lat['p95']:.2f} ms")
         lanes = snap["lanes"]
-        print(f"lanes         : compiled "
-              f"{lanes['compiled']['batches']} batch(es) "
-              f"/ {lanes['compiled']['rhs']} rhs "
-              f"({lanes['compiled']['exec_ms']:.3f} ms), "
-              f"host {lanes['host']['batches']} batch(es) "
+        print(f"lanes         : host {lanes['host']['batches']} batch(es) "
               f"/ {lanes['host']['rhs']} rhs "
               f"({lanes['host']['exec_ms']:.3f} ms), "
               f"sim {lanes['sim']['batches']} batch(es) "

@@ -1,15 +1,21 @@
 """Lane-efficacy analytics over the persistent solve journal.
 
 Turns the accumulated :mod:`repro.obs.journal` record stream into the
-evidence the ROADMAP's adaptive-lane-policy item needs: which execution
-lane actually wins for which *granularity class* of matrix.  Binning
-follows the exact thresholds the ``auto`` policy routes on — the
-paper's Eq. 1 granularity indicator δ against
+evidence the ROADMAP's adaptive-lane-policy item needs: which way of
+solving actually wins for which *granularity class* of matrix.  Solves
+are binned by *route* — the fast-lane plan's schedule variant
+(``"level"`` or ``"merged"``, from the record's ``schedule`` field) or
+``"sim"`` — and the recommendations are the lane-hint values
+(:data:`repro.serve.registry.LANE_HINTS`) the registry caches.  Class
+binning follows the exact thresholds the merge rule uses — the paper's
+Eq. 1 granularity indicator δ against
 :data:`~repro.analysis.granularity.HIGH_GRANULARITY_THRESHOLD` and the
 level depth against
 :data:`~repro.solvers.compiled.DEEP_LEVEL_COUNT` — so the recommended-
-lane table is directly comparable to (and a drop-in replacement for)
-the static routing rule.
+route table is directly comparable to (and a drop-in replacement for)
+the static rule.  Journals written before the fast lanes were folded
+into one plan still count: their ``compiled`` records ran the merged
+schedule and their ``host`` records the level schedule.
 
 The aggregate is fully deterministic: classes, lanes, matrices and
 anomalies all sort, percentiles use nearest-rank on the sorted sample,
@@ -32,7 +38,7 @@ import math
 from typing import Iterable, Optional
 
 from repro.analysis.granularity import HIGH_GRANULARITY_THRESHOLD
-from repro.solvers.compiled import DEEP_LEVEL_COUNT
+from repro.solvers.compiled import COMPILED_SCHEDULES, DEEP_LEVEL_COUNT
 
 __all__ = [
     "EFFICACY_SCHEMA",
@@ -42,6 +48,7 @@ __all__ = [
     "DEFAULT_EWMA_K",
     "DEFAULT_EWMA_WARMUP",
     "granularity_class",
+    "route_of",
     "aggregate",
     "lane_recommendations",
     "apply_lane_hints",
@@ -53,8 +60,8 @@ __all__ = [
 EFFICACY_SCHEMA = "efficacy/1"
 
 #: The four bins: level depth × Eq. 1 granularity, thresholds shared
-#: with the ``auto`` lane policy (``prefers_compiled`` routes exactly
-#: the ``deep-fine`` class to the compiled lane today).
+#: with the merge rule (``prefers_compiled`` picks the merged schedule
+#: for exactly the ``deep-fine`` class today).
 GRANULARITY_CLASSES = (
     "deep-fine", "deep-coarse", "shallow-fine", "shallow-coarse",
 )
@@ -83,8 +90,7 @@ def granularity_class(n_levels: int, granularity: float) -> str:
     ``deep`` means ``n_levels >= DEEP_LEVEL_COUNT`` and ``fine`` means
     ``granularity <= HIGH_GRANULARITY_THRESHOLD`` — the same predicate
     pair :func:`repro.solvers.compiled.prefers_compiled` evaluates, so
-    class ``deep-fine`` is precisely the auto policy's compiled-lane
-    population.
+    class ``deep-fine`` is precisely the merged schedule's population.
     """
     depth = "deep" if n_levels >= DEEP_LEVEL_COUNT else "shallow"
     grain = (
@@ -112,10 +118,31 @@ def _lane_summary(latencies: list) -> dict:
     }
 
 
+#: Route of a pre-merge journal record without a ``schedule`` field.
+_LEGACY_ROUTES = {"compiled": "merged", "host": "level"}
+
+
+def route_of(record: dict) -> Optional[str]:
+    """The lane-hint value one solve record ran on, or ``None``.
+
+    A host-lane record's route is the schedule variant of the plan
+    that served it; a sim-lane record's is ``"sim"``.  Records from
+    before the fast lanes merged carry lane ``compiled`` (the merged
+    schedule) or ``host`` (the level schedule).
+    """
+    lane = record.get("lane")
+    if lane == "sim":
+        return "sim"
+    schedule = record.get("schedule")
+    if schedule in COMPILED_SCHEDULES:
+        return schedule
+    return _LEGACY_ROUTES.get(lane)
+
+
 def _usable_solve(record: dict) -> bool:
     return (
         record.get("kind") == "solve"
-        and isinstance(record.get("lane"), str)
+        and route_of(record) is not None
         and isinstance(record.get("latency_ms"), (int, float))
         and isinstance(record.get("n_levels"), int)
         and isinstance(record.get("granularity"), (int, float))
@@ -138,21 +165,21 @@ def aggregate(
     the damage accounting).  Returns a JSON-ready document::
 
         {"schema": "efficacy/1", "solves": N, "skipped": S,
-         "classes": {class: {"solves", "matrices", "lanes": {lane:
+         "classes": {class: {"solves", "matrices", "lanes": {route:
              {"count", "mean_ms", "p50_ms", "p95_ms", "p99_ms"}},
-             "win_rates": {lane: frac}, "recommended": lane|None}},
+             "win_rates": {route: frac}, "recommended": route|None}},
          "matrices": {fingerprint: {"class", "recommended",
-             "lanes": {lane: {...}}}},
-         "recommendations": {class: lane},
+             "lanes": {route: {...}}}},
+         "recommendations": {class: route},
          "anomalies": [{matrix, lane, ts, latency_ms, expected_ms,
              threshold_ms}, ...]}
 
-    A lane is *recommended* for a class when it has at least
-    ``min_samples`` solves and the lowest median latency (ties break
-    toward the lexicographically first lane name — deterministic, and
-    in practice ``compiled`` < ``host`` < ``sim`` matches the cost
-    order anyway).  ``win_rates`` is the share of the class's matrices
-    whose own fastest-median lane is this lane.
+    Each ``"lanes"`` map and each anomaly's ``lane`` is keyed by
+    :func:`route_of`.  A route is *recommended* for a class when it has
+    at least ``min_samples`` solves and the lowest median latency (ties
+    break toward the lexicographically first route name —
+    deterministic).  ``win_rates`` is the share of the class's matrices
+    whose own fastest-median route is this one.
     """
     stream = list(records)
     solves = [r for r in stream if _usable_solve(r)]
@@ -166,7 +193,7 @@ def aggregate(
     matrix_class: dict[str, str] = {}
     for rec in solves:
         cls = granularity_class(rec["n_levels"], rec["granularity"])
-        lane = rec["lane"]
+        lane = route_of(rec)
         latency = float(rec["latency_ms"])
         class_lat.setdefault(cls, {}).setdefault(lane, []).append(latency)
         key = rec.get("matrix")
@@ -234,7 +261,7 @@ def aggregate(
         key = rec.get("matrix")
         if not isinstance(key, str):
             continue
-        lane = rec["lane"]
+        lane = route_of(rec)
         latency = float(rec["latency_ms"])
         state = trackers.get((key, lane))
         if state is None:
@@ -283,11 +310,11 @@ def lane_recommendations(report: dict) -> dict:
 def apply_lane_hints(registry, report: dict) -> int:
     """Cache per-matrix recommendations on the registry; returns count.
 
-    Each matrix in the report with a decided fastest lane gets a
+    Each matrix in the report with a decided fastest route gets a
     ``lane_hint`` artifact next to its plan (``MatrixRegistry.
-    set_lane_hint``) — the ``auto`` policy consults the hint before the
-    static granularity rule, closing the ROADMAP's measure → recommend
-    → route loop.  Matrices no longer registered are skipped.
+    set_lane_hint``) — a schedule variant overrides the merge rule,
+    closing the ROADMAP's measure → recommend → route loop.  Matrices
+    no longer registered are skipped.
     """
     applied = 0
     for key, info in report.get("matrices", {}).items():

@@ -155,15 +155,6 @@ def fleet_rollup(workers: Mapping[str, dict]) -> dict:
                 "rhs": _sum_field(snaps, "lanes", "host", "rhs"),
                 "exec_ms": _sum_field(snaps, "lanes", "host", "exec_ms"),
             },
-            "compiled": {
-                "batches": _sum_field(
-                    snaps, "lanes", "compiled", "batches"
-                ),
-                "rhs": _sum_field(snaps, "lanes", "compiled", "rhs"),
-                "exec_ms": _sum_field(
-                    snaps, "lanes", "compiled", "exec_ms"
-                ),
-            },
             "sim": {
                 "batches": _sum_field(snaps, "lanes", "sim", "batches"),
                 "rhs": _sum_field(snaps, "lanes", "sim", "rhs"),
@@ -257,10 +248,6 @@ def fleet_openmetrics(
                 worker=name, lane="host")
         counter("lane_rhs",
                 "Right-hand sides served, by worker and lane.",
-                lanes.get("compiled", {}).get("rhs", 0),
-                worker=name, lane="compiled")
-        counter("lane_rhs",
-                "Right-hand sides served, by worker and lane.",
                 lanes.get("sim", {}).get("rhs", 0),
                 worker=name, lane="sim")
         gauge("latency_p95_ms",
@@ -288,9 +275,7 @@ def fleet_openmetrics(
           "Fleet error-budget burn fraction.",
           fleet["slo"]["error_budget_burn"])
     counter("rhs_served", "Right-hand sides served fleet-wide.",
-            fleet["lanes"]["host"]["rhs"]
-            + fleet["lanes"]["compiled"]["rhs"]
-            + fleet["lanes"]["sim"]["rhs"])
+            fleet["lanes"]["host"]["rhs"] + fleet["lanes"]["sim"]["rhs"])
     if fleet["journal"]["shards"]:
         jnl = fleet["journal"]
         counter("journal_records_written",

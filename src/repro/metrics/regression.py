@@ -12,7 +12,7 @@ the suite and compares, entry by entry, with **explicit tolerances**:
 * phase fractions get a small absolute tolerance (they are rounded to
   6 digits in the document; the default 5e-4 absorbs re-rounding noise
   without hiding a real schedule shift).
-* the ``compiled`` section (schema v2: per-matrix compiled-lane plan
+* the ``compiled`` section (schema v2: per-matrix ``CompiledPlan``
   structure — level counts, coefficient counts, executor agreement) is
   always *exact*: these are integers derived from the deterministic
   schedule, identical on every machine regardless of numba presence.
@@ -169,7 +169,7 @@ def compare(
                     )
                 )
 
-    # compiled-lane plan structure (schema v2) — exact, no knobs: the
+    # CompiledPlan structure (schema v2) — exact, no knobs: the
     # schedule is deterministic, so any drift is a real change in the
     # level-merge policy or the plan builder
     base_compiled = {

@@ -19,7 +19,7 @@ Two consumers:
   tolerances.
 
 Schema version 2 adds a ``compiled`` section: one entry per (matrix,
-schedule variant) describing the compiled execution lane's plan
+schedule variant) describing the fast lane's ``CompiledPlan``
 *structure* — base/merged level counts, coefficient counts, redundant
 work — plus an agreement bit between the JIT and fallback executors.
 Structure only, deliberately: these are exact integers derived from

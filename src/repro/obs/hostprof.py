@@ -3,18 +3,17 @@
 The cycle-level profiler (:mod:`repro.obs.profiler`) attributes
 *simulated* cycles; it only exists when a kernel actually runs on the
 SIMT simulator, which made the serving stack's fastest path — the
-vectorized :class:`~repro.solvers.host_parallel.ExecutionPlan` — its
-least observable one.  This module gives the host lane the same
+fused :class:`~repro.solvers.compiled.CompiledPlan` — its least
+observable one.  This module gives the host lane the same
 first-class treatment at wall-clock resolution: every
 ``solve_many``/``solve`` call executed while a :class:`HostProfiler` is
 ambient records one :class:`HostLaunchProfile`, attributing each
 level's time to the three numpy segments of the executor —
 
 * ``gather``  — forming the ``(nnz, k)`` contribution block
-  (``vals * X[cols]``),
+  (``vals * X[idx]``),
 * ``reduce``  — the segmented sum (``np.add.reduceat``),
-* ``scatter`` — writing the level's solution rows
-  (``(B - sums) / diag``),
+* ``scatter`` — writing the level's solution rows,
 
 with ``other`` absorbing loop overhead outside the timed segments, and
 records rows/s and nnz/s throughput per level.
@@ -89,10 +88,11 @@ class HostLevelSample:
 
 
 class HostLaunchProfile:
-    """One ``ExecutionPlan`` execution under the host profiler.
+    """One ``CompiledPlan`` execution under the host profiler.
 
-    ``nnz`` counts the work actually touched per right-hand side: the
-    packed off-diagonal elements plus one diagonal divide per row.
+    ``nnz`` counts the coefficients touched per right-hand side: the
+    off-diagonal elements plus one ``b`` term per row, plus any
+    redundant work of a merged schedule.
 
     Construct with either ``levels=`` (a tuple of
     :class:`HostLevelSample`) or ``raw=`` (per-level ``(rows, nnz,
@@ -229,7 +229,7 @@ class HostProfiler:
         return {p: seconds[p] / total for p in HOST_PHASES}
 
     def digest(
-        self, *, solver_name: str = "HostVectorized", digits: int = 6
+        self, *, solver_name: str = "CompiledFused", digits: int = 6
     ) -> dict:
         with self._lock:
             launches = tuple(self.launches)
@@ -241,7 +241,7 @@ class HostProfiler:
 def host_phase_digest(
     launches: Iterable[HostLaunchProfile],
     *,
-    solver_name: str = "HostVectorized",
+    solver_name: str = "CompiledFused",
     lane: str = "host",
     digits: int = 6,
 ) -> dict:
@@ -251,9 +251,7 @@ def host_phase_digest(
     :func:`~repro.obs.report.phase_digest` — solver name, launch count,
     one cost scalar, and a phase→fraction map — with host phases and
     wall-clock milliseconds where the sim digest has cycle phases and
-    cycle counts.  ``lane`` labels which wall-clock lane produced the
-    samples: the per-level host executor and the compiled lane's
-    profiled executor share the gather/reduce/scatter phase taxonomy.
+    cycle counts.  ``lane`` labels the lane that produced the samples.
     """
     launches = tuple(launches)
     totals = {p: 0.0 for p in HOST_PHASES}

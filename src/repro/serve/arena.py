@@ -1,16 +1,18 @@
-"""Shared-memory plan arena: build an execution plan once, map it everywhere.
+"""Shared-memory plan arena: build a plan once, map it everywhere.
 
 The serve cluster's whole premise is that the expensive per-matrix
 artifacts — the CSR arrays and the inspector's
-:class:`~repro.solvers.host_parallel.ExecutionPlan` (gather/scatter
-index arrays, packed values, level pointers) — are *immutable* once
-built.  Immutable numpy arrays are exactly what
-:mod:`multiprocessing.shared_memory` is good at: the router builds a
-plan once, lays its arrays into one shared segment, and every shard
-worker maps that segment and wraps zero-copy views in a fresh
-``ExecutionPlan``.  Registration and worker respawn ship a small JSON
-handle (segment name + array layout) over the pipe instead of pickling
-megabytes of plan per request — the "build once, ship a cheap schedule
+:class:`~repro.solvers.compiled.CompiledPlan` (row order, coefficient
+spans, scaled coefficients, level pointers, and the level variant's
+inverse diagonal), in whichever schedule
+variant the merge rule picked — are *immutable* once built.  Immutable
+numpy arrays are exactly what :mod:`multiprocessing.shared_memory` is
+good at: the router builds a plan once, lays its arrays into one
+shared segment, and every shard worker maps that segment and wraps
+zero-copy views in a fresh ``CompiledPlan``.  Registration and worker
+respawn ship a small JSON handle (segment name + array layout + the
+plan's scalars) over the pipe instead of pickling megabytes of plan per
+request — the "build once, ship a cheap schedule
 artifact" economics of Böhnlein et al. (arXiv:2503.05408) applied to
 process boundaries.
 
@@ -46,9 +48,8 @@ from typing import Optional
 
 import numpy as np
 
-from repro.analysis.levels import LevelSchedule
 from repro.errors import ClusterError
-from repro.solvers.host_parallel import ExecutionPlan
+from repro.solvers.compiled import CompiledPlan
 from repro.sparse.csr import CSRMatrix
 
 __all__ = [
@@ -162,13 +163,12 @@ def _unlink_segment(shm: shared_memory.SharedMemory) -> None:
 # plan publication
 # ---------------------------------------------------------------------------
 
-#: (field, source) pairs laid into a plan segment, in order.  ``rows``
-#: and the plan's ``level_ptr`` alias the schedule arrays (the inspector
-#: copies them; the arena stores each byte once).
+#: Arrays laid into a plan segment, in order: the matrix (``m_``) and
+#: the plan (``p_``).  ``p_inv_diag`` exists only for the level variant.
+#: The plan's scalars travel in the handle.
 _PLAN_FIELDS = (
     "m_row_ptr", "m_col_idx", "m_values",
-    "p_row_ptr", "p_cols", "p_vals", "p_diag",
-    "s_level_of_row", "s_level_ptr", "s_order",
+    "p_rows", "p_row_ptr", "p_idx", "p_vals", "p_level_ptr", "p_inv_diag",
 )
 
 
@@ -178,7 +178,8 @@ class PlanHandle:
 
     ``arrays`` maps field name to ``(dtype, shape, offset)``; the field
     vocabulary is fixed (:data:`_PLAN_FIELDS`), so both sides agree on
-    layout without shipping code.
+    layout without shipping code.  ``schedule``, ``base_levels`` and
+    ``redundant_nnz`` are the plan's scalars.
     """
 
     key: str
@@ -187,6 +188,9 @@ class PlanHandle:
     n_rows: int
     n_cols: int
     arrays: tuple  # of (field, dtype_str, shape_tuple, offset)
+    schedule: str
+    base_levels: int
+    redundant_nnz: int
 
     def to_json(self) -> dict:
         return {
@@ -198,6 +202,9 @@ class PlanHandle:
             "arrays": [
                 [f, d, list(s), o] for f, d, s, o in self.arrays
             ],
+            "schedule": self.schedule,
+            "base_levels": self.base_levels,
+            "redundant_nnz": self.redundant_nnz,
         }
 
     @classmethod
@@ -211,6 +218,9 @@ class PlanHandle:
             arrays=tuple(
                 (f, d, tuple(s), int(o)) for f, d, s, o in doc["arrays"]
             ),
+            schedule=doc["schedule"],
+            base_levels=int(doc["base_levels"]),
+            redundant_nnz=int(doc["redundant_nnz"]),
         )
 
 
@@ -220,7 +230,7 @@ class AttachedPlan:
 
     handle: PlanHandle
     matrix: CSRMatrix
-    plan: ExecutionPlan
+    plan: CompiledPlan
 
 
 @dataclass
@@ -242,7 +252,7 @@ def _align(offset: int) -> int:
 
 
 class PlanArena:
-    """Refcounted shared-memory store of published execution plans.
+    """Refcounted shared-memory store of published plans.
 
     One arena instance serves both roles: the router *owns* segments
     (``publish`` / ``unlink`` / ``close``), workers *attach* to them
@@ -260,30 +270,30 @@ class PlanArena:
     # ------------------------------------------------------------------
     # owner side
     # ------------------------------------------------------------------
-    def publish(self, key: str, matrix: CSRMatrix, plan: ExecutionPlan) -> PlanHandle:
+    def publish(self, key: str, matrix: CSRMatrix, plan: CompiledPlan) -> PlanHandle:
         """Lay ``matrix`` + ``plan`` into one shared segment (idempotent
         per ``key``: a second publish returns the existing handle)."""
         with self._lock:
             owned = self._owned.get(key)
             if owned is not None:
                 return owned.handle
-        sched = plan.schedule
         sources = {
             "m_row_ptr": matrix.row_ptr,
             "m_col_idx": matrix.col_idx,
             "m_values": matrix.values,
+            "p_rows": plan.rows,
             "p_row_ptr": plan.row_ptr,
-            "p_cols": plan.cols,
+            "p_idx": plan.idx,
             "p_vals": plan.vals,
-            "p_diag": plan.diag,
-            "s_level_of_row": sched.level_of_row,
-            "s_level_ptr": sched.level_ptr,
-            "s_order": sched.order,
+            "p_level_ptr": plan.level_ptr,
+            "p_inv_diag": plan.inv_diag,  # None in the merged variant
         }
         specs = []
         offset = 0
         for name in _PLAN_FIELDS:
             arr = sources[name]
+            if arr is None:
+                continue
             offset = _align(offset)
             specs.append((name, arr.dtype.str, tuple(arr.shape), offset))
             offset += arr.nbytes
@@ -298,6 +308,9 @@ class PlanArena:
             n_rows=matrix.n_rows,
             n_cols=matrix.n_cols,
             arrays=tuple(specs),
+            schedule=plan.schedule,
+            base_levels=plan.base_levels,
+            redundant_nnz=plan.redundant_nnz,
         )
         with self._lock:
             # lost the publish race: keep the first segment, drop ours
@@ -379,19 +392,16 @@ class PlanArena:
         # the fingerprint is the routing key; pin it so the worker never
         # re-hashes megabytes of shared arrays just to learn what it was
         object.__setattr__(matrix, "_fingerprint", handle.key)
-        schedule = LevelSchedule(
-            level_of_row=views["s_level_of_row"],
-            level_ptr=views["s_level_ptr"],
-            order=views["s_order"],
-        )
-        plan = ExecutionPlan(
-            schedule=schedule,
-            rows=views["s_order"],  # plan rows ARE the schedule order
+        plan = CompiledPlan(
+            schedule=handle.schedule,
+            rows=views["p_rows"],
             row_ptr=views["p_row_ptr"],
-            cols=views["p_cols"],
+            idx=views["p_idx"],
             vals=views["p_vals"],
-            diag=views["p_diag"],
-            level_ptr=views["s_level_ptr"],
+            level_ptr=views["p_level_ptr"],
+            base_levels=handle.base_levels,
+            redundant_nnz=handle.redundant_nnz,
+            inv_diag=views.get("p_inv_diag"),
         )
         attached = AttachedPlan(handle=handle, matrix=matrix, plan=plan)
         with self._lock:

@@ -1,23 +1,27 @@
 """Multi-worker sharded serve tier with zero-copy plan sharing.
 
-One :class:`SolveEngine` saturates around a single process: the host
-lane's numpy kernels release the GIL only inside vendored BLAS-ish
-loops, and a single Python event loop fronts every request.  The
-cluster breaks that ceiling the way the paper breaks the warp-level
-ceiling — by going *finer*: a front-end :class:`ShardRouter`
+One :class:`SolveEngine` saturates around a single process: without
+numba the host lane's numpy kernels release the GIL only inside
+vendored BLAS-ish loops, and a single Python event loop fronts every
+request.  The cluster breaks that ceiling the way the paper breaks the
+warp-level ceiling — by going *finer*: a front-end :class:`ShardRouter`
 consistent-hash-shards matrices onto a pool of worker *processes*, each
 owning its shard of the registry and running its own engine on the host
 lane.
 
 The expensive part of a shard is its plans, and those are built exactly
-once: the router's local registry runs the inspector, publishes the
-plan's arrays into a :class:`~repro.serve.arena.PlanArena`
-shared-memory segment, and ships workers a small JSON handle.  Workers
-map the segment and *adopt* a zero-copy reconstruction
-(:meth:`~repro.serve.registry.MatrixRegistry.adopt_plan`) — plan bytes
-cross process boundaries zero times, registration and respawn cost
-O(handle), not O(nnz).  Request and response payloads above an inline
-threshold travel the same way, through pooled
+once: the router's local registry runs the inspector for the schedule
+variant the merge rule picks (level-merged for deep, skinny matrices),
+publishes the plan's arrays into a
+:class:`~repro.serve.arena.PlanArena` shared-memory segment, and ships
+workers a small JSON handle.  Workers map the segment and *adopt* a
+zero-copy reconstruction
+(:meth:`~repro.serve.registry.MatrixRegistry.adopt_plan`) and serve it
+through the same :meth:`~repro.serve.registry.MatrixRegistry.plan`
+accessor as any engine — plan bytes cross process boundaries zero
+times, an attach copies no coefficient (it derives only O(n) executor
+bookkeeping), and a worker builds no plan of its own.  Request and response payloads above
+an inline threshold travel the same way, through pooled
 :class:`~repro.serve.arena.SlabPool` segments; the solution is written
 back into the request's slab (the shapes match), so a large solve moves
 bytes through shared pages in both directions and through the pipe only
@@ -60,6 +64,7 @@ from repro.obs.disttrace import (
 )
 from repro.obs.tracelog import TRACELOG_SCHEMA, new_trace_id
 from repro.serve.arena import PlanArena, PlanHandle, SegmentCache, Slab, SlabPool
+from repro.serve.engine import EXECUTION_MODES
 from repro.serve.registry import MatrixRegistry
 from repro.serve.shardproto import (
     OP_CLOSE,
@@ -407,6 +412,11 @@ class ShardRouter:
     ) -> None:
         if n_workers <= 0:
             raise ClusterError("n_workers must be positive")
+        if execution not in EXECUTION_MODES:
+            raise ValueError(
+                f"execution must be one of {EXECUTION_MODES}, "
+                f"got {execution!r}"
+            )
         import multiprocessing
 
         self.n_workers = n_workers
@@ -541,8 +551,9 @@ class ShardRouter:
         self, matrix: CSRMatrix, *, name: Optional[str] = None
     ) -> str:
         """Register a matrix fleet-wide: build its plan once (router
-        side), publish the arrays to shared memory, and hand the owning
-        shard worker the zero-copy handle.  Idempotent by content."""
+        side, in the schedule variant the merge rule picks), publish the
+        arrays to shared memory, and hand the owning shard worker the
+        zero-copy handle.  Idempotent by content."""
         key = self._registry.register(matrix, name=name)
         with self._lock:
             already = key in self._published

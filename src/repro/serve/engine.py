@@ -15,36 +15,40 @@ Execution model
 * Each flushed batch runs on a thread-pool worker, through one of two
   **execution lanes** (``execution=`` constructor parameter):
 
-  - ``"host"`` — the registry's cached inspector-executor
-    :class:`~repro.solvers.host_parallel.ExecutionPlan`, solved with
+  - ``"host"`` — the registry's cached
+    :class:`~repro.solvers.compiled.CompiledPlan`, solved with
     ``solve_many`` over the whole block.  This is the production fast
-    path: a few numpy operations per level instead of thousands of
-    interpreter-stepped simulated cycles.
-  - ``"compiled"`` — the fused
-    :class:`~repro.solvers.compiled.CompiledPlan` (registry-cached per
-    schedule variant): the whole level loop in one call, over a
-    level-merged schedule by default.  One numba-JIT GIL-releasing
-    launch when numba is installed, a fused numpy executor otherwise —
-    either way the lane of choice for deep, skinny level structures
-    where the host lane's per-level dispatch dominates.
+    path: one numba-JIT GIL-releasing call when numba is installed, a
+    few numpy operations per level otherwise, instead of thousands of
+    interpreter-stepped simulated cycles.  The plan's schedule variant
+    is the registry's choice, not the caller's
+    (:meth:`~repro.serve.registry.MatrixRegistry.schedule_for`):
+    ``"merged"`` for deep, skinny level structures
+    (:func:`~repro.solvers.compiled.prefers_compiled`: many levels,
+    Eq. 1 granularity at or below the paper's 0.7 threshold), where
+    per-level dispatch dominates, ``"level"`` otherwise, and a cached
+    efficacy hint overrides the rule.
   - ``"sim"`` — the cycle-level SIMT simulator: batched
     ``capellini_sptrsm`` for width ≥ 2, the granularity-selected solver
     chain for width 1 and multi-RHS fallbacks.  This is the measurement
     instrument; it is the only lane that produces cycle counts, phase
     profiles, and warp traces.
-  - ``"auto"`` (default) — the compiled lane when the matrix is deep
-    and skinny (:func:`~repro.solvers.compiled.prefers_compiled`: many
-    levels, Eq. 1 granularity at or below the paper's 0.7 threshold),
-    else the host lane; failures degrade compiled → host → sim, each
-    failed lane quarantined for that matrix like any kernel failure.
+  - ``"auto"`` (default) — the host lane, degrading to the simulator
+    ladder; every step of the ladder is a ``(name, runner)`` pair and a
+    failed step is quarantined for that matrix like any kernel failure.
     An ambient tracer, sanitizer, or *cycle* profiler forces the
     simulator, because cycle attribution requires actually simulating.
-    ``profile=True`` does **not** change lanes: host- and compiled-lane
-    launches get a wall-clock phase digest from a
+    ``profile=True`` does **not** change lanes: host-lane launches get
+    a wall-clock phase digest from a
     :class:`~repro.obs.hostprof.HostProfiler` (gather/reduce/scatter
     attribution), sim-lane launches a cycle digest — the same
     ``profile`` field in both trace events, the lane decided by the
-    execution policy alone.
+    execution policy alone.  A profiled host block always runs the
+    per-level numpy executor (its launch event says
+    ``backend="numpy"``): with numba installed, unprofiled blocks run
+    the JIT kernel instead, so the profile times a different executor
+    and profiled answers may differ in the last bits.  Under the numpy
+    backend they are bit-identical.
 * Robustness: a kernel that raises ``HazardError``/``SolverError`` on a
   matrix is recorded in telemetry and *quarantined for that matrix* —
   later requests walk the :func:`~repro.solvers.select.solver_chain`
@@ -58,9 +62,11 @@ from __future__ import annotations
 
 import asyncio
 import contextvars
+import functools
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import replace
 from typing import Iterable, Optional
 
@@ -89,12 +95,7 @@ from repro.serve.telemetry import ServeTelemetry
 from repro.solvers._sim import instrumentation_active
 from repro.solvers.base import SpTRSVSolver
 from repro.solvers.capellini import WritingFirstCapelliniSolver
-from repro.solvers.compiled import (
-    COMPILED_SCHEDULES,
-    CompiledFusedSolver,
-    prefers_compiled,
-)
-from repro.solvers.host_parallel import HostLevelScheduleSolver
+from repro.solvers.compiled import CompiledFusedSolver
 from repro.solvers.multirhs import capellini_sptrsm
 from repro.solvers.select import solver_chain
 from repro.sparse.csr import CSRMatrix
@@ -108,14 +109,11 @@ __all__ = ["EXECUTION_MODES", "SolveEngine"]
 BATCHED_KERNEL = WritingFirstCapelliniSolver.name
 
 #: Telemetry/quarantine name of the host fast lane (the registry-cached
-#: inspector-executor plan).
-HOST_LANE = HostLevelScheduleSolver.name
-
-#: Telemetry/quarantine name of the compiled fused lane.
-COMPILED_LANE = CompiledFusedSolver.name
+#: :class:`~repro.solvers.compiled.CompiledPlan`).
+HOST_LANE = CompiledFusedSolver.name
 
 #: Valid values of ``SolveEngine(execution=...)``.
-EXECUTION_MODES = ("auto", "compiled", "host", "sim")
+EXECUTION_MODES = ("auto", "host", "sim")
 
 #: Errors the fallback ladder absorbs.  Anything else (simulator bugs,
 #: validation errors) propagates to the caller unchanged.
@@ -146,7 +144,6 @@ class SolveEngine:
         trace_log: Optional[TraceLog] = None,
         profile: bool = False,
         execution: str = "auto",
-        compiled_schedule: str = "merged",
         clock=None,
         executor=None,
         journal=None,
@@ -159,11 +156,6 @@ class SolveEngine:
             raise ValueError(
                 f"execution must be one of {EXECUTION_MODES}, "
                 f"got {execution!r}"
-            )
-        if compiled_schedule not in COMPILED_SCHEDULES:
-            raise ValueError(
-                f"compiled_schedule must be one of {COMPILED_SCHEDULES}, "
-                f"got {compiled_schedule!r}"
             )
         self.registry = registry if registry is not None else MatrixRegistry()
         self.device = device
@@ -182,12 +174,8 @@ class SolveEngine:
         #: choice — only ambient sim-kind instrumentation forces the
         #: simulator.
         self.profile = profile
-        #: execution lane policy: "auto" | "compiled" | "host" | "sim"
+        #: execution lane policy: "auto" | "host" | "sim"
         self.execution = execution
-        #: schedule variant the compiled lane requests from the registry
-        #: ("merged" coalesces skinny levels; "level" is the plain
-        #: level schedule)
-        self.compiled_schedule = compiled_schedule
         #: optional :class:`~repro.obs.journal.JournalWriter` — the
         #: flight recorder.  When set, every completed request appends
         #: one durable per-solve record and every kernel failure dumps
@@ -576,17 +564,12 @@ class SolveEngine:
             }
         exec_ms = round(float(outcome.exec_ms), 4)
         queue_ms = round(max(latency_ms - exec_ms, 0.0), 4)
-        schedule = None
-        if outcome.lane == "compiled":
-            schedule = self.compiled_schedule
-        elif outcome.lane == "host":
-            schedule = "level"
         self.journal.record_solve(
             matrix=entry.key,
             trace_id=req.trace_id,
             lane=outcome.lane,
             solver=outcome.solver_name,
-            schedule=schedule,
+            schedule=outcome.schedule,
             batch_width=outcome.batch_width,
             n_rhs=n_rhs,
             latency_ms=round(latency_ms, 4),
@@ -683,7 +666,7 @@ class SolveEngine:
         profiles itself at wall-clock resolution."""
         return instrumentation_active()
 
-    def _execute_host(
+    def _run_plan(
         self,
         entry: RegisteredMatrix,
         B: np.ndarray,
@@ -691,7 +674,8 @@ class SolveEngine:
         batch_id: str,
         trace_ids: tuple,
     ) -> BlockOutcome:
-        """Host fast lane: the registry's cached execution plan."""
+        """Host fast lane: the registry's cached plan, in the schedule
+        variant the registry picked for this matrix."""
         k = B.shape[1]
         # an ambient host profiler (caller-attached) keeps collecting
         # across blocks; otherwise profile=True gets a fresh per-launch
@@ -703,10 +687,8 @@ class SolveEngine:
         first_new = len(profiler.launches) if profiler is not None else 0
         t0 = time.perf_counter()
         plan = self.registry.plan(entry.key)
-        if profiler is not None and ambient is None:
-            with profiling(profiler):
-                X = plan.solve_many(B)
-        else:
+        fresh = ambient is None and profiler is not None
+        with profiling(profiler) if fresh else nullcontext():
             X = plan.solve_many(B)
         exec_ms = (time.perf_counter() - t0) * 1e3
         self.telemetry.record_lane("host", k, exec_ms=exec_ms)
@@ -718,6 +700,9 @@ class SolveEngine:
             "cycles": 0,
             "exec_ms": round(exec_ms, 3),
             "n_levels": plan.n_levels,
+            "base_levels": plan.base_levels,
+            "schedule": plan.schedule,
+            "backend": "numpy" if profiler is not None else plan.backend,
             "trace_ids": list(trace_ids),
         }
         if profiler is not None:
@@ -733,12 +718,11 @@ class SolveEngine:
             exec_ms=exec_ms,
             cycles=0,
             batch_width=k if coalesced else 1,
-            fallback_from=None,
-            failures=(),
             lane="host",
+            schedule=plan.schedule,
         )
 
-    def _execute_compiled(
+    def _run_batched(
         self,
         entry: RegisteredMatrix,
         B: np.ndarray,
@@ -746,75 +730,75 @@ class SolveEngine:
         batch_id: str,
         trace_ids: tuple,
     ) -> BlockOutcome:
-        """Compiled lane: the registry's cached fused plan."""
-        k = B.shape[1]
-        # profiler handling mirrors the host lane: an ambient
-        # (caller-attached) host profiler keeps collecting across
-        # blocks; profile=True gets a fresh per-launch one.  The
-        # profiled executor runs per-level numpy with identical results.
-        ambient = active_host_profiler()
-        profiler = ambient
-        if profiler is None and self.profile:
-            profiler = HostProfiler()
-        first_new = len(profiler.launches) if profiler is not None else 0
-        t0 = time.perf_counter()
-        plan = self.registry.compiled_plan(
-            entry.key, schedule=self.compiled_schedule
+        """Sim lane, width ≥ 2: one batched Writing-First SpTRSM."""
+        profiler = self._profiler()
+        with profiling(profiler) if profiler is not None else nullcontext():
+            res = capellini_sptrsm(entry.matrix, B, device=self.device)
+        return self._sim_outcome(
+            entry, f"{BATCHED_KERNEL}-SpTRSM", res.X, res.exec_ms,
+            res.stats.cycles, coalesced, profiler, batch_id, trace_ids,
         )
-        if profiler is not None and ambient is None:
-            with profiling(profiler):
-                X = plan.solve_many(B)
-        else:
-            X = plan.solve_many(B)
-        exec_ms = (time.perf_counter() - t0) * 1e3
-        self.telemetry.record_lane("compiled", k, exec_ms=exec_ms)
-        fields = {
-            "batch_id": batch_id,
-            "matrix": entry.key,
-            "solver": COMPILED_LANE,
-            "lane": "compiled",
-            "cycles": 0,
-            "exec_ms": round(exec_ms, 3),
-            "n_levels": plan.n_levels,
-            "base_levels": plan.base_levels,
-            "schedule": plan.schedule_variant,
-            "backend": plan.backend,
-            "trace_ids": list(trace_ids),
-        }
-        if profiler is not None:
-            new_launches = profiler.launches[first_new:]
-            if new_launches:
-                fields["profile"] = host_phase_digest(
-                    new_launches,
-                    solver_name=COMPILED_LANE,
-                    lane="compiled",
-                )
-        self.trace_log.emit("launch", **fields)
+
+    def _run_solver(
+        self,
+        solver: SpTRSVSolver,
+        entry: RegisteredMatrix,
+        B: np.ndarray,
+        coalesced: bool,
+        batch_id: str,
+        trace_ids: tuple,
+    ) -> BlockOutcome:
+        """Sim lane: one ladder solver, column by column."""
+        profiler = self._profiler()
+        with profiling(profiler) if profiler is not None else nullcontext():
+            results = [
+                solver.solve(entry.matrix, B[:, r], device=self.device)
+                for r in range(B.shape[1])
+            ]
+        return self._sim_outcome(
+            entry, solver.name, np.stack([r.x for r in results], axis=1),
+            sum(r.exec_ms for r in results),
+            sum(r.stats.cycles for r in results if r.stats is not None),
+            coalesced, profiler, batch_id, trace_ids,
+        )
+
+    def _sim_outcome(
+        self, entry, name, X, exec_ms, cycles, coalesced, profiler,
+        batch_id, trace_ids,
+    ) -> BlockOutcome:
+        k = X.shape[1]
+        self.telemetry.sim_cycles.inc(cycles)
+        self.telemetry.sim_exec_ms.inc(exec_ms)
+        self.telemetry.record_lane("sim", k)
+        self._emit_launch(entry, name, cycles, profiler, batch_id, trace_ids)
         return BlockOutcome(
             X=X,
-            solver_name=COMPILED_LANE,
+            solver_name=name,
             exec_ms=exec_ms,
-            cycles=0,
+            cycles=cycles,
             batch_width=k if coalesced else 1,
-            fallback_from=None,
-            failures=(),
-            lane="compiled",
         )
 
-    def _auto_prefers_compiled(self, entry: RegisteredMatrix) -> bool:
-        """The ``auto`` policy's lane rule.
+    def _ladder(self, entry: RegisteredMatrix, k: int):
+        """``(name, lane, runner)`` steps in preference order.
 
-        A measured-lane hint cached on the registry (written by the
-        efficacy analytics over the solve journal —
-        :func:`repro.metrics.efficacy.apply_lane_hints`) overrides the
-        static rule: ``"compiled"`` routes to the compiled lane, any
-        other hint to the host-first ladder.  Without a hint the
-        paper's granularity predicate decides, from cached features.
+        The host lane when the policy allows it, then the batched
+        SpTRSM for blocks, then the granularity-selected solver chain
+        (shared with :func:`select_solver` — one code path).  Lazy, so
+        features for the chain are only built once a step reaches it.
         """
-        hint = self.registry.lane_hint(entry.key)
-        if hint is not None:
-            return hint == "compiled"
-        return prefers_compiled(self.registry.features(entry.key))
+        if self.execution != "sim" and not self._sim_forced():
+            yield HOST_LANE, "host", self._run_plan
+        if k > 1 and (
+            self._candidates is None
+            or WritingFirstCapelliniSolver in self._candidates
+        ):
+            yield BATCHED_KERNEL, "sim", self._run_batched
+        features = self.registry.features(entry.key)
+        for solver in solver_chain(features, candidates=self._candidates):
+            yield solver.name, "sim", functools.partial(
+                self._run_solver, solver
+            )
 
     def _execute_block(
         self,
@@ -824,230 +808,51 @@ class SolveEngine:
         batch_id: str = "",
         trace_ids: tuple = (),
     ) -> BlockOutcome:
-        """Solve a block: compiled/host fast lanes when the policy
-        allows them, else batched SpTRSM first, then the solver ladder."""
-        k = B.shape[1]
-        failures: list[str] = []
-        if self.execution != "sim" and not self._sim_forced():
-            if self.execution == "compiled":
-                # forced compiled lane: failures propagate to the caller
-                return self._execute_compiled(
-                    entry, B, coalesced, batch_id, trace_ids
-                )
-            if self.execution == "host":
-                # forced host lane: failures propagate to the caller
-                return self._execute_host(
-                    entry, B, coalesced, batch_id, trace_ids
-                )
-            # auto: compiled first on deep-and-skinny level structures,
-            # then host, then the simulator ladder below — each failed
-            # lane is quarantined for this matrix and never retried
-            if self._auto_prefers_compiled(entry):
-                if COMPILED_LANE not in self._quarantined_names(entry.key):
-                    try:
-                        return self._execute_compiled(
-                            entry, B, coalesced, batch_id, trace_ids
-                        )
-                    except FALLBACK_ERRORS as exc:
-                        self._quarantine(entry.key, COMPILED_LANE)
-                        self.telemetry.record_kernel_failure(
-                            entry.key, COMPILED_LANE, exc
-                        )
-                        self.trace_log.emit(
-                            "kernel-failure", batch_id=batch_id,
-                            matrix=entry.key, solver=COMPILED_LANE,
-                            lane="compiled", error=type(exc).__name__,
-                            trace_ids=list(trace_ids),
-                        )
-                        self._incident(
-                            entry.key, COMPILED_LANE, "compiled", exc
-                        )
-                        failures.append(COMPILED_LANE)
-                else:
-                    failures.append(COMPILED_LANE)
-            if HOST_LANE not in self._quarantined_names(entry.key):
-                try:
-                    outcome = self._execute_host(
-                        entry, B, coalesced, batch_id, trace_ids
-                    )
-                except FALLBACK_ERRORS as exc:
-                    self._quarantine(entry.key, HOST_LANE)
-                    self.telemetry.record_kernel_failure(
-                        entry.key, HOST_LANE, exc
-                    )
-                    self.trace_log.emit(
-                        "kernel-failure", batch_id=batch_id,
-                        matrix=entry.key, solver=HOST_LANE, lane="host",
-                        error=type(exc).__name__,
-                        trace_ids=list(trace_ids),
-                    )
-                    self._incident(entry.key, HOST_LANE, "host", exc)
-                    failures.append(HOST_LANE)
-                else:
-                    if failures:
-                        # the compiled lane failed (or was quarantined)
-                        # first: record the lane degradation like any
-                        # other fallback transition
-                        self.telemetry.record_fallback_solve(
-                            entry.key, failures[0], HOST_LANE
-                        )
-                        self.trace_log.emit(
-                            "fallback", batch_id=batch_id,
-                            matrix=entry.key, fallback_from=failures[0],
-                            solver=HOST_LANE, trace_ids=list(trace_ids),
-                        )
-                        outcome = replace(
-                            outcome,
-                            fallback_from=failures[0],
-                            failures=tuple(failures),
-                        )
-                    return outcome
-            else:
-                failures.append(HOST_LANE)
-        batched_allowed = (
-            self._candidates is None
-            or WritingFirstCapelliniSolver in self._candidates
-        )
-        if k > 1 and batched_allowed:
-            quarantined = self._quarantined_names(entry.key)
-            if BATCHED_KERNEL not in quarantined:
-                profiler = self._profiler()
-                try:
-                    if profiler is not None:
-                        with profiling(profiler):
-                            res = capellini_sptrsm(
-                                entry.matrix, B, device=self.device
-                            )
-                    else:
-                        res = capellini_sptrsm(
-                            entry.matrix, B, device=self.device
-                        )
-                except FALLBACK_ERRORS as exc:
-                    self._quarantine(entry.key, BATCHED_KERNEL)
-                    self.telemetry.record_kernel_failure(
-                        entry.key, BATCHED_KERNEL, exc
-                    )
-                    self.trace_log.emit(
-                        "kernel-failure", batch_id=batch_id,
-                        matrix=entry.key, solver=BATCHED_KERNEL,
-                        error=type(exc).__name__,
-                        trace_ids=list(trace_ids),
-                    )
-                    self._incident(entry.key, BATCHED_KERNEL, "sim", exc)
-                    failures.append(BATCHED_KERNEL)
-                else:
-                    self.telemetry.sim_cycles.inc(res.stats.cycles)
-                    self.telemetry.sim_exec_ms.inc(res.exec_ms)
-                    self.telemetry.record_lane("sim", k)
-                    name = f"{BATCHED_KERNEL}-SpTRSM"
-                    self._emit_launch(
-                        entry, name, res.stats.cycles, profiler,
-                        batch_id, trace_ids,
-                    )
-                    return BlockOutcome(
-                        X=res.X,
-                        solver_name=name,
-                        exec_ms=res.exec_ms,
-                        cycles=res.stats.cycles,
-                        batch_width=k if coalesced else 1,
-                        fallback_from=None,
-                        failures=(),
-                    )
-            else:
-                failures.append(BATCHED_KERNEL)
-        return self._solve_chain_block(
-            entry, B, coalesced=coalesced, prior_failures=failures,
-            batch_id=batch_id, trace_ids=trace_ids,
-        )
+        """Solve a block on the first ladder step that succeeds.
 
-    def _solve_chain_block(
-        self,
-        entry: RegisteredMatrix,
-        B: np.ndarray,
-        *,
-        coalesced: bool,
-        prior_failures: list[str],
-        batch_id: str = "",
-        trace_ids: tuple = (),
-    ) -> BlockOutcome:
-        """Walk the preference ladder column-by-column.
-
-        The chain head is the granularity-selected primary (shared with
-        :func:`select_solver` — one code path); quarantined kernels are
-        skipped up front rather than retried.
+        Quarantined steps are skipped up front rather than retried; a
+        step that raises one of :data:`FALLBACK_ERRORS` is quarantined
+        for this matrix by the one failure handler below, and the
+        first skipped or failed step becomes ``fallback_from``.
         """
-        k = B.shape[1]
-        features = self.registry.features(entry.key)
-        chain = solver_chain(features, candidates=self._candidates)
-        primary_name = chain[0].name
+        if self.execution == "host" and not self._sim_forced():
+            # forced host lane: failures propagate to the caller
+            return self._run_plan(entry, B, coalesced, batch_id, trace_ids)
         quarantined = self._quarantined_names(entry.key)
-        failures = list(prior_failures)
-        fell_back = bool(failures) or primary_name in quarantined
-        for solver in chain:
-            if solver.name in quarantined:
-                fell_back = True
+        failures: list[str] = []
+        for name, lane, runner in self._ladder(entry, B.shape[1]):
+            if name in quarantined or name in failures:
+                if name not in failures:
+                    failures.append(name)
                 continue
-            profiler = self._profiler()
             try:
-                if profiler is not None:
-                    with profiling(profiler):
-                        results = [
-                            solver.solve(
-                                entry.matrix, B[:, r], device=self.device
-                            )
-                            for r in range(k)
-                        ]
-                else:
-                    results = [
-                        solver.solve(
-                            entry.matrix, B[:, r], device=self.device
-                        )
-                        for r in range(k)
-                    ]
+                outcome = runner(entry, B, coalesced, batch_id, trace_ids)
             except FALLBACK_ERRORS as exc:
-                self._quarantine(entry.key, solver.name)
-                self.telemetry.record_kernel_failure(
-                    entry.key, solver.name, exc
-                )
+                self._quarantine(entry.key, name)
+                self.telemetry.record_kernel_failure(entry.key, name, exc)
                 self.trace_log.emit(
                     "kernel-failure", batch_id=batch_id, matrix=entry.key,
-                    solver=solver.name, error=type(exc).__name__,
+                    solver=name, lane=lane, error=type(exc).__name__,
                     trace_ids=list(trace_ids),
                 )
-                self._incident(entry.key, solver.name, "sim", exc)
-                failures.append(solver.name)
-                fell_back = True
+                self._incident(entry.key, name, lane, exc)
+                failures.append(name)
                 continue
-            cycles = sum(
-                r.stats.cycles for r in results if r.stats is not None
-            )
-            exec_ms = sum(r.exec_ms for r in results)
-            self.telemetry.sim_cycles.inc(cycles)
-            self.telemetry.sim_exec_ms.inc(exec_ms)
-            self.telemetry.record_lane("sim", k)
-            self._emit_launch(
-                entry, solver.name, cycles, profiler, batch_id, trace_ids
-            )
-            fallback_from = None
-            if fell_back and (failures or solver.name != primary_name):
-                fallback_from = failures[0] if failures else primary_name
+            if failures:
                 self.telemetry.record_fallback_solve(
-                    entry.key, fallback_from, solver.name
+                    entry.key, failures[0], outcome.solver_name
                 )
                 self.trace_log.emit(
                     "fallback", batch_id=batch_id, matrix=entry.key,
-                    fallback_from=fallback_from, solver=solver.name,
+                    fallback_from=failures[0], solver=outcome.solver_name,
                     trace_ids=list(trace_ids),
                 )
-            return BlockOutcome(
-                X=np.stack([r.x for r in results], axis=1),
-                solver_name=solver.name,
-                exec_ms=exec_ms,
-                cycles=cycles,
-                batch_width=k if coalesced else 1,
-                fallback_from=fallback_from,
-                failures=tuple(failures),
-            )
+                outcome = replace(
+                    outcome,
+                    fallback_from=failures[0],
+                    failures=tuple(failures),
+                )
+            return outcome
         raise SolverError(
             f"no usable solver left for matrix {entry.name!r}: "
             f"failed/quarantined {sorted(set(failures) | quarantined)}"

@@ -3,7 +3,8 @@
 Every solver-side cost that is a function of the matrix alone —
 feature extraction (including the level schedule), the static
 schedule-verifier verdict, the CSR→CSC conversion the SyncFree baseline
-needs, the host-lane execution plan the serve engine's fast path runs —
+needs, the :class:`~repro.solvers.compiled.CompiledPlan` the serve
+engine's fast lane runs —
 is paid at most once per registered matrix and shared by every
 subsequent request.  Entries live behind an LRU keyed on a content
 fingerprint, bounded by a configurable memory budget, with hit/miss
@@ -28,8 +29,14 @@ from repro.analysis.levels import LevelSchedule
 from repro.analysis.schedule import ScheduleReport, verify_schedule
 from repro.errors import ServeError, UnknownMatrixError
 from repro.gpu.device import SIM_SMALL, DeviceSpec
-from repro.solvers.compiled import CompiledPlan, build_compiled_plan
-from repro.solvers.host_parallel import ExecutionPlan, build_plan
+from repro.solvers.compiled import (
+    COMPILED_SCHEDULES,
+    CompiledPlan,
+    build_compiled_plan,
+    pick_schedule,
+)
+# Kept for perfbench/layers.py, which wraps this module-global name.
+from repro.solvers.host_parallel import build_plan  # noqa: F401
 from repro.sparse.convert import csr_to_csc
 from repro.sparse.csc import CSCMatrix
 from repro.sparse.csr import CSRMatrix
@@ -47,8 +54,9 @@ __all__ = [
 DEFAULT_MEMORY_BUDGET = 256 * 1024 * 1024
 
 #: Valid values of a cached lane recommendation (see
-#: :meth:`MatrixRegistry.set_lane_hint`).
-LANE_HINTS = ("compiled", "host", "sim")
+#: :meth:`MatrixRegistry.set_lane_hint`): a schedule variant of the
+#: fast lane, or the simulator.
+LANE_HINTS = COMPILED_SCHEDULES + ("sim",)
 
 
 def matrix_fingerprint(L: CSRMatrix) -> str:
@@ -73,8 +81,8 @@ class RegisteredMatrix:
     """
 
     __slots__ = (
-        "key", "name", "matrix", "_features", "_csc", "_verdicts", "_plan",
-        "_compiled", "_lane_hint",
+        "key", "name", "matrix", "_features", "_csc", "_verdicts", "_plans",
+        "_schedule", "_lane_hint",
     )
 
     def __init__(self, key: str, name: str, matrix: CSRMatrix) -> None:
@@ -84,14 +92,15 @@ class RegisteredMatrix:
         self._features: Optional[MatrixFeatures] = None
         self._csc: Optional[CSCMatrix] = None
         self._verdicts: dict[str, ScheduleReport] = {}
-        self._plan: Optional[ExecutionPlan] = None
-        # compiled-lane plans, keyed by schedule variant ("level" /
+        # fast-lane plans, keyed by schedule variant ("level" /
         # "merged") — the two variants of one matrix have different
         # coefficient arrays and are distinct artifacts
-        self._compiled: dict[str, CompiledPlan] = {}
-        # measured-lane recommendation from the efficacy analytics
-        # (repro.metrics.efficacy.apply_lane_hints); consulted by the
-        # engine's auto policy before the static granularity rule
+        self._plans: dict[str, CompiledPlan] = {}
+        # the variant the merge rule picked (or an adopted plan pinned)
+        self._schedule: Optional[str] = None
+        # measured recommendation from the efficacy analytics
+        # (repro.metrics.efficacy.apply_lane_hints); a schedule variant
+        # here overrides the rule
         self._lane_hint: Optional[str] = None
 
     @property
@@ -114,9 +123,7 @@ class RegisteredMatrix:
                 + self._csc.row_idx.nbytes
                 + self._csc.values.nbytes
             )
-        if self._plan is not None:
-            total += self._plan.nbytes
-        for plan in self._compiled.values():
+        for plan in self._plans.values():
             total += plan.nbytes
         return total
 
@@ -216,14 +223,18 @@ class MatrixRegistry:
         """
         with self._lock:
             entry = self._lookup(ref, count_miss=True)
-            if entry._features is None:
-                self._misses += 1
-                self._artifact_builds += 1
-                entry._features = extract_features(entry.matrix)
-                self._enforce_budget(keep=entry.key)
-            else:
+            if entry._features is not None:
                 self._hits += 1
-            return entry._features
+            return self._built_features(entry)
+
+    def _built_features(self, entry: RegisteredMatrix) -> MatrixFeatures:
+        """``entry``'s features, built (and counted a miss) if absent."""
+        if entry._features is None:
+            self._misses += 1
+            self._artifact_builds += 1
+            entry._features = extract_features(entry.matrix)
+            self._enforce_budget(keep=entry.key)
+        return entry._features
 
     def schedule(self, ref: str) -> LevelSchedule:
         """The level schedule (shared with :meth:`features`)."""
@@ -242,68 +253,71 @@ class MatrixRegistry:
                 self._hits += 1
             return entry._csc
 
-    def plan(self, ref: str) -> ExecutionPlan:
-        """The host-lane execution plan (inspector output, cached).
+    def schedule_for(self, ref: str) -> str:
+        """The schedule variant :meth:`plan` serves for this matrix.
 
-        Built lazily from the *cached* level schedule — the inspector
-        never recomputes levels the :meth:`features` artifact already
-        paid for — and accounted against the LRU byte budget like every
-        other artifact.  One build per fingerprint: repeated solves of
-        one matrix are pure executor work.
+        A cached lane hint naming a variant wins; otherwise the variant
+        of an adopted plan, else the merge rule over cached features
+        (:func:`~repro.solvers.compiled.pick_schedule`), decided once.
+        """
+        with self._lock:
+            entry = self._lookup(ref)
+            if entry._lane_hint in COMPILED_SCHEDULES:
+                return entry._lane_hint
+            if entry._schedule is None:
+                entry._schedule = pick_schedule(self._built_features(entry))
+            return entry._schedule
+
+    def plan(self, ref: str) -> CompiledPlan:
+        """The fast-lane plan (inspector output, cached per variant).
+
+        Always the :meth:`schedule_for` variant — the engine, the
+        cluster router and its workers all serve through this one
+        accessor, and a lane hint is the only override.  Built lazily from the *cached* level schedule — the
+        inspector never recomputes levels the :meth:`features` artifact
+        already paid for — and accounted against the LRU byte budget
+        like every other artifact.  One build per (fingerprint,
+        variant): repeated solves of one matrix are pure executor work.
         """
         with self._lock:
             entry = self._lookup(ref, count_miss=True)
-            if entry._plan is None:
-                schedule = self.features(entry.key).schedule
-                self._misses += 1
-                self._artifact_builds += 1
-                entry._plan = build_plan(entry.matrix, schedule=schedule)
-                self._enforce_budget(keep=entry.key)
-            else:
-                self._hits += 1
-            return entry._plan
-
-    def compiled_plan(self, ref: str, *, schedule: str = "merged") -> CompiledPlan:
-        """The compiled-lane plan for one schedule variant (cached).
-
-        Like :meth:`plan`, but for the fused scaled-functional form of
-        :func:`repro.solvers.compiled.build_compiled_plan`; the
-        ``schedule`` knob ("level" or "merged") selects the variant, and
-        each variant of a matrix is cached and byte-accounted as its own
-        artifact.  The builder reuses the cached level schedule from
-        :meth:`features`.
-        """
-        with self._lock:
-            entry = self._lookup(ref, count_miss=True)
-            plan = entry._compiled.get(schedule)
+            schedule = self.schedule_for(entry.key)
+            plan = entry._plans.get(schedule)
             if plan is None:
-                base = self.features(entry.key).schedule
+                base = self._built_features(entry).schedule
                 self._misses += 1
                 self._artifact_builds += 1
                 plan = build_compiled_plan(
                     entry.matrix, schedule=schedule, base=base
                 )
-                entry._compiled[schedule] = plan
+                entry._plans[schedule] = plan
                 self._enforce_budget(keep=entry.key)
             else:
                 self._hits += 1
             return plan
 
-    def adopt_plan(self, ref: str, plan: ExecutionPlan) -> None:
+    # Kept for perfbench/layers.py, which wraps this name.
+    compiled_plan = plan
+
+    def adopt_plan(self, ref: str, plan: CompiledPlan) -> None:
         """Install an externally built plan on an entry (no build cost).
 
         Shard workers use this to wire in plans whose arrays live in a
         shared-memory arena segment: the router paid the inspector cost
         once, the worker adopts the zero-copy reconstruction instead of
-        rebuilding.  Counted separately from :meth:`plan` builds so the
-        stats distinguish local inspector work from adopted artifacts.
-        An already-planned entry keeps its plan (first one wins — both
-        were built from the same fingerprint, so they are equivalent).
+        rebuilding.  The adopted variant becomes the one :meth:`plan`
+        serves (the router picked it with the same rule), so a worker
+        never builds features or plans to serve it.  Counted separately
+        from :meth:`plan` builds; an entry that already holds that
+        variant keeps its plan (first one wins — both were built from
+        the same fingerprint, so they are equivalent).
         """
         with self._lock:
             entry = self._lookup(ref)
-            if entry._plan is None:
-                entry._plan = plan
+            if entry._schedule is None:
+                entry._schedule = plan.schedule
+            if plan.schedule not in entry._plans:
+                entry._plans[plan.schedule] = plan
                 self._adopted_plans += 1
                 self._enforce_budget(keep=entry.key)
 
@@ -313,9 +327,10 @@ class MatrixRegistry:
         ``lane`` is one of :data:`LANE_HINTS` (or ``None`` to clear).
         This is the registry artifact the efficacy analytics
         (:func:`repro.metrics.efficacy.apply_lane_hints`) write after a
-        ``journal report`` run: the engine's ``auto`` policy consults
-        it before falling back to the static granularity rule.  Like
-        every artifact, the hint lives and dies with its LRU entry.
+        ``journal report`` run: a schedule variant overrides the merge
+        rule in :meth:`schedule_for`; ``"sim"`` leaves the rule in
+        charge.  Like every artifact, the hint lives and dies with its
+        LRU entry.
         """
         if lane is not None and lane not in LANE_HINTS:
             raise ServeError(

@@ -74,5 +74,8 @@ class BlockOutcome:
     batch_width: int
     fallback_from: Optional[str] = None
     failures: tuple[str, ...] = field(default=())
-    #: execution lane that produced ``X`` ("host", "compiled" or "sim")
+    #: execution lane that produced ``X`` ("host" or "sim")
     lane: str = "sim"
+    #: schedule variant of the host-lane plan that produced ``X``
+    #: ("level" or "merged"); ``None`` on the sim lane
+    schedule: Optional[str] = None

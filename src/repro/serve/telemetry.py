@@ -112,22 +112,6 @@ class ServeTelemetry:
             help="Right-hand sides served, by execution lane.",
             labels={"lane": "sim"},
         )
-        self.compiled_lane_batches = Counter(
-            "lane_batches",
-            help="Flushed blocks served, by execution lane.",
-            labels={"lane": "compiled"},
-        )
-        self.compiled_lane_rhs = Counter(
-            "lane_rhs",
-            help="Right-hand sides served, by execution lane.",
-            labels={"lane": "compiled"},
-        )
-        self.compiled_exec_ms = Counter(
-            "lane_exec_ms",
-            help="Host wall-clock spent executing, by lane (milliseconds; "
-            "the sim lane's modeled cost is sim_cycles/sim_exec_ms).",
-            labels={"lane": "compiled"},
-        )
         self.slo = slo if slo is not None else SLOTracker()
         self._lock = threading.Lock()
         self._fallback_by_solver: dict[str, int] = {}
@@ -180,20 +164,16 @@ class ServeTelemetry:
     ) -> None:
         """One block (batch or multi-RHS request) served by ``lane``.
 
-        ``lane`` is ``"host"`` (registry execution plan), ``"compiled"``
-        (fused scaled-functional plan) or ``"sim"`` (cycle-level
-        simulator); ``exec_ms`` is host wall-clock and only meaningful
-        for the wall-clock lanes — the simulator's modeled cost is
-        tracked separately by :attr:`sim_cycles` / :attr:`sim_exec_ms`.
+        ``lane`` is ``"host"`` (the registry's fast-lane plan) or
+        ``"sim"`` (cycle-level simulator); ``exec_ms`` is host
+        wall-clock and only meaningful for the host lane — the
+        simulator's modeled cost is tracked separately by
+        :attr:`sim_cycles` / :attr:`sim_exec_ms`.
         """
         if lane == "host":
             self.host_lane_batches.inc()
             self.host_lane_rhs.inc(n_rhs)
             self.host_exec_ms.inc(exec_ms)
-        elif lane == "compiled":
-            self.compiled_lane_batches.inc()
-            self.compiled_lane_rhs.inc(n_rhs)
-            self.compiled_exec_ms.inc(exec_ms)
         else:
             self.sim_lane_batches.inc()
             self.sim_lane_rhs.inc(n_rhs)
@@ -231,9 +211,6 @@ class ServeTelemetry:
             self.host_exec_ms,
             self.sim_lane_batches,
             self.sim_lane_rhs,
-            self.compiled_lane_batches,
-            self.compiled_lane_rhs,
-            self.compiled_exec_ms,
         ) + self.slo.metrics()
 
     # ------------------------------------------------------------------
@@ -290,11 +267,6 @@ class ServeTelemetry:
                     "batches": self.host_lane_batches.value,
                     "rhs": self.host_lane_rhs.value,
                     "exec_ms": self.host_exec_ms.value,
-                },
-                "compiled": {
-                    "batches": self.compiled_lane_batches.value,
-                    "rhs": self.compiled_lane_rhs.value,
-                    "exec_ms": self.compiled_exec_ms.value,
                 },
                 "sim": {
                     "batches": self.sim_lane_batches.value,

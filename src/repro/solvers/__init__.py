@@ -40,16 +40,12 @@ from repro.solvers.select import (
     solver_chain,
 )
 from repro.solvers.upper import is_upper_triangular, reverse_matrix, solve_upper
-from repro.solvers.host_parallel import (
-    ExecutionPlan,
-    HostLevelScheduleSolver,
-    build_plan,
-)
 from repro.solvers.compiled import (
     HAVE_NUMBA,
     CompiledFusedSolver,
     CompiledPlan,
     build_compiled_plan,
+    pick_schedule,
     prefers_compiled,
 )
 from repro.solvers.multirhs import (
@@ -79,13 +75,11 @@ __all__ = [
     "is_upper_triangular",
     "reverse_matrix",
     "solve_upper",
-    "ExecutionPlan",
-    "HostLevelScheduleSolver",
-    "build_plan",
     "HAVE_NUMBA",
     "CompiledFusedSolver",
     "CompiledPlan",
     "build_compiled_plan",
+    "pick_schedule",
     "prefers_compiled",
     "MultiRHSResult",
     "capellini_sptrsm",

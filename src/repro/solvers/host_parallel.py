@@ -1,375 +1,30 @@
-"""Vectorized host-side level-scheduled SpTRSV.
+"""Former home of the host execution plan, kept as two names.
 
-The inspector-executor pattern from the paper's related work (Kulkarni
-et al., Pingali et al.): an *inspector* pass builds an execution plan —
-rows regrouped by level, their off-diagonal elements packed contiguously
-— and the *executor* then solves each level as a handful of dense numpy
-operations.  One gather + one segmented sum + one scaled store per
-level: O(nnz) total work with only ``n_levels`` interpreter iterations.
-
-This is the practical way to run large SpTRSVs in pure Python (the SIMT
-simulator is a measurement instrument, not a production path), and the
-plan is reusable: repeated solves against one factor — the iterative-
-solver pattern — pay the inspection once.  :meth:`ExecutionPlan.solve_many`
-extends the amortization across right-hand sides: one gather + one
-``np.add.reduceat`` per level covers all ``k`` columns, the same
-blocking that makes the paper's SpTRSM (Section 5 / reference [21])
-cheaper than ``k`` independent solves.
+The level-scheduled host executor is now the ``schedule="level"``
+variant of :class:`~repro.solvers.compiled.CompiledPlan`, the one
+fast-lane plan type.  Nothing in the program uses this module; it
+exists because ``perfbench/layers.py`` imports and wraps both names.
 """
 
 from __future__ import annotations
 
-import threading
-import time
-from collections import OrderedDict
-from dataclasses import dataclass
-
-import numpy as np
-
-from repro.analysis.levels import LevelSchedule, compute_levels
-from repro.errors import SolverError
-from repro.gpu.device import DeviceSpec
-from repro.obs.hostprof import HostLaunchProfile, active_host_profiler
-from repro.solvers.base import PreprocessInfo, SolveResult, SpTRSVSolver
+from repro.analysis.levels import LevelSchedule
+from repro.solvers.compiled import CompiledPlan, build_compiled_plan
 from repro.sparse.csr import CSRMatrix
-from repro.sparse.triangular import check_solvable
 
-__all__ = [
-    "DEFAULT_PLAN_CACHE_SIZE",
-    "ExecutionPlan",
-    "HostLevelScheduleSolver",
-    "build_plan",
-]
-
-#: How many distinct matrices a :class:`HostLevelScheduleSolver` keeps
-#: inspected plans for (LRU).  Small: a solver instance typically serves
-#: a handful of factors at a time; the serving layer has its own
-#: byte-budgeted registry cache.
-DEFAULT_PLAN_CACHE_SIZE = 8
+__all__ = ["ExecutionPlan", "build_plan"]
 
 
-@dataclass(frozen=True)
-class ExecutionPlan:
-    """Inspector output: everything the executor needs, packed flat.
-
-    Attributes
-    ----------
-    schedule:
-        The level schedule the plan was built from.
-    rows:
-        All row indices, level by level (= ``schedule.order``).
-    row_ptr:
-        Element spans: row ``rows[k]``'s off-diagonal elements occupy
-        ``cols[row_ptr[k]:row_ptr[k+1]]`` / ``vals[...]``.
-    cols, vals:
-        Off-diagonal columns and values, packed in plan order.
-    diag:
-        Diagonal value per plan row.
-    level_ptr:
-        Plan-row spans per level (mirrors ``schedule.level_ptr``).
-
-    The per-level index arithmetic (element spans, the nonempty-row mask,
-    segment starts for ``np.add.reduceat``) is hoisted out of the solve
-    loop at construction time, and the ``sums`` scratch buffer is
-    plan-owned and reused across calls (thread-local, so one plan shared
-    by several worker threads never races on scratch memory).
-    """
-
-    schedule: LevelSchedule
-    rows: np.ndarray
-    row_ptr: np.ndarray
-    cols: np.ndarray
-    vals: np.ndarray
-    diag: np.ndarray
-    level_ptr: np.ndarray
-
-    def __post_init__(self) -> None:
-        # level steps: (r0, r1, e0, e1, nonempty, starts, all_nonempty),
-        # precomputed once so the executor loop is pure array ops.  The
-        # index arithmetic is vectorized across all levels at once —
-        # element spans from one fancy-index of row_ptr, every level's
-        # reduceat starts as views of one globally rebased offset array,
-        # the nonempty-run bookkeeping from one cumulative sum — so a
-        # deep plan build does no per-level array allocation
-        nonempty = self.row_ptr[:-1] != self.row_ptr[1:]
-        widths = np.diff(self.level_ptr)
-        e_at = self.row_ptr[self.level_ptr]
-        rel = self.row_ptr[:-1] - np.repeat(e_at[:-1], widths)
-        starts_all = rel[nonempty]
-        ncnt = np.zeros(len(nonempty) + 1, dtype=np.int64)
-        np.cumsum(nonempty, out=ncnt[1:])
-        lp = self.level_ptr.tolist()
-        ea = e_at.tolist()
-        nc = ncnt[self.level_ptr].tolist()
-        full = (np.diff(ncnt[self.level_ptr]) == widths).tolist()
-        steps = tuple(
-            (
-                r0,
-                r1,
-                e0,
-                e1,
-                nonempty[r0:r1],
-                starts_all[n0:n1] if e1 > e0 else None,
-                all_ne,
-            )
-            for r0, r1, e0, e1, n0, n1, all_ne in zip(
-                lp[:-1], lp[1:], ea[:-1], ea[1:], nc[:-1], nc[1:], full
-            )
-        )
-        object.__setattr__(self, "_steps", steps)
-        object.__setattr__(self, "_nonempty", nonempty)
-        object.__setattr__(self, "_starts_all", starts_all)
-        object.__setattr__(
-            self,
-            "_max_width",
-            int(widths.max()) if len(widths) else 0,
-        )
-        object.__setattr__(self, "_scratch", threading.local())
-
-    @property
-    def n_levels(self) -> int:
-        return self.schedule.n_levels
-
-    @property
-    def n_rows(self) -> int:
-        return len(self.rows)
-
-    @property
-    def nbytes(self) -> int:
-        """Resident bytes of the plan-owned arrays.
-
-        Counts the packed element arrays and the precomputed level-step
-        indices; the shared :attr:`schedule` is accounted by whoever owns
-        it (the registry counts it under the features artifact).
-        """
-        # the per-level step tuples hold views of _nonempty/_starts_all,
-        # so the backing arrays are counted once
-        return (
-            self.rows.nbytes
-            + self.row_ptr.nbytes
-            + self.cols.nbytes
-            + self.vals.nbytes
-            + self.diag.nbytes
-            + self.level_ptr.nbytes
-            + self._nonempty.nbytes
-            + self._starts_all.nbytes
-        )
-
-    # ------------------------------------------------------------------
-    # executors
-    # ------------------------------------------------------------------
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        """Executor: one vectorized pass per level, single RHS."""
-        b = np.asarray(b, dtype=np.float64)
-        if b.ndim != 1 or b.shape[0] != self.n_rows:
-            raise SolverError(
-                f"b has shape {b.shape}, expected ({self.n_rows},)"
-            )
-        return self._execute(b.reshape(-1, 1))[:, 0]
-
-    def solve_many(self, B: np.ndarray) -> np.ndarray:
-        """Executor over a block: solve ``L X = B`` for all columns.
-
-        Vectorized over both the level's rows and all ``k`` right-hand
-        sides: one gather + one ``np.add.reduceat`` per level works on an
-        ``(nnz_off, k)`` block.  Accepts 1-D ``b`` (promoted to one
-        column), float32, and non-contiguous / Fortran-ordered inputs,
-        mirroring :func:`repro.solvers.multirhs.capellini_sptrsm`; always
-        returns a fresh ``(n, k)`` float64 array.
-        """
-        B = np.asarray(B, dtype=np.float64)
-        if B.ndim == 1:
-            B = B.reshape(-1, 1)
-        if B.ndim != 2 or B.shape[0] != self.n_rows:
-            raise SolverError(
-                f"B must have shape ({self.n_rows}, k), got {B.shape}"
-            )
-        if B.shape[1] == 0:
-            raise SolverError("B must have at least one right-hand side")
-        return self._execute(B)
-
-    def _execute(self, B: np.ndarray) -> np.ndarray:
-        profiler = active_host_profiler()
-        if profiler is not None:
-            return self._execute_profiled(B, profiler)
-        n, k = B.shape
-        X = np.zeros((n, k), dtype=np.float64)
-        rows, cols, vals, diag = self.rows, self.cols, self.vals, self.diag
-        for r0, r1, e0, e1, ne, starts, all_nonempty in self._steps:
-            level_rows = rows[r0:r1]
-            d = diag[r0:r1, None]
-            if e1 > e0:
-                contrib = vals[e0:e1, None] * X[cols[e0:e1]]
-                if all_nonempty:
-                    sums = np.add.reduceat(contrib, starts, axis=0)
-                else:
-                    sums = self._sums(r1 - r0, k)
-                    sums[~ne] = 0.0
-                    sums[ne] = np.add.reduceat(contrib, starts, axis=0)
-                X[level_rows] = (B[level_rows] - sums) / d
-            else:
-                X[level_rows] = B[level_rows] / d
-        return X
-
-    def _execute_profiled(self, B: np.ndarray, profiler) -> np.ndarray:
-        """The executor loop with per-level wall-clock attribution.
-
-        Identical operations in identical order to :meth:`_execute` —
-        the profiler only reads the clock around the numpy segments, so
-        the result is bit-identical to an unprofiled solve.  Kept as a
-        separate loop so the unprofiled hot path stays branch-free.
-        """
-        clock = time.perf_counter
-        n, k = B.shape
-        X = np.zeros((n, k), dtype=np.float64)
-        rows, cols, vals, diag = self.rows, self.cols, self.vals, self.diag
-        # raw (rows, nnz, gather_s, reduce_s, scatter_s) tuples; the
-        # HostLevelSample objects are materialized lazily by
-        # HostLaunchProfile, so sample construction is never billed to
-        # (or perturbs) the solve itself
-        raw: list[tuple] = []
-        t_launch = clock()
-        for r0, r1, e0, e1, ne, starts, all_nonempty in self._steps:
-            level_rows = rows[r0:r1]
-            d = diag[r0:r1, None]
-            if e1 > e0:
-                t0 = clock()
-                contrib = vals[e0:e1, None] * X[cols[e0:e1]]
-                t1 = clock()
-                if all_nonempty:
-                    sums = np.add.reduceat(contrib, starts, axis=0)
-                else:
-                    sums = self._sums(r1 - r0, k)
-                    sums[~ne] = 0.0
-                    sums[ne] = np.add.reduceat(contrib, starts, axis=0)
-                t2 = clock()
-                X[level_rows] = (B[level_rows] - sums) / d
-                t3 = clock()
-                raw.append(
-                    (r1 - r0, (e1 - e0) + (r1 - r0),
-                     t1 - t0, t2 - t1, t3 - t2)
-                )
-            else:
-                t2 = clock()
-                X[level_rows] = B[level_rows] / d
-                t3 = clock()
-                raw.append((r1 - r0, r1 - r0, 0.0, 0.0, t3 - t2))
-        wall_s = clock() - t_launch
-        profiler.record(
-            HostLaunchProfile(
-                n_rows=n,
-                n_rhs=k,
-                n_levels=self.n_levels,
-                nnz=len(self.cols) + n,
-                wall_s=wall_s,
-                raw=tuple(raw),
-            )
-        )
-        return X
-
-    def _sums(self, width: int, k: int) -> np.ndarray:
-        """Reusable per-thread scratch for a level's partial sums."""
-        loc = self._scratch
-        buf = getattr(loc, "sums", None)
-        if buf is None or buf.shape[1] < k:
-            buf = np.empty((self._max_width, k), dtype=np.float64)
-            loc.sums = buf
-        return buf[:width, :k]
+# Kept for perfbench/layers.py, which wraps ExecutionPlan.solve_many; a
+# subclass, not an alias, so that wrap never nests inside the wrapper of
+# CompiledPlan.solve_many (no instance of it is ever built).
+class ExecutionPlan(CompiledPlan):
+    """Name-only subclass of :class:`CompiledPlan`; see the module."""
 
 
+# Kept for perfbench/layers.py, which times it as the level-variant build.
 def build_plan(
     L: CSRMatrix, *, schedule: LevelSchedule | None = None
-) -> ExecutionPlan:
-    """Inspector: pack ``L``'s off-diagonal elements in level order."""
-    check_solvable(L)
-    schedule = schedule or compute_levels(L)
-    order = schedule.order
-    # off-diagonal spans per original row (diagonal is last by contract)
-    off_lo = L.row_ptr[:-1]
-    off_hi = L.row_ptr[1:] - 1
-    lengths = (off_hi - off_lo).astype(np.int64)
-
-    plan_lengths = lengths[order]
-    row_ptr = np.zeros(L.n_rows + 1, dtype=np.int64)
-    np.cumsum(plan_lengths, out=row_ptr[1:])
-
-    total = int(row_ptr[-1])
-    # gather indices, vectorized: element e of plan row k maps to
-    # off_lo[order[k]] + (e - row_ptr[k])
-    src_base = np.repeat(off_lo[order], plan_lengths)
-    src_rel = np.arange(total, dtype=np.int64) - np.repeat(
-        row_ptr[:-1], plan_lengths
-    )
-    src = src_base + src_rel
-    cols = L.col_idx[src]
-    vals = L.values[src]
-    diag = L.values[L.row_ptr[1:] - 1][order]
-    return ExecutionPlan(
-        schedule=schedule,
-        rows=order.copy(),
-        row_ptr=row_ptr,
-        cols=cols,
-        vals=vals,
-        diag=diag,
-        level_ptr=schedule.level_ptr.copy(),
-    )
-
-
-class HostLevelScheduleSolver(SpTRSVSolver):
-    """Inspector-executor SpTRSV on the host (wall-clock timed).
-
-    Plans are cached per matrix *content* (blake2b fingerprint, see
-    :meth:`repro.sparse.csr.CSRMatrix.content_fingerprint`) behind a
-    small LRU, so repeated solves against the same factor — or an
-    equal-content copy of it — skip the inspector, and alternating
-    between a working set of factors does not thrash.  Identity-based
-    keys would be wrong here: CPython reuses ``id()`` values after
-    garbage collection, which can silently serve a stale plan built for
-    a different matrix.
-    """
-
-    name = "HostVectorized"
-    storage_format = "CSR"
-    preprocessing_overhead = "high"
-    requires_synchronization = True
-    processing_granularity = "vector"
-
-    def __init__(self, *, plan_cache_size: int = DEFAULT_PLAN_CACHE_SIZE) -> None:
-        if plan_cache_size <= 0:
-            raise ValueError("plan_cache_size must be positive")
-        self.plan_cache_size = plan_cache_size
-        self._plan_cache: "OrderedDict[str, ExecutionPlan]" = OrderedDict()
-
-    def plan_for(self, L: CSRMatrix) -> ExecutionPlan:
-        """The (cached) execution plan for ``L``, keyed by content."""
-        key = L.content_fingerprint()
-        plan = self._plan_cache.get(key)
-        if plan is None:
-            plan = build_plan(L)
-            self._plan_cache[key] = plan
-            while len(self._plan_cache) > self.plan_cache_size:
-                self._plan_cache.popitem(last=False)
-        else:
-            self._plan_cache.move_to_end(key)
-        return plan
-
-    def _solve(
-        self, L: CSRMatrix, b: np.ndarray, device: DeviceSpec
-    ) -> SolveResult:
-        t0 = time.perf_counter()
-        plan = self.plan_for(L)
-        prep = time.perf_counter() - t0
-        t1 = time.perf_counter()
-        x = plan.solve(b)
-        dt = time.perf_counter() - t1
-        return SolveResult(
-            x=x,
-            solver_name=self.name,
-            exec_ms=dt * 1e3,
-            preprocess=PreprocessInfo(
-                description="inspector: level schedule + element packing "
-                "(cached across solves of the same matrix)",
-                host_seconds=prep,
-            ),
-            extra={"n_levels": plan.n_levels},
-        )
+) -> CompiledPlan:
+    """The level-variant :class:`CompiledPlan` of ``L``."""
+    return build_compiled_plan(L, schedule="level", base=schedule)

@@ -120,7 +120,7 @@ class TestRelaxationEquivalence:
 
 
 class TestMergeLevels:
-    """Invariants of the level-merged schedule (compiled lane input)."""
+    """Invariants of the level-merged schedule (input of the merged plan variant)."""
 
     def _merged(self, L, **kw):
         from repro.analysis.levels import compute_levels, merge_levels

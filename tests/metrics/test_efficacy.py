@@ -3,8 +3,8 @@
 The deterministic-recommendation test is the acceptance criterion from
 the journal issue: on a synthetic mix of deep (>= DEEP_LEVEL_COUNT
 levels) and shallow matrices, the report must recommend the measured-
-fastest lane for every granularity class, same journal in -> same
-report out.
+fastest route (schedule variant or simulator) for every granularity
+class, same journal in -> same report out.
 """
 
 import pytest
@@ -20,15 +20,18 @@ from repro.metrics.efficacy import (
     healthy,
     lane_recommendations,
     render_report,
+    route_of,
 )
 from repro.solvers.compiled import DEEP_LEVEL_COUNT
 
 
-def solve(matrix, lane, latency, *, n_levels=100, granularity=0.3, ts=0.0):
+def solve(matrix, route, latency, *, n_levels=100, granularity=0.3, ts=0.0):
+    """A current-format solve record served on ``route``."""
     return {
         "kind": "solve",
         "matrix": matrix,
-        "lane": lane,
+        "lane": "sim" if route == "sim" else "host",
+        "schedule": None if route == "sim" else route,
         "latency_ms": latency,
         "n_levels": n_levels,
         "granularity": granularity,
@@ -56,62 +59,62 @@ class TestBinning:
 class TestAggregate:
     def test_recommends_measured_fastest_lane_per_class(self):
         records = []
-        # deep-fine: compiled measures faster than host
+        # deep-fine: merged measures faster than level
         for i in range(4):
-            records.append(solve("deep0", "compiled", 1.0 + 0.01 * i,
+            records.append(solve("deep0", "merged", 1.0 + 0.01 * i,
                                  n_levels=128, granularity=0.2, ts=i))
-            records.append(solve("deep0", "host", 3.0 + 0.01 * i,
+            records.append(solve("deep0", "level", 3.0 + 0.01 * i,
                                  n_levels=128, granularity=0.2, ts=i))
-        # shallow-coarse: host measures faster than sim
+        # shallow-coarse: level measures faster than sim
         for i in range(4):
-            records.append(solve("shal0", "host", 0.5 + 0.01 * i,
+            records.append(solve("shal0", "level", 0.5 + 0.01 * i,
                                  n_levels=8, granularity=0.9, ts=i))
             records.append(solve("shal0", "sim", 9.0 + 0.01 * i,
                                  n_levels=8, granularity=0.9, ts=i))
         report = aggregate(records)
         assert report["schema"] == EFFICACY_SCHEMA
         assert report["recommendations"] == {
-            "deep-fine": "compiled",
-            "shallow-coarse": "host",
+            "deep-fine": "merged",
+            "shallow-coarse": "level",
         }
         assert lane_recommendations(report) == report["recommendations"]
         assert report["classes"]["deep-fine"]["win_rates"] == {
-            "compiled": 1.0, "host": 0.0,
+            "merged": 1.0, "level": 0.0,
         }
         # determinism: same records -> identical report
         assert aggregate(records) == report
 
     def test_min_samples_gates_recommendation(self):
-        records = [solve("m", "host", 1.0, ts=i) for i in range(2)]
+        records = [solve("m", "level", 1.0, ts=i) for i in range(2)]
         report = aggregate(records, min_samples=3)
         assert report["recommendations"] == {}
         assert report["classes"]["deep-fine"]["recommended"] is None
         report = aggregate(records, min_samples=2)
-        assert report["recommendations"] == {"deep-fine": "host"}
+        assert report["recommendations"] == {"deep-fine": "level"}
 
     def test_tie_breaks_lexicographically(self):
         records = []
         for i in range(DEFAULT_MIN_SAMPLES):
-            records.append(solve("m", "host", 2.0, ts=i))
-            records.append(solve("m", "compiled", 2.0, ts=i))
+            records.append(solve("m", "level", 2.0, ts=i))
+            records.append(solve("m", "merged", 2.0, ts=i))
         report = aggregate(records)
-        assert report["recommendations"]["deep-fine"] == "compiled"
+        assert report["recommendations"]["deep-fine"] == "level"
 
     def test_win_rates_across_matrices(self):
         records = []
         # two matrices in the same class; each wins on a different lane
         for i in range(3):
-            records.append(solve("a", "compiled", 1.0, ts=i))
-            records.append(solve("a", "host", 2.0, ts=i))
-            records.append(solve("b", "compiled", 2.0, ts=i))
-            records.append(solve("b", "host", 1.0, ts=i))
+            records.append(solve("a", "merged", 1.0, ts=i))
+            records.append(solve("a", "level", 2.0, ts=i))
+            records.append(solve("b", "merged", 2.0, ts=i))
+            records.append(solve("b", "level", 1.0, ts=i))
         cls = aggregate(records)["classes"]["deep-fine"]
         assert cls["matrices"] == 2
-        assert cls["win_rates"] == {"compiled": 0.5, "host": 0.5}
+        assert cls["win_rates"] == {"merged": 0.5, "level": 0.5}
 
     def test_unusable_records_counted_not_crashed(self):
         records = [
-            solve("m", "host", 1.0),
+            solve("m", "level", 1.0),
             {"kind": "solve", "lane": "host"},  # no latency/features
             {"kind": "batch"},
         ]
@@ -123,19 +126,19 @@ class TestAggregate:
 
 class TestAnomalies:
     def test_steady_series_flags_spike_after_warmup(self):
-        records = [solve("m", "host", 1.0, ts=i) for i in range(5)]
-        records.append(solve("m", "host", 50.0, ts=9))
+        records = [solve("m", "level", 1.0, ts=i) for i in range(5)]
+        records.append(solve("m", "level", 50.0, ts=9))
         report = aggregate(records)
         assert len(report["anomalies"]) == 1
         a = report["anomalies"][0]
-        assert a["matrix"] == "m" and a["lane"] == "host"
+        assert a["matrix"] == "m" and a["lane"] == "level"
         assert a["latency_ms"] == 50.0
         assert a["ts"] == 9
         assert not healthy(report)
         assert "ANOMALY" in render_report(report)
 
     def test_no_flag_during_warmup(self):
-        records = [solve("m", "host", 1.0, ts=0), solve("m", "host", 50.0, ts=1)]
+        records = [solve("m", "level", 1.0, ts=0), solve("m", "level", 50.0, ts=1)]
         report = aggregate(records)
         assert report["anomalies"] == []
         assert healthy(report)
@@ -145,7 +148,7 @@ class TestAnomalies:
         assert aggregate(records)["anomalies"] == []
 
     def test_trackers_are_per_matrix_and_lane(self):
-        records = [solve("m", "host", 1.0, ts=i) for i in range(5)]
+        records = [solve("m", "level", 1.0, ts=i) for i in range(5)]
         # a different lane at 50 ms is its own fresh series, not a spike
         records.append(solve("m", "sim", 50.0, ts=9))
         assert aggregate(records)["anomalies"] == []
@@ -159,8 +162,8 @@ class TestLaneHints:
         registry = MatrixRegistry()
         key = registry.register(random_unit_lower(40, 0.05, seed=1))
         records = [solve(key, "sim", 1.0, ts=i) for i in range(3)]
-        records += [solve(key, "host", 5.0, ts=i) for i in range(3)]
-        records += [solve("gone", "host", 1.0, ts=i) for i in range(3)]
+        records += [solve(key, "level", 5.0, ts=i) for i in range(3)]
+        records += [solve("gone", "level", 1.0, ts=i) for i in range(3)]
         report = aggregate(records)
         assert apply_lane_hints(registry, report) == 1  # "gone" skipped
         assert registry.lane_hint(key) == "sim"
@@ -173,8 +176,67 @@ class TestLaneHints:
 
         registry = MatrixRegistry()
         key = registry.register(random_unit_lower(30, 0.05, seed=2))
-        with pytest.raises(ServeError):
-            registry.set_lane_hint(key, "warp")
-        registry.set_lane_hint(key, "compiled")
+        for bad in ("warp", "compiled", "host"):
+            with pytest.raises(ServeError):
+                registry.set_lane_hint(key, bad)
+        registry.set_lane_hint(key, "merged")
+        assert registry.schedule_for(key) == "merged"
         registry.set_lane_hint(key, None)  # clearable
         assert registry.lane_hint(key) is None
+
+
+class TestLegacyJournals:
+    """Journals written while there were two fast lanes still report:
+    ``compiled`` records ran the merged schedule, ``host`` records the
+    level schedule (with or without a ``schedule`` field)."""
+
+    @staticmethod
+    def legacy(matrix, lane, latency, *, schedule, ts):
+        return {
+            "kind": "solve", "matrix": matrix, "lane": lane,
+            "solver": {
+                "compiled": "CompiledFused",
+                "host": "HostVectorized",
+                "sim": "SyncFree",
+            }[lane],
+            "schedule": schedule, "latency_ms": latency,
+            "n_levels": 128, "granularity": 0.2, "ts": ts,
+        }
+
+    def test_old_format_records_yield_recommendations(self):
+        records = []
+        for i in range(3):
+            for lane, latency, schedule in (
+                ("compiled", 1.0, "merged"),
+                ("host", 4.0, "level"),
+                ("host", 4.5, None),
+                ("sim", 90.0, None),
+            ):
+                records.append(
+                    self.legacy("d", lane, latency, schedule=schedule, ts=i)
+                )
+        assert [route_of(r) for r in records[:4]] == [
+            "merged", "level", "level", "sim",
+        ]
+        report = aggregate(records)
+        assert report["solves"] == len(records)
+        assert report["recommendations"] == {"deep-fine": "merged"}
+        assert set(report["matrices"]["d"]["lanes"]) == {
+            "level", "merged", "sim",
+        }
+        assert report["matrices"]["d"]["lanes"]["level"]["count"] == 6
+
+    def test_old_report_hints_apply(self):
+        from repro.serve.registry import MatrixRegistry
+        from tests.conftest import random_unit_lower
+
+        registry = MatrixRegistry()
+        key = registry.register(random_unit_lower(40, 0.05, seed=3))
+        records = [
+            self.legacy(key, lane, lat, schedule=sched, ts=i)
+            for i in range(3)
+            for lane, lat, sched in (("compiled", 9.0, "merged"),
+                                     ("host", 1.0, "level"))
+        ]
+        assert apply_lane_hints(registry, aggregate(records)) == 1
+        assert registry.lane_hint(key) == "level"

@@ -1,7 +1,7 @@
 """Host-lane wall-clock profiler tests.
 
 The contract under test: attaching a :class:`HostProfiler` through the
-ambient ``profiling()`` context makes every ``ExecutionPlan`` solve
+ambient ``profiling()`` context makes every ``CompiledPlan`` solve
 record a launch profile whose gather/reduce/scatter attribution adds up,
 without changing a single bit of the answer — and without being mistaken
 for the simulator's cycle profiler by either side.
@@ -23,13 +23,13 @@ from repro.obs import (
     host_phase_digest,
     profiling,
 )
-from repro.solvers.host_parallel import HostLevelScheduleSolver
+from repro.solvers.compiled import COMPILED_SCHEDULES, build_compiled_plan
 from repro.sparse.triangular import lower_triangular_system
 
 
 def make_plan(n=200, seed=3, domain="circuit"):
     system = lower_triangular_system(generate(domain, n, seed))
-    plan = HostLevelScheduleSolver().plan_for(system.L)
+    plan = build_compiled_plan(system.L, schedule="level")
     return system, plan
 
 
@@ -51,14 +51,20 @@ class TestHostProfilerRecording:
         assert launch.nnz == system.L.nnz
 
     def test_profiled_solve_is_bit_identical(self):
-        system, plan = make_plan(n=300, seed=9)
-        B = np.column_stack(
-            [(r + 1.0) * system.b for r in range(4)]
-        )
-        plain = plan.solve_many(B)
-        with profiling(HostProfiler()):
-            profiled = plan.solve_many(B)
-        assert np.array_equal(plain, profiled)
+        # the profiled executor is the numpy one, on both variants and
+        # at every width (force_fallback: the numba kernel, when
+        # installed, sums in another order)
+        system, _ = make_plan(n=300, seed=9)
+        for schedule in COMPILED_SCHEDULES:
+            plan = build_compiled_plan(system.L, schedule=schedule)
+            for k in (1, 4):
+                B = np.column_stack(
+                    [(r + 1.0) * system.b for r in range(k)]
+                )
+                plain = plan.solve_many(B, force_fallback=True)
+                with profiling(HostProfiler()):
+                    profiled = plan.solve_many(B)
+                assert np.array_equal(plain, profiled)
 
     def test_phase_seconds_add_up_to_wall(self):
         system, plan = make_plan()
@@ -139,8 +145,8 @@ class TestDigest:
         prof = HostProfiler()
         with profiling(prof):
             plan.solve_many(system.b.reshape(-1, 1))
-        digest = prof.digest(solver_name="HostVectorized")
-        assert digest["solver"] == "HostVectorized"
+        digest = prof.digest(solver_name="CompiledFused")
+        assert digest["solver"] == "CompiledFused"
         assert digest["lane"] == "host"
         assert digest["launches"] == 1
         assert digest["wall_ms"] > 0

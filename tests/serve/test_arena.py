@@ -48,6 +48,29 @@ class TestPublishAttach:
             arena.detach(handle)
         assert leaked_segments() == []
 
+    def test_both_variants_survive_publish_attach_bit_identically(self):
+        from repro.datasets import generate
+
+        L = generate("chain", 300, seed=2)
+        reg = MatrixRegistry()
+        key = reg.register(L)
+        assert reg.schedule_for(key) == "merged"  # deep and skinny
+        B = np.random.default_rng(2).standard_normal((L.n_rows, 3))
+        for schedule in ("merged", "level"):
+            reg.set_lane_hint(key, schedule)
+            plan = reg.plan(key)
+            with PlanArena() as arena:
+                handle = arena.publish(key, L, plan)
+                attached = arena.attach(handle).plan
+                assert attached.schedule == schedule
+                assert attached.base_levels == plan.base_levels
+                assert attached.redundant_nnz == plan.redundant_nnz
+                assert np.array_equal(
+                    attached.solve_many(B), plan.solve_many(B)
+                )
+                arena.detach(handle)
+        assert leaked_segments() == []
+
     def test_attached_views_are_read_only(self):
         key, L, plan = published_plan()
         with PlanArena() as arena:

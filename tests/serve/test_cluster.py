@@ -257,3 +257,48 @@ class TestFailureRecovery:
     def test_zero_workers_rejected(self):
         with pytest.raises(ClusterError):
             ShardRouter(n_workers=0)
+
+
+class TestOnePlanType:
+    """Workers serve the router's rule-picked plan variant zero-copy."""
+
+    def test_unknown_execution_rejected_before_spawn(self, monkeypatch):
+        spawned = []
+        monkeypatch.setattr(
+            ShardRouter, "_start_worker",
+            lambda self, handle: spawned.append(handle),
+        )
+        with pytest.raises(ValueError, match="execution"):
+            ShardRouter(n_workers=1, execution="bogus")
+        assert spawned == []
+
+    def test_first_blocks_run_adopted_plans_of_the_rules_variant(self):
+        from repro.datasets import generate
+
+        deep = lower_triangular_system(
+            generate("chain", 300, seed=3), rng=np.random.default_rng(3)
+        )
+        shallow = lower_triangular_system(random_unit_lower(N, 0.1, seed=5))
+        with ShardRouter(n_workers=1, execution="auto",
+                         request_timeout=60.0) as router:
+            keys = {
+                "merged": router.register(deep.L, name="deep"),
+                "level": router.register(shallow.L, name="shallow"),
+            }
+            for system, key in ((deep, keys["merged"]),
+                                (shallow, keys["level"])):
+                B = np.column_stack([system.b, 2.0 * system.b])
+                resp = router.solve_multi(key, B)
+                np.testing.assert_allclose(
+                    resp.x[:, 1], 2.0 * system.x_true, rtol=1e-9
+                )
+                assert resp.lane == "host"
+            (events,) = router.trace_events().values()
+            (snap,) = router.worker_snapshots().values()
+        launches = [e for e in events if e["kind"] == "launch"]
+        assert {e["matrix"]: e["schedule"] for e in launches} == {
+            key: schedule for schedule, key in keys.items()
+        }
+        registry = snap["registry"]
+        assert registry["adopted_plans"] == 2
+        assert registry["artifact_builds"] == 0  # no features, no plan

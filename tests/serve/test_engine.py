@@ -431,7 +431,7 @@ class TestExecutionLanes:
         for r in resps:
             np.testing.assert_allclose(r.x, system.x_true, rtol=1e-9)
             assert r.lane == "host"
-            assert r.solver_name == "HostVectorized"
+            assert r.solver_name == "CompiledFused"
             assert r.fallback_from is None
         lanes = snap["lanes"]
         assert lanes["host"]["batches"] >= 1
@@ -504,14 +504,14 @@ class TestExecutionLanes:
         assert plain.lane == "host"
 
     def test_auto_falls_back_to_sim_on_host_failure(self, monkeypatch):
-        from repro.solvers.host_parallel import ExecutionPlan
+        from repro.solvers.compiled import CompiledPlan
 
         system = make_system(n=100, seed=25)
 
-        def explode(self, B):
+        def explode(self, B, **kw):
             raise injected_hazard()
 
-        monkeypatch.setattr(ExecutionPlan, "solve_many", explode)
+        monkeypatch.setattr(CompiledPlan, "solve_many", explode)
 
         async def main():
             engine = SolveEngine()
@@ -527,22 +527,22 @@ class TestExecutionLanes:
             np.testing.assert_allclose(r.x, system.x_true, rtol=1e-9)
             assert r.lane == "sim"
             assert r.used_fallback
-            assert r.fallback_from == "HostVectorized"
+            assert r.fallback_from == "CompiledFused"
         # one failure, then quarantined — never silently retried
         assert snap["fallbacks"]["kernel_failures"] == 1
-        assert "HostVectorized" in snap["quarantined"][r1.matrix_key]
+        assert "CompiledFused" in snap["quarantined"][r1.matrix_key]
         assert snap["lanes"]["host"]["batches"] == 0
         assert snap["lanes"]["sim"]["batches"] == 2
 
     def test_host_mode_propagates_failure(self, monkeypatch):
-        from repro.solvers.host_parallel import ExecutionPlan
+        from repro.solvers.compiled import CompiledPlan
 
         system = make_system(n=80, seed=26)
 
-        def explode(self, B):
+        def explode(self, B, **kw):
             raise injected_hazard()
 
-        monkeypatch.setattr(ExecutionPlan, "solve_many", explode)
+        monkeypatch.setattr(CompiledPlan, "solve_many", explode)
 
         async def main():
             engine = SolveEngine(execution="host")
@@ -592,7 +592,8 @@ class TestSnapshotRegistry:
 
 
 class TestCompiledLane:
-    """The fused compiled lane: forced, auto-selected, and degrading."""
+    """The one host lane runs the compiled plan; the registry picks its
+    schedule variant."""
 
     @staticmethod
     def deep_system(n=200, seed=0):
@@ -603,45 +604,25 @@ class TestCompiledLane:
             rng=np.random.default_rng(seed),
         )
 
-    def test_forced_compiled_serves_and_counts(self):
-        system = self.deep_system()
-
-        async def main():
-            engine = SolveEngine(execution="compiled")
-            engine.register(system.L, name="m")
-            resps = await asyncio.gather(
-                *[engine.solve("m", system.b) for _ in range(3)]
-            )
-            snap = engine.snapshot()
-            await engine.close()
-            return resps, snap
-
-        resps, snap = run(main())
-        for r in resps:
-            np.testing.assert_allclose(r.x, system.x_true, rtol=1e-9)
-            assert r.lane == "compiled"
-            assert r.solver_name == "CompiledFused"
-        lanes = snap["lanes"]
-        assert lanes["compiled"]["batches"] >= 1
-        assert lanes["compiled"]["rhs"] == 3
-        assert lanes["compiled"]["exec_ms"] > 0
-        assert lanes["host"]["batches"] == 0
-        assert lanes["sim"]["batches"] == 0
-
     def test_auto_prefers_compiled_for_deep_matrices(self):
+        # the merge rule (prefers_compiled) picks the merged schedule
         system = self.deep_system()
 
         async def main():
             engine = SolveEngine()  # execution="auto"
             engine.register(system.L, name="deep")
             resp = await engine.solve("deep", system.b)
+            snap = engine.snapshot()
+            launches = engine.trace_log.events(kind="launch")
             await engine.close()
-            return resp
+            return resp, snap, launches
 
-        resp = run(main())
+        resp, snap, launches = run(main())
         np.testing.assert_allclose(resp.x, system.x_true, rtol=1e-9)
-        assert resp.lane == "compiled"
+        assert resp.lane == "host"
         assert resp.fallback_from is None
+        assert launches[0]["schedule"] == "merged"
+        assert set(snap["lanes"]) == {"host", "sim"}
 
     def test_auto_keeps_host_for_shallow_matrices(self):
         system = make_system(n=120, seed=31)  # well under 64 levels
@@ -650,64 +631,13 @@ class TestCompiledLane:
             engine = SolveEngine()
             engine.register(system.L, name="wide")
             resp = await engine.solve("wide", system.b)
+            launches = engine.trace_log.events(kind="launch")
             await engine.close()
-            return resp
+            return resp, launches
 
-        resp = run(main())
+        resp, launches = run(main())
         assert resp.lane == "host"
-
-    def test_compiled_failure_degrades_to_host(self, monkeypatch):
-        from repro.solvers.compiled import CompiledPlan
-
-        system = self.deep_system(seed=2)
-
-        def explode(self, B, **kw):
-            raise injected_hazard()
-
-        monkeypatch.setattr(CompiledPlan, "solve_many", explode)
-
-        async def main():
-            engine = SolveEngine()
-            engine.register(system.L, name="m")
-            r1 = await engine.solve("m", system.b)
-            r2 = await engine.solve("m", system.b)
-            snap = engine.snapshot()
-            await engine.close()
-            return r1, r2, snap
-
-        r1, r2, snap = run(main())
-        for r in (r1, r2):
-            np.testing.assert_allclose(r.x, system.x_true, rtol=1e-9)
-            assert r.lane == "host"
-            assert r.used_fallback
-            assert r.fallback_from == "CompiledFused"
-        # one failure, then quarantined — never silently retried
-        assert snap["fallbacks"]["kernel_failures"] == 1
-        assert "CompiledFused" in snap["quarantined"][r1.matrix_key]
-        assert snap["fallbacks"]["by_transition"] == {
-            "CompiledFused->HostVectorized": 2
-        }
-        assert snap["lanes"]["compiled"]["batches"] == 0
-        assert snap["lanes"]["host"]["batches"] == 2
-
-    def test_forced_compiled_propagates_failure(self, monkeypatch):
-        from repro.solvers.compiled import CompiledPlan
-
-        system = self.deep_system(seed=3)
-
-        def explode(self, B, **kw):
-            raise injected_hazard()
-
-        monkeypatch.setattr(CompiledPlan, "solve_many", explode)
-
-        async def main():
-            engine = SolveEngine(execution="compiled")
-            engine.register(system.L, name="m")
-            with pytest.raises(HazardError):
-                await engine.solve("m", system.b)
-            await engine.close()
-
-        run(main())
+        assert launches[0]["schedule"] == "level"
 
     def test_launch_events_carry_schedule_and_backend(self):
         from repro.solvers.compiled import HAVE_NUMBA
@@ -715,7 +645,7 @@ class TestCompiledLane:
         system = self.deep_system(seed=4)
 
         async def main():
-            engine = SolveEngine(execution="compiled")
+            engine = SolveEngine(execution="host")
             engine.register(system.L, name="m")
             await engine.solve("m", system.b)
             launches = engine.trace_log.events(kind="launch")
@@ -725,11 +655,41 @@ class TestCompiledLane:
         launches = run(main())
         assert launches
         event = launches[0]
-        assert event["lane"] == "compiled"
+        assert event["lane"] == "host"
         assert event["schedule"] == "merged"
         assert event["backend"] == ("numba" if HAVE_NUMBA else "numpy")
         assert event["n_levels"] <= event["base_levels"]
 
-    def test_invalid_compiled_schedule_raises(self):
-        with pytest.raises(ValueError, match="schedule"):
-            SolveEngine(compiled_schedule="bogus")
+    def test_batched_sim_fallback_records_transition(self, monkeypatch):
+        from repro.solvers.compiled import CompiledPlan
+
+        system = make_system(n=90, seed=32)
+
+        def explode(self, B, **kw):
+            raise injected_hazard()
+
+        monkeypatch.setattr(CompiledPlan, "solve_many", explode)
+
+        async def main():
+            engine = SolveEngine()
+            engine.register(system.L, name="m")
+            B = np.column_stack([system.b, 2.0 * system.b])
+            resp = await engine.solve_multi("m", B)
+            snap = engine.snapshot()
+            await engine.close()
+            return resp, snap
+
+        resp, snap = run(main())
+        np.testing.assert_allclose(resp.x[:, 1], 2.0 * system.x_true,
+                                   rtol=1e-9)
+        assert resp.lane == "sim"
+        assert resp.fallback_from == "CompiledFused"
+        assert snap["fallbacks"]["by_transition"] == {
+            f"CompiledFused->{resp.solver_name}": 1
+        }
+
+    def test_compiled_execution_mode_is_gone(self):
+        with pytest.raises(ValueError, match="execution"):
+            SolveEngine(execution="compiled")
+        with pytest.raises(TypeError):
+            SolveEngine(compiled_schedule="merged")

@@ -88,14 +88,14 @@ class TestEngineJournaling:
         assert "journal" not in run(main())
 
     def test_kernel_failure_writes_incident(self, tmp_path, monkeypatch):
-        from repro.solvers.host_parallel import ExecutionPlan
+        from repro.solvers.compiled import CompiledPlan
 
         system = make_system(n=100, seed=25)
 
-        def explode(self, B):
+        def explode(self, B, **kw):
             raise injected_hazard()
 
-        monkeypatch.setattr(ExecutionPlan, "solve_many", explode)
+        monkeypatch.setattr(CompiledPlan, "solve_many", explode)
 
         async def main():
             journal = JournalWriter(tmp_path)
@@ -118,7 +118,8 @@ class TestEngineJournaling:
             (tmp_path / pointers[0]["incident_file"]).read_text()
         )
         assert dump["reason"] == "kernel-failure"
-        assert dump["solver"] == "HostVectorized"
+        assert dump["solver"] == "CompiledFused"
+        assert dump["lane"] == "host"
         assert dump["snapshot"]["fallbacks"]["kernel_failures"] == 1
         assert any(
             e.get("kind") == "kernel-failure" for e in dump["trace_tail"]
@@ -127,44 +128,58 @@ class TestEngineJournaling:
         solves = reader.records(kind="solve")
         assert len(solves) == 1
         assert solves[0]["outcome"] == "fallback"
-        assert solves[0]["fallback_from"] == "HostVectorized"
+        assert solves[0]["fallback_from"] == "CompiledFused"
         assert solves[0]["lane"] == "sim"
+        assert solves[0]["schedule"] is None
+
+
+async def solve_schedule(engine, name, b):
+    """One solve, plus the schedule variant of the plan that served it."""
+    resp = await engine.solve(name, b)
+    return resp, engine.trace_log.events(kind="launch")[-1]["schedule"]
 
 
 class TestLaneHintRouting:
     def test_hint_overrides_static_rule(self, tmp_path):
-        deep = deep_system()  # auto would pick compiled
+        deep = deep_system()  # the rule picks the merged schedule
 
         async def main():
             engine = SolveEngine()
             key = engine.register(deep.L, name="m")
-            r_auto = await engine.solve("m", deep.b)
-            engine.registry.set_lane_hint(key, "host")
-            r_hint = await engine.solve("m", deep.b)
+            r_auto = await solve_schedule(engine, "m", deep.b)
+            engine.registry.set_lane_hint(key, "level")
+            r_hint = await solve_schedule(engine, "m", deep.b)
+            engine.registry.set_lane_hint(key, "sim")  # rule stays
+            r_sim = await solve_schedule(engine, "m", deep.b)
             engine.registry.set_lane_hint(key, None)
-            r_back = await engine.solve("m", deep.b)
+            r_back = await solve_schedule(engine, "m", deep.b)
             await engine.close()
-            return r_auto, r_hint, r_back
+            return r_auto, r_hint, r_sim, r_back
 
-        r_auto, r_hint, r_back = run(main())
-        assert r_auto.lane == "compiled"
-        assert r_hint.lane == "host"
-        assert r_back.lane == "compiled"
-        np.testing.assert_allclose(r_hint.x, deep.x_true, rtol=1e-9)
+        r_auto, r_hint, r_sim, r_back = run(main())
+        assert r_auto[1] == "merged"
+        assert r_hint[1] == "level"
+        assert r_sim[1] == "merged"
+        assert r_back[1] == "merged"
+        assert {r.lane for r, _ in (r_auto, r_hint, r_sim, r_back)} == {
+            "host"
+        }
+        np.testing.assert_allclose(r_hint[0].x, deep.x_true, rtol=1e-9)
 
     def test_hint_promotes_shallow_matrix_to_compiled(self):
-        system = make_system(n=120, seed=31)  # auto keeps host
+        system = make_system(n=120, seed=31)  # the rule keeps "level"
 
         async def main():
             engine = SolveEngine()
             key = engine.register(system.L, name="m")
-            engine.registry.set_lane_hint(key, "compiled")
-            resp = await engine.solve("m", system.b)
+            engine.registry.set_lane_hint(key, "merged")
+            result = await solve_schedule(engine, "m", system.b)
             await engine.close()
-            return resp
+            return result
 
-        resp = run(main())
-        assert resp.lane == "compiled"
+        resp, schedule = run(main())
+        assert resp.lane == "host"
+        assert schedule == "merged"
         np.testing.assert_allclose(resp.x, system.x_true, rtol=1e-9)
 
 
@@ -174,20 +189,23 @@ class TestEndToEndEfficacy:
         deep = deep_system(n=200)
         shallow = make_system(n=120, seed=7)
 
-        async def serve(execution, system, name, solves):
-            journal = JournalWriter(tmp_path, shard=f"lane-{execution}")
+        async def serve(execution, system, name, solves, hint=None):
+            journal = JournalWriter(
+                tmp_path, shard=f"lane-{execution}-{hint}"
+            )
             engine = SolveEngine(execution=execution, journal=journal)
-            engine.register(system.L, name=name)
+            key = engine.register(system.L, name=name)
+            engine.registry.set_lane_hint(key, hint)
             for _ in range(solves):
                 await engine.solve(name, system.b)
             await engine.close()
             journal.close()
 
         async def main():
-            # the same deep matrix on both candidate lanes, and the
-            # same shallow matrix on both of its candidate lanes
-            await serve("compiled", deep, "deep", 4)
-            await serve("host", deep, "deep", 4)
+            # the same deep matrix on both schedule variants, and the
+            # same shallow matrix on the level plan and the simulator
+            await serve("host", deep, "deep", 4, hint="merged")
+            await serve("host", deep, "deep", 4, hint="level")
             await serve("host", shallow, "shal", 4)
             await serve("sim", shallow, "shal", 4)
 
@@ -215,6 +233,12 @@ class TestEndToEndEfficacy:
             if c.startswith("shallow")
         ]
         assert deep_cls and shal_cls
+        assert set(report["classes"][deep_cls[0]]["lanes"]) == {
+            "level", "merged",
+        }
+        assert set(report["classes"][shal_cls[0]]["lanes"]) == {
+            "level", "sim",
+        }
 
     def test_hints_close_the_loop(self, tmp_path):
         """journal -> report -> apply_lane_hints -> auto routing."""
@@ -237,13 +261,13 @@ class TestEndToEndEfficacy:
             engine = SolveEngine()
             engine.register(deep.L, name="m")
             applied = apply_lane_hints(engine.registry, report)
-            resp = await engine.solve("m", deep.b)
+            result = await solve_schedule(engine, "m", deep.b)
             await engine.close()
-            return applied, resp
+            return applied, result
 
-        applied, resp = run(again())
+        applied, (resp, schedule) = run(again())
         assert applied == 1
-        assert resp.lane == report["matrices"][key]["recommended"]
+        assert schedule == report["matrices"][key]["recommended"]
 
 
 class TestClusterJournaling:

@@ -120,7 +120,12 @@ class TestPlanArtifact:
     def test_plan_reuses_cached_schedule(self):
         reg = MatrixRegistry()
         key = reg.register(random_unit_lower(60, 0.1, seed=9))
-        assert reg.plan(key).schedule is reg.features(key).schedule
+        plan = reg.plan(key)
+        schedule = reg.features(key).schedule
+        np.testing.assert_array_equal(plan.rows, schedule.order)
+        assert plan.base_levels == schedule.n_levels
+        # features + plan: the inspector never recomputed the levels
+        assert reg.stats()["artifact_builds"] == 2
 
     def test_plan_bytes_enter_lru_budget(self):
         reg = MatrixRegistry()
@@ -373,13 +378,16 @@ class TestCompiledPlanArtifact:
     def test_variants_cached_independently(self):
         reg = MatrixRegistry()
         key = reg.register(random_unit_lower(60, 0.1, seed=9))
-        merged = reg.compiled_plan(key, schedule="merged")
-        level = reg.compiled_plan(key, schedule="level")
+        reg.set_lane_hint(key, "merged")
+        merged = reg.plan(key)
+        reg.set_lane_hint(key, "level")
+        level = reg.plan(key)
         assert merged is not level
-        assert merged.schedule_variant == "merged"
-        assert level.schedule_variant == "level"
-        assert merged is reg.compiled_plan(key, schedule="merged")
-        assert level is reg.compiled_plan(key, schedule="level")
+        assert merged.schedule == "merged"
+        assert level.schedule == "level"
+        assert level is reg.plan(key)
+        reg.set_lane_hint(key, "merged")
+        assert merged is reg.plan(key)
 
     def test_plan_bytes_enter_lru_budget(self):
         reg = MatrixRegistry()

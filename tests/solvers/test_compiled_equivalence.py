@@ -1,7 +1,7 @@
 """Compiled fast-lane equivalence suite.
 
 Mirror of ``test_host_equivalence.py`` for the fused
-:class:`~repro.solvers.compiled.CompiledPlan`: the compiled lane must
+:class:`~repro.solvers.compiled.CompiledPlan`: the fast-lane plan must
 agree with the cycle-level simulator on every synthetic domain, both
 triangular orientations, and every right-hand-side layout — under both
 the direct (``schedule="level"``) and level-merged
@@ -20,7 +20,8 @@ import pytest
 
 from repro.datasets import DOMAINS, generate
 from repro.gpu.device import SIM_SMALL
-from repro.solvers import WritingFirstCapelliniSolver, build_plan
+from repro.errors import SolverError
+from repro.solvers import WritingFirstCapelliniSolver
 from repro.solvers.compiled import (
     COMPILED_SCHEDULES,
     HAVE_NUMBA,
@@ -68,8 +69,11 @@ class TestLower:
         np.testing.assert_allclose(X, r_sim.X, **TOL)
 
     def test_matches_host_plan(self, domain_system, schedule):
+        # the level variant is the former host executor
         system = domain_system
-        x_host = build_plan(system.L).solve(system.b)
+        x_host = build_compiled_plan(system.L, schedule="level").solve(
+            system.b
+        )
         x_comp = build_compiled_plan(
             system.L, schedule=schedule
         ).solve(system.b)
@@ -128,6 +132,49 @@ class TestRHSLayouts:
         np.testing.assert_allclose(
             x, plan.solve(system.b), rtol=5e-5, atol=5e-6
         )
+
+
+class TestMergedVariant:
+    """Cases ``test_host_parallel.py`` runs on the level variant, on the
+    merged one."""
+
+    @pytest.mark.parametrize(
+        "shape", [(N + 1, 2), (N, 0), (N, 2, 1)], ids=["rows", "k0", "3d"]
+    )
+    def test_rejects_bad_shapes(self, shape):
+        plan = build_compiled_plan(generate("chain", N, seed=13))
+        with pytest.raises(SolverError):
+            plan.solve_many(np.zeros(shape))
+        with pytest.raises(SolverError):
+            plan.solve(np.zeros(N - 1))
+
+    def test_threads_share_one_plan(self):
+        from concurrent.futures import ThreadPoolExecutor
+
+        system = lower_triangular_system(
+            generate("graph", 300, seed=12), rng=np.random.default_rng(12)
+        )
+        plan = build_compiled_plan(system.L, schedule="merged")
+        widths = [1, 6, 2, 1, 8, 3] * 4
+
+        def run(k):
+            X = plan.solve_many(np.column_stack([system.b] * k))
+            return np.max(np.abs(X - system.x_true[:, None]))
+
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            errors = list(pool.map(run, widths))
+        assert max(errors) <= 1e-9
+
+    def test_cache_keyed_by_content(self):
+        from tests.conftest import random_unit_lower
+
+        solver = CompiledFusedSolver(schedule="merged", plan_cache_size=2)
+        L1 = random_unit_lower(50, 0.15, seed=20)
+        L1_copy = random_unit_lower(50, 0.15, seed=20)  # same content
+        L2 = random_unit_lower(50, 0.15, seed=21)
+        assert solver.plan_for(L1) is solver.plan_for(L1_copy)
+        assert solver.plan_for(L1) is not solver.plan_for(L2)
+        assert solver.plan_for(L1).schedule == "merged"
 
 
 class TestFallback:

@@ -1,11 +1,12 @@
 """Host fast-lane equivalence suite.
 
-The host :class:`~repro.solvers.host_parallel.ExecutionPlan` is what the
-serving engine runs in production mode, while the cycle-level simulator
-solvers are the measurement instrument.  The two must agree bit-for-bit
-in substance: every synthetic domain, both triangular orientations
-(upper via anti-transpose reversal), and every right-hand-side layout
-the multi-RHS API accepts (1-D, 2-D, Fortran-ordered).
+The :class:`~repro.solvers.compiled.CompiledPlan` is what the serving
+engine's host lane runs in production mode, in either schedule variant,
+while the cycle-level simulator solvers are the measurement instrument.
+The two must agree bit-for-bit in substance: every synthetic domain,
+both triangular orientations (upper via anti-transpose reversal), and
+every right-hand-side layout the multi-RHS API accepts (1-D, 2-D,
+Fortran-ordered) — each case checked on both variants.
 
 Matrices are kept small (n = 80) because each comparison runs the SIMT
 simulator, which is orders of magnitude slower than the host lane — the
@@ -17,10 +18,11 @@ import pytest
 
 from repro.datasets import DOMAINS, generate
 from repro.gpu.device import SIM_SMALL
-from repro.solvers import (
-    HostLevelScheduleSolver,
-    WritingFirstCapelliniSolver,
-    build_plan,
+from repro.solvers import WritingFirstCapelliniSolver
+from repro.solvers.compiled import (
+    COMPILED_SCHEDULES,
+    CompiledFusedSolver,
+    build_compiled_plan,
 )
 from repro.solvers.multirhs import capellini_sptrsm
 from repro.solvers.upper import reverse_matrix, solve_upper
@@ -39,48 +41,54 @@ def domain_system(request):
 class TestLower:
     def test_single_rhs_matches_writing_first(self, domain_system):
         system = domain_system
-        x_host = build_plan(system.L).solve(system.b)
         r_sim = WritingFirstCapelliniSolver().solve(
             system.L, system.b, device=SIM_SMALL
         )
-        np.testing.assert_allclose(x_host, r_sim.x, **TOL)
-        assert np.max(np.abs(x_host - system.x_true)) <= 1e-10
+        for schedule in COMPILED_SCHEDULES:
+            plan = build_compiled_plan(system.L, schedule=schedule)
+            x_host = plan.solve(system.b)
+            np.testing.assert_allclose(x_host, r_sim.x, **TOL)
+            assert np.max(np.abs(x_host - system.x_true)) <= 1e-10
 
     def test_multi_rhs_matches_capellini_sptrsm(self, domain_system):
         system = domain_system
         B = np.column_stack(
             [(r + 1.0) * system.b for r in range(3)]
         )
-        X_host = build_plan(system.L).solve_many(B)
         r_sim = capellini_sptrsm(system.L, B, device=SIM_SMALL)
-        np.testing.assert_allclose(X_host, r_sim.X, **TOL)
+        for schedule in COMPILED_SCHEDULES:
+            plan = build_compiled_plan(system.L, schedule=schedule)
+            np.testing.assert_allclose(plan.solve_many(B), r_sim.X, **TOL)
 
 
 class TestUpper:
     def test_upper_matches_simulator(self, domain_system):
         system = domain_system
         U = reverse_matrix(system.L)
-        x_host = solve_upper(
-            HostLevelScheduleSolver(), U, system.b, device=SIM_SMALL
-        )
         x_sim = solve_upper(
             WritingFirstCapelliniSolver(), U, system.b, device=SIM_SMALL
         )
-        np.testing.assert_allclose(x_host, x_sim, **TOL)
+        for schedule in COMPILED_SCHEDULES:
+            x_host = solve_upper(
+                CompiledFusedSolver(schedule=schedule), U, system.b,
+                device=SIM_SMALL,
+            )
+            np.testing.assert_allclose(x_host, x_sim, **TOL)
 
 
 class TestRHSLayouts:
     def test_1d_2d_and_fortran_order_agree(self, domain_system):
         system = domain_system
-        plan = build_plan(system.L)
         B = np.column_stack([system.b, -2.0 * system.b])
+        for schedule in COMPILED_SCHEDULES:
+            plan = build_compiled_plan(system.L, schedule=schedule)
+            x_1d = plan.solve(system.b)
+            X_c = plan.solve_many(B)
+            X_f = plan.solve_many(np.asfortranarray(B))
 
-        x_1d = plan.solve(system.b)
-        X_c = plan.solve_many(B)
-        X_f = plan.solve_many(np.asfortranarray(B))
-
-        np.testing.assert_allclose(X_c[:, 0], x_1d, rtol=1e-12)
-        np.testing.assert_allclose(X_f, X_c, rtol=1e-12)
-        np.testing.assert_allclose(
-            plan.solve_many(system.b)[:, 0], x_1d, rtol=1e-12
-        )
+            np.testing.assert_allclose(X_c[:, 0], x_1d, rtol=1e-12)
+            np.testing.assert_allclose(X_f, X_c, rtol=1e-12)
+            assert X_f.flags["C_CONTIGUOUS"]
+            np.testing.assert_allclose(
+                plan.solve_many(system.b)[:, 0], x_1d, rtol=1e-12
+            )

@@ -1,4 +1,10 @@
-"""Vectorized host level-schedule solver tests."""
+"""Level-variant plan tests.
+
+The host lane's level-scheduled executor is the ``schedule="level"``
+variant of :class:`~repro.solvers.compiled.CompiledPlan`; these cases
+pin its packing, its RHS handling and the content-keyed plan cache of
+:class:`~repro.solvers.compiled.CompiledFusedSolver`.
+"""
 
 import numpy as np
 import pytest
@@ -6,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.datasets import generate
 from repro.errors import SolverError
-from repro.solvers import HostLevelScheduleSolver, build_plan
+from repro.analysis.levels import compute_levels
+from repro.solvers.compiled import CompiledFusedSolver, build_compiled_plan
 from repro.solvers.multirhs import serial_sptrsm
 from repro.solvers.reference import serial_sptrsv
 from repro.sparse.triangular import lower_triangular_system
@@ -15,12 +22,20 @@ from tests.conftest import random_unit_lower
 from tests.solvers.conftest import assert_solves_exactly
 
 
+def build_plan(L):
+    return build_compiled_plan(L, schedule="level")
+
+
+def level_solver(**kwargs):
+    return CompiledFusedSolver(schedule="level", **kwargs)
+
+
 class TestCorrectness:
     def test_zoo(self, zoo_system):
         from repro.gpu.device import SIM_SMALL
 
         _name, system = zoo_system
-        assert_solves_exactly(HostLevelScheduleSolver(), system, SIM_SMALL)
+        assert_solves_exactly(level_solver(), system, SIM_SMALL)
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -31,7 +46,7 @@ class TestCorrectness:
     def test_agrees_with_serial_property(self, n, density, seed):
         L = random_unit_lower(n, density, seed=seed)
         system = lower_triangular_system(L, rng=np.random.default_rng(seed))
-        r = HostLevelScheduleSolver().solve(L, system.b)
+        r = level_solver().solve(L, system.b)
         np.testing.assert_allclose(
             r.x, serial_sptrsv(L, system.b), rtol=1e-9, atol=1e-12
         )
@@ -42,24 +57,28 @@ class TestPlan:
         L = random_unit_lower(50, 0.1, seed=1)
         plan = build_plan(L)
         assert len(plan.vals) == L.nnz - L.n_rows
+        assert plan.coeff_nnz == L.nnz
         assert sorted(plan.rows.tolist()) == list(range(50))
 
     def test_plan_rows_grouped_by_level(self):
         L = random_unit_lower(50, 0.1, seed=2)
         plan = build_plan(L)
-        levels_in_plan = plan.schedule.level_of_row[plan.rows]
+        levels_in_plan = compute_levels(L).level_of_row[plan.rows]
         assert np.all(np.diff(levels_in_plan) >= 0)
+        assert plan.n_levels == plan.base_levels
 
     def test_plan_diag_matches(self):
+        # the level variant keeps 1 / L[i,i] apart and gathers only x
         L = random_unit_lower(30, 0.2, seed=3)
         plan = build_plan(L)
         diag = L.values[L.row_ptr[1:] - 1]
-        np.testing.assert_array_equal(plan.diag, diag[plan.rows])
+        np.testing.assert_array_equal(plan.inv_diag, 1.0 / diag)
+        assert np.all(plan.idx < 30)
 
     def test_plan_reuse_skips_inspection(self):
         L = generate("circuit", 3000, seed=4)
         system = lower_triangular_system(L)
-        solver = HostLevelScheduleSolver()
+        solver = level_solver()
         solver.solve(L, system.b)
         plan_a = solver.plan_for(L)
         solver.solve(L, system.b)
@@ -135,7 +154,7 @@ class TestSolveMany:
             plan.solve(np.zeros(19))
 
     def test_result_independent_of_scratch_reuse(self):
-        # repeated calls with different widths must not leak stale sums
+        # repeated calls with different widths must not leak state
         L = generate("graph", 300, seed=12)
         system = lower_triangular_system(L)
         plan = build_plan(L)
@@ -154,7 +173,7 @@ class TestPlanCache:
         matrix silently served the wrong plan.  Content keys make two
         equal-content containers share a plan and distinct-content
         containers never share one, regardless of object lifecycle."""
-        solver = HostLevelScheduleSolver()
+        solver = level_solver()
         L1 = random_unit_lower(50, 0.15, seed=20)
         L1_copy = random_unit_lower(50, 0.15, seed=20)  # same content
         L2 = random_unit_lower(50, 0.15, seed=21)       # different content
@@ -164,7 +183,7 @@ class TestPlanCache:
     def test_id_reuse_lifecycle_never_shares_a_plan(self):
         """Allocate/free matrices in a loop — the id()-reuse pattern that
         used to poison the cache — and check every solve stays exact."""
-        solver = HostLevelScheduleSolver(plan_cache_size=1)
+        solver = level_solver(plan_cache_size=1)
         for seed in range(12):
             L = random_unit_lower(40, 0.2, seed=seed)
             system = lower_triangular_system(L)
@@ -177,7 +196,7 @@ class TestPlanCache:
     def test_lru_keeps_alternating_matrices(self):
         """Alternating between a working set within the cache bound must
         not rebuild plans (the old single-slot cache thrashed here)."""
-        solver = HostLevelScheduleSolver(plan_cache_size=2)
+        solver = level_solver(plan_cache_size=2)
         La = random_unit_lower(40, 0.2, seed=30)
         Lb = random_unit_lower(40, 0.2, seed=31)
         pa, pb = solver.plan_for(La), solver.plan_for(Lb)
@@ -186,7 +205,7 @@ class TestPlanCache:
             assert solver.plan_for(Lb) is pb
 
     def test_lru_evicts_least_recently_used(self):
-        solver = HostLevelScheduleSolver(plan_cache_size=2)
+        solver = level_solver(plan_cache_size=2)
         La = random_unit_lower(40, 0.2, seed=32)
         Lb = random_unit_lower(40, 0.2, seed=33)
         Lc = random_unit_lower(40, 0.2, seed=34)
@@ -199,13 +218,13 @@ class TestPlanCache:
 
     def test_rejects_nonpositive_capacity(self):
         with pytest.raises(ValueError):
-            HostLevelScheduleSolver(plan_cache_size=0)
+            level_solver(plan_cache_size=0)
 
 
 class TestScale:
     def test_large_matrix_fast_and_exact(self):
         L = generate("graph", 60_000, seed=5)
         system = lower_triangular_system(L)
-        r = HostLevelScheduleSolver().solve(L, system.b)
+        r = level_solver().solve(L, system.b)
         np.testing.assert_allclose(r.x, system.x_true, rtol=1e-8)
         assert r.exec_ms < 2_000  # vectorized, not per-row Python

@@ -602,12 +602,12 @@ class TestJournalCLI:
         rc = main(["journal", "report", str(tmp_path)])
         out = capsys.readouterr().out
         assert rc == 0
-        assert "recommended lane: host" in out
+        assert "recommended lane: level" in out
         artifact = json.loads(
             (tmp_path / "lane_recommendations.json").read_text()
         )
         assert artifact["schema"] == "efficacy/1"
-        assert artifact["recommendations"] == {"shallow-fine": "host"}
+        assert artifact["recommendations"] == {"shallow-fine": "level"}
 
     def test_report_json_document(self, tmp_path, capsys):
         import json
