@@ -14,11 +14,20 @@ here means the generator drifted and the bench is measuring nothing),
 then times single-RHS solves through the ``schedule="level"`` and
 ``schedule="merged"`` variants of
 :class:`~repro.solvers.compiled.CompiledPlan`
-(best-of-``REPRO_BENCH_COMPILED_REPEATS``).  Acceptance: the merged
+(best-of-``REPRO_BENCH_COMPILED_REPEATS``, the timed calls
+interleaved so drift hits every variant alike).  Acceptance: the merged
 variant clears **5x** over the level variant on every deep case with
 residuals <= 1e-10 against the manufactured solution, on whichever
 backend is present (the numpy fallback must clear the bar on its own —
-numba is a bonus, not a prerequisite).  The ``host`` keys of the
+numba is a bonus, not a prerequisite).
+
+It also times the merged plan at k = 1, 2 and 8 right-hand sides and
+records ``batched_over_serial`` — ``t(k=2) / (2 t(k=1))`` and
+``t(k=8) / (8 t(k=1))`` — the cost of one coalesced solve relative to
+the single solves it replaces.  The serve tier coalesces concurrent
+requests into such blocks, so the k = 2 ratio is gated at
+**<= 1.5**: a width-2 batch may not cost much more than the two
+solves it stands for.  The ``host`` keys of the
 artifact name the level variant, the per-level plan the host lane ran
 before the two plan types were folded into one.  Artifact:
 ``benchmarks/_output/compiled_vs_host.json`` (stable keys/ordering),
@@ -42,11 +51,15 @@ from repro.solvers.compiled import HAVE_NUMBA, build_compiled_plan
 from repro.sparse import lower_triangular_system
 
 N_ROWS = int(os.environ.get("REPRO_BENCH_COMPILED_ROWS", "16000"))
-REPEATS = int(os.environ.get("REPRO_BENCH_COMPILED_REPEATS", "5"))
+REPEATS = int(os.environ.get("REPRO_BENCH_COMPILED_REPEATS", "15"))
 #: Acceptance floor: merged-variant speedup over the level variant.
 SPEEDUP_FLOOR = 5.0
 #: A "deep" case must actually be deep or the bench measures nothing.
 MIN_LEVELS = 1000
+#: Ceiling of t(k=2) / (2 t(k=1)) on the merged plan.
+BATCHED_OVER_SERIAL_K2_MAX = 1.5
+#: Block widths of the batched/serial ratios.
+BATCH_WIDTHS = (2, 8)
 
 #: The deep cases the merged schedule targets.  Wide-shallow domains
 #: (graph, road, social) are deliberately absent: the merge rule keeps
@@ -62,13 +75,17 @@ DEEP_CASES = (
 )
 
 
-def _best_of(fn, repeats: int) -> float:
-    fn()  # warmup: JIT compilation / cache fills stay off the clock
-    best = float("inf")
+def _best_of(fns, repeats: int) -> list[float]:
+    """Best-of-``repeats`` seconds of each callable, one call of each
+    per round so slow patches of a shared machine hit them alike."""
+    for fn in fns:
+        fn()  # warmup: JIT compilation / cache fills stay off the clock
+    best = [float("inf")] * len(fns)
     for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
+        for i, fn in enumerate(fns):
+            t0 = time.perf_counter()
+            fn()
+            best[i] = min(best[i], time.perf_counter() - t0)
     return best
 
 
@@ -80,8 +97,20 @@ def _compiled_session():
         host_plan = build_compiled_plan(system.L, schedule="level")
         compiled = build_compiled_plan(system.L, schedule="merged")
 
-        host_s = _best_of(lambda: host_plan.solve(system.b), REPEATS)
-        comp_s = _best_of(lambda: compiled.solve(system.b), REPEATS)
+        host_s, comp_s = _best_of(
+            [lambda: host_plan.solve(system.b),
+             lambda: compiled.solve(system.b)],
+            REPEATS,
+        )
+        blocks = [
+            np.column_stack([(c + 1.0) * system.b for c in range(k)])
+            for k in BATCH_WIDTHS
+        ]
+        batch_s = _best_of(
+            [lambda: compiled.solve_many(system.b)]
+            + [lambda B=B: compiled.solve_many(B) for B in blocks],
+            REPEATS,
+        )
         residual = float(
             np.max(np.abs(compiled.solve(system.b) - system.x_true))
         )
@@ -96,13 +125,22 @@ def _compiled_session():
             "compiled_s": comp_s,
             "speedup": host_s / comp_s,
             "residual": residual,
+            "batch_ms": {
+                f"k{k}": t * 1e3
+                for k, t in zip((1,) + BATCH_WIDTHS, batch_s)
+            },
+            "batched_over_serial": {
+                f"k{k}": t / (k * batch_s[0])
+                for k, t in zip(BATCH_WIDTHS, batch_s[1:])
+            },
         }
     return out
 
 
 def test_compiled_vs_host(benchmark, output_dir):
     """The merged schedule must clear 5x over the level schedule on
-    every deep case, with residuals <= 1e-10."""
+    every deep case, with residuals <= 1e-10, and a width-2 block may
+    cost at most 1.5x the two single solves it replaces."""
     results = run_once(benchmark, _compiled_session)
 
     doc = {
@@ -128,6 +166,13 @@ def test_compiled_vs_host(benchmark, output_dir):
                 "compiled_ms": round(r["compiled_s"] * 1e3, 3),
                 "speedup": round(r["speedup"], 1),
                 "residual": f"{r['residual']:.3e}",
+                "batch_ms": {
+                    k: round(t, 3) for k, t in r["batch_ms"].items()
+                },
+                "batched_over_serial": {
+                    k: round(v, 3)
+                    for k, v in r["batched_over_serial"].items()
+                },
             },
         }
         lines.append(
@@ -135,7 +180,12 @@ def test_compiled_vs_host(benchmark, output_dir):
             f"{r['merged_levels']:>4} levels | "
             f"host {r['host_s'] * 1e3:8.2f} ms | "
             f"compiled[{r['backend']}] {r['compiled_s'] * 1e3:7.2f} ms | "
-            f"{r['speedup']:5.1f}x | resid {r['residual']:.1e}"
+            f"{r['speedup']:5.1f}x | resid {r['residual']:.1e} | "
+            "batched/serial "
+            + " ".join(
+                f"{k} {v:.2f}"
+                for k, v in r["batched_over_serial"].items()
+            )
         )
 
         # proof obligations (ISSUE 9 acceptance criteria)
@@ -146,6 +196,10 @@ def test_compiled_vs_host(benchmark, output_dir):
         assert r["residual"] <= 1e-10
         assert r["speedup"] >= SPEEDUP_FLOOR, (
             f"{name}: merged only {r['speedup']:.1f}x over level"
+        )
+        k2 = r["batched_over_serial"]["k2"]
+        assert k2 <= BATCHED_OVER_SERIAL_K2_MAX, (
+            f"{name}: a width-2 block costs {k2:.2f}x two single solves"
         )
 
     report = "\n".join(lines)
@@ -158,6 +212,10 @@ def test_compiled_vs_host(benchmark, output_dir):
 
     benchmark.extra_info["speedups"] = {
         name: round(r["speedup"], 1) for name, r in results.items()
+    }
+    benchmark.extra_info["batched_over_serial"] = {
+        name: {k: round(v, 3) for k, v in r["batched_over_serial"].items()}
+        for name, r in results.items()
     }
     benchmark.extra_info["backend"] = (
         "numba" if HAVE_NUMBA else "numpy"

@@ -342,7 +342,9 @@ class CompiledPlan:
             return W if self.inv_diag is not None else W[:n].copy()
         X, src, vals = self._start(B)
         rows, idx = self.rows, self.idx
-        if src is X:
+        if X.ndim == 2:
+            self._row_steps(X, src, vals)
+        elif src is X:
             for r0, r1, e0, e1, starts in self._steps:
                 X[rows[r0:r1]] += np.add.reduceat(
                     vals[e0:e1] * X[idx[e0:e1]], starts, axis=0
@@ -352,6 +354,7 @@ class CompiledPlan:
                 X[rows[r0:r1]] = np.add.reduceat(
                     vals[e0:e1] * src[idx[e0:e1]], starts, axis=0
                 )
+        if src is not X:
             X = X.copy()
         return X.reshape(self.n_rows, -1)
 
@@ -361,9 +364,11 @@ class CompiledPlan:
         The level variant starts from ``X = B * inv_diag`` and gathers
         from ``X`` itself (``src is X``); the merged variant gathers from
         the stacked ``[X; B]`` workspace, whose copy of ``B`` also
-        normalizes layout and dtype.  A single right-hand side runs on
-        vectors: numpy's fancy indexing over ``(n, 1)`` rows costs about
-        twice as much as over an ``(n,)`` vector.
+        normalizes layout and dtype.  Both workspaces are C-ordered.  A
+        single right-hand side runs on vectors: numpy's 2-D fancy
+        gathers (``src[idx]`` on ``(n, k)`` rows) cost 4-8x a vector
+        gather, and even the row-block steps of :meth:`_row_steps` are
+        slower than plain vector indexing at ``k == 1``.
         """
         n, k = B.shape
         vals = self.vals
@@ -379,12 +384,56 @@ class CompiledPlan:
         W[n:] = B
         return W[:n], W, vals
 
+    def _row_steps(
+        self, X: np.ndarray, src: np.ndarray, vals: np.ndarray,
+        raw: list | None = None,
+    ) -> None:
+        """The ``k >= 2`` step loop, shared by profiled and unprofiled
+        solves; with ``raw`` given, each step's gather (the in-place
+        scale included), reduce and scatter times are appended to it.
+
+        Every operation moves whole ``k``-wide rows as single items:
+        ``ndarray.take(..., axis=0)`` gathers them (2-D fancy indexing
+        walks every element through the index machinery instead; the
+        method skips ``np.take``'s Python-level dispatch, a microsecond
+        per call on the small steps of a merged plan), the scale
+        and the ``reduceat`` keep the row layout, and the scatter writes
+        one opaque ``8k``-byte item per row through a ``np.void`` view
+        of the C-ordered workspace.  The level variant adds the rows'
+        current values (``X = B * inv_diag``) before scattering; the
+        merged variant's rows are written once.  Each column sees the
+        same operations, in the same order, as a ``k == 1`` solve of it.
+        """
+        clock = time.perf_counter
+        timed = raw is not None
+        rows, idx = self.rows, self.idx
+        own_b = src is X
+        row = np.dtype((np.void, src.itemsize * src.shape[1]))
+        src_rows = src.view(row)[:, 0]
+        for r0, r1, e0, e1, starts in self._steps:
+            level_rows = rows[r0:r1]
+            if timed:
+                t0 = clock()
+            g = src.take(idx[e0:e1], axis=0)
+            np.multiply(g, vals[e0:e1], out=g)
+            if timed:
+                t1 = clock()
+            sums = np.add.reduceat(g, starts, axis=0)
+            if timed:
+                t2 = clock()
+            if own_b:
+                sums += X.take(level_rows, axis=0)
+            src_rows[level_rows] = sums.view(row)[:, 0]
+            if timed:
+                raw.append((r1 - r0, e1 - e0, t1 - t0, t2 - t1, clock() - t2))
+
     def _execute_profiled(self, B: np.ndarray, profiler) -> np.ndarray:
         """The numpy executor with per-level wall-clock attribution.
 
         Same coefficient lists, same row order, same numpy operations as
         the unprofiled numpy executor — bit-identical output; the clock
-        is only read *around* the numpy segments.  The numba kernel is
+        is only read *around* the numpy segments (``k >= 2`` runs the
+        very same loop, :meth:`_row_steps`).  The numba kernel is
         never used here: one fused native call has no level boundaries
         to attribute.  In the level variant the first sample is level 0
         plus every row's own ``b`` term (the ``X = B * inv_diag`` pass).
@@ -400,19 +449,22 @@ class CompiledPlan:
                 int(self.level_ptr[1]), self.n_rows,
                 0.0, 0.0, clock() - t_launch,
             ))
-        for r0, r1, e0, e1, starts in self._steps:
-            level_rows = rows[r0:r1]
-            t0 = clock()
-            contrib = vals[e0:e1] * src[idx[e0:e1]]
-            t1 = clock()
-            sums = np.add.reduceat(contrib, starts, axis=0)
-            t2 = clock()
-            if own_b:
-                X[level_rows] += sums
-            else:
-                X[level_rows] = sums
-            t3 = clock()
-            raw.append((r1 - r0, e1 - e0, t1 - t0, t2 - t1, t3 - t2))
+        if X.ndim == 2:
+            self._row_steps(X, src, vals, raw)
+        else:
+            for r0, r1, e0, e1, starts in self._steps:
+                level_rows = rows[r0:r1]
+                t0 = clock()
+                contrib = vals[e0:e1] * src[idx[e0:e1]]
+                t1 = clock()
+                sums = np.add.reduceat(contrib, starts, axis=0)
+                t2 = clock()
+                if own_b:
+                    X[level_rows] += sums
+                else:
+                    X[level_rows] = sums
+                t3 = clock()
+                raw.append((r1 - r0, e1 - e0, t1 - t0, t2 - t1, t3 - t2))
         wall_s = clock() - t_launch
         profiler.record(
             HostLaunchProfile(

@@ -57,7 +57,7 @@ class TestHostProfilerRecording:
         system, _ = make_plan(n=300, seed=9)
         for schedule in COMPILED_SCHEDULES:
             plan = build_compiled_plan(system.L, schedule=schedule)
-            for k in (1, 4):
+            for k in (1, 2, 4, 8):
                 B = np.column_stack(
                     [(r + 1.0) * system.b for r in range(k)]
                 )

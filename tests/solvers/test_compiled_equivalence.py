@@ -37,6 +37,19 @@ N = 80
 TOL = {"rtol": 1e-9, "atol": 1e-12}
 
 
+def _close(actual, expected):
+    np.testing.assert_allclose(actual, expected, rtol=1e-12)
+
+
+#: ``(force_fallback, agree)``: the numpy executor must agree with
+#: itself exactly across RHS layouts; the default backend (the numba
+#: kernel, when installed) sums in another order and gets a tolerance.
+_BACKENDS = (
+    (True, np.testing.assert_array_equal),
+    (False, _close),
+)
+
+
 @pytest.fixture(scope="module", params=sorted(DOMAINS))
 def domain_system(request):
     L = generate(request.param, N, seed=13)
@@ -100,15 +113,17 @@ class TestRHSLayouts:
         plan = build_compiled_plan(system.L, schedule=schedule)
         B = np.column_stack([system.b, -2.0 * system.b])
 
-        x_1d = plan.solve(system.b)
-        X_c = plan.solve_many(B)
-        X_f = plan.solve_many(np.asfortranarray(B))
+        for force_fallback, agree in _BACKENDS:
+            x_1d = plan.solve(system.b, force_fallback=force_fallback)
+            X_c = plan.solve_many(B, force_fallback=force_fallback)
+            X_f = plan.solve_many(
+                np.asfortranarray(B), force_fallback=force_fallback
+            )
+            X_1d = plan.solve_many(system.b, force_fallback=force_fallback)
 
-        np.testing.assert_allclose(X_c[:, 0], x_1d, rtol=1e-12)
-        np.testing.assert_allclose(X_f, X_c, rtol=1e-12)
-        np.testing.assert_allclose(
-            plan.solve_many(system.b)[:, 0], x_1d, rtol=1e-12
-        )
+            agree(X_c[:, 0], x_1d)
+            agree(X_f, X_c)
+            agree(X_1d[:, 0], x_1d)
 
     def test_noncontiguous_rhs(self, domain_system, schedule):
         system = domain_system
@@ -118,10 +133,14 @@ class TestRHSLayouts:
         )
         B = wide[:, ::2]  # non-contiguous view, k=3
         assert not B.flags["C_CONTIGUOUS"]
-        X = plan.solve_many(B)
-        np.testing.assert_allclose(
-            X, plan.solve_many(np.ascontiguousarray(B)), rtol=1e-12
-        )
+        for force_fallback, agree in _BACKENDS:
+            X = plan.solve_many(B, force_fallback=force_fallback)
+            agree(
+                X,
+                plan.solve_many(
+                    np.ascontiguousarray(B), force_fallback=force_fallback
+                ),
+            )
 
     def test_float32_rhs_upcasts(self, domain_system, schedule):
         system = domain_system
@@ -132,6 +151,55 @@ class TestRHSLayouts:
         np.testing.assert_allclose(
             x, plan.solve(system.b), rtol=5e-5, atol=5e-6
         )
+
+
+class TestColumnIndependence:
+    """Coalesced requests must not see each other: on the numpy
+    executor, column ``c`` of a ``k``-column solve is bit-identical to
+    the one-column solve of that column, whatever ``k`` and layout."""
+
+    @staticmethod
+    def _block(system, k):
+        rng = np.random.default_rng(k)
+        return np.column_stack(
+            [system.b * rng.uniform(-2.0, 2.0) for _ in range(k)]
+        )
+
+    @pytest.mark.parametrize("k", [2, 3, 8])
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    def test_columns_equal_single_solves(
+        self, domain_system, schedule, k, layout
+    ):
+        plan = build_compiled_plan(domain_system.L, schedule=schedule)
+        B = self._block(domain_system, k)
+        if layout == "F":
+            B = np.asfortranarray(B)
+        elif layout == "strided":
+            B = np.repeat(B, 2, axis=1)[:, ::2]
+            assert not B.flags["C_CONTIGUOUS"]
+            assert not B.flags["F_CONTIGUOUS"]
+        X = plan.solve_many(B, force_fallback=True)
+        for c in range(k):
+            np.testing.assert_array_equal(
+                X[:, c],
+                plan.solve_many(B[:, [c]], force_fallback=True)[:, 0],
+            )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("k", [2, 3, 8])
+    def test_nonfinite_column_leaves_others_intact(
+        self, domain_system, schedule, bad, k
+    ):
+        plan = build_compiled_plan(domain_system.L, schedule=schedule)
+        B = self._block(domain_system, k)
+        clean = plan.solve_many(B, force_fallback=True)
+        poisoned = B.copy()
+        poisoned[:: 7, k // 2] = bad
+        with np.errstate(invalid="ignore"):  # inf - inf in that column
+            X = plan.solve_many(poisoned, force_fallback=True)
+        assert not np.all(np.isfinite(X[:, k // 2]))
+        others = [c for c in range(k) if c != k // 2]
+        np.testing.assert_array_equal(X[:, others], clean[:, others])
 
 
 class TestMergedVariant:
