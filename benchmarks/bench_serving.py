@@ -30,6 +30,14 @@ Two measurements:
   gated on ``os.cpu_count()``.  Artifact:
   ``benchmarks/_output/serving_cluster_scaling.json``.
 
+* **Engine overhead**: one warm single-RHS ``engine.solve`` at
+  concurrency 1 against the raw ``plan.solve_many`` it wraps, on a
+  fixed circuit-2000 (seed 1) that no size knob scales.  Interleaved
+  best-of-40, pinned to one CPU where ``os.sched_setaffinity`` exists
+  (the thread hop an idle engine skips is priced as it is on a busy
+  one-CPU host).  ``engine_over_raw`` must stay <= 2.3.  Artifact:
+  ``benchmarks/_output/serving_engine_overhead.json``.
+
 Smoke-sized by default; scale with ``REPRO_BENCH_SERVE_ROWS`` /
 ``REPRO_BENCH_SERVE_REQUESTS`` and ``REPRO_BENCH_LANE_DOMAINS`` /
 ``REPRO_BENCH_LANE_REQUESTS`` / ``REPRO_BENCH_LANE_ROWS`` and
@@ -43,6 +51,7 @@ import asyncio
 import json
 import os
 import time
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -78,6 +87,12 @@ CLUSTER_REQUESTS = int(os.environ.get("REPRO_BENCH_CLUSTER_REQUESTS", "8"))
 CLUSTER_RHS = int(os.environ.get("REPRO_BENCH_CLUSTER_RHS", "8"))
 #: Distinct matrices (shard keys) of the cluster workload.
 CLUSTER_MATRICES = int(os.environ.get("REPRO_BENCH_CLUSTER_MATRICES", "4"))
+#: Engine-overhead gate: fixed matrix and repeats, deliberately not
+#: scaled by any knob — the bound is a ratio calibrated on this size.
+OVERHEAD_ROWS = 2000
+OVERHEAD_REPEATS = 40
+#: Ceiling on warm engine latency over the raw plan solve it serves.
+ENGINE_OVER_RAW_MAX = 2.3
 
 
 def _serving_session():
@@ -397,3 +412,85 @@ def test_cluster_scaling(benchmark, output_dir):
         )
         for r in results
     }
+
+
+@contextmanager
+def _one_cpu():
+    """Pin the calling thread, and the threads it starts meanwhile, to
+    one of its CPUs; restore its mask after."""
+    if not hasattr(os, "sched_setaffinity"):
+        yield
+        return
+    saved = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(saved)})
+    try:
+        yield
+    finally:
+        os.sched_setaffinity(0, saved)
+
+
+def _engine_overhead() -> dict:
+    """Interleaved best-of-N seconds: raw plan solve vs. engine solve."""
+    system = lower_triangular_system(generate("circuit", OVERHEAD_ROWS, 1))
+    b = system.b
+    B = b.reshape(-1, 1)
+
+    async def measure():
+        async with SolveEngine() as engine:
+            key = engine.register(system.L, name="overhead")
+            plan = engine.registry.plan(key)
+            resp = await engine.solve(key, b)
+            np.testing.assert_allclose(resp.x, system.x_true, rtol=1e-9)
+            # warm both paths (allocator, caches, branch history): the
+            # first few dozen engine solves run well above steady state
+            for _ in range(OVERHEAD_REPEATS):
+                plan.solve_many(B)
+                await engine.solve(key, b)
+            clock = time.perf_counter
+            best_raw = best_engine = float("inf")
+            for _ in range(OVERHEAD_REPEATS):
+                t0 = clock()
+                plan.solve_many(B)
+                best_raw = min(best_raw, clock() - t0)
+                t0 = clock()
+                await engine.solve(key, b)
+                best_engine = min(best_engine, clock() - t0)
+            return best_raw, best_engine, resp.lane
+
+    with _one_cpu():
+        raw_s, engine_s, lane = asyncio.run(measure())
+    return {"raw_s": raw_s, "engine_s": engine_s, "lane": lane}
+
+
+def test_engine_overhead(benchmark, output_dir):
+    """A warm, idle engine may add at most 1.3x its kernel's time."""
+    r = run_once(benchmark, _engine_overhead)
+    ratio = r["engine_s"] / r["raw_s"]
+    doc = {
+        "config": {
+            "domain": "circuit",
+            "n_rows": OVERHEAD_ROWS,
+            "seed": 1,
+            "repeats": OVERHEAD_REPEATS,
+            "concurrency": 1,
+            "pinned_one_cpu": hasattr(os, "sched_setaffinity"),
+        },
+        "raw_best_ms": round(r["raw_s"] * 1e3, 4),
+        "engine_best_ms": round(r["engine_s"] * 1e3, 4),
+        "engine_over_raw": round(ratio, 3),
+        "bound": ENGINE_OVER_RAW_MAX,
+    }
+    (output_dir / "serving_engine_overhead.json").write_text(
+        json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    )
+    print()
+    print(
+        f"engine overhead: raw {doc['raw_best_ms']} ms, engine "
+        f"{doc['engine_best_ms']} ms, engine/raw {doc['engine_over_raw']}"
+    )
+    benchmark.extra_info["engine_over_raw"] = doc["engine_over_raw"]
+
+    assert r["lane"] == "host"
+    assert ratio <= ENGINE_OVER_RAW_MAX, (
+        f"engine/raw {ratio:.2f} exceeds {ENGINE_OVER_RAW_MAX}"
+    )

@@ -23,6 +23,7 @@ __all__ = [
     "UnknownMatrixError",
     "QueueFullError",
     "RequestTimeoutError",
+    "InvalidRequestError",
     "TraceSchemaError",
     "ClusterError",
     "WorkerDiedError",
@@ -121,6 +122,14 @@ class RequestTimeoutError(ServeError):
 
     The underlying executor work is not interrupted (threads cannot be
     cancelled); the result is discarded when it arrives."""
+
+
+class InvalidRequestError(ServeError):
+    """A solve request was rejected at admission because its right-hand
+    side cannot yield a meaningful answer (NaN or Inf entries).
+
+    Shape mismatches keep raising :class:`SolverError`; this class marks
+    the values themselves as unusable, before any kernel runs."""
 
 
 class TraceSchemaError(ServeError):

@@ -12,7 +12,21 @@ Execution model
 * The asyncio front enqueues requests per matrix.  The first request of
   a group arms a flush after ``batch_window`` seconds (one event-loop
   tick when 0); a group reaching ``max_batch`` flushes immediately.
-* Each flushed batch runs on a thread-pool worker, through one of two
+* Each flushed batch (and each ``solve_multi`` block) runs either
+  **inline** on the event loop or on a thread-pool worker.  It runs
+  inline only when nothing else could run beside it and nothing slow
+  can hold the loop: the engine is idle (every in-flight request rides
+  this block, no other group is pending, no block is on the pool), the
+  host lane would serve it (``execution != "sim"``, no sim-forcing
+  instrumentation, the host lane not quarantined for the matrix), the
+  registry already holds the matrix's plan, and the engine owns its
+  executor (an injected ``executor=`` receives every block).  That
+  skips the thread hand-off, which at fine granularity costs as much
+  as the kernel.  Only the host step runs inline: if it fails, the
+  failure is quarantined as below and the rest of the ladder runs on
+  the pool.  Concurrent blocks, cold plan builds, simulator steps and
+  fallbacks all stay on the pool.
+* Each block runs through one of two
   **execution lanes** (``execution=`` constructor parameter):
 
   - ``"host"`` — the registry's cached
@@ -55,7 +69,13 @@ Execution model
   ladder starting past it, never silently retrying the failed kernel.
   Bounded queueing (``QueueFullError``) and per-request deadlines
   (``RequestTimeoutError``) keep the engine shedding load instead of
-  buffering it.
+  buffering it; a right-hand side with NaN or Inf entries is refused at
+  admission (``InvalidRequestError``).
+* Deadlines: a block cannot be interrupted, and one running inline
+  holds the loop, so the deadline timer cannot fire while it runs.  On
+  both paths a result that reaches its request after the deadline (read
+  on the engine clock) therefore counts as a timeout: the request
+  raises ``RequestTimeoutError`` and no answer is served.
 """
 
 from __future__ import annotations
@@ -76,6 +96,7 @@ from repro.analysis.interleave import AsyncioClock
 from repro.errors import (
     DeadlockError,
     HazardError,
+    InvalidRequestError,
     QueueFullError,
     RequestTimeoutError,
     SolverError,
@@ -203,6 +224,9 @@ class SolveEngine:
         )
         self._pending: dict[str, list[PendingSolve]] = {}
         self._depth = 0
+        #: blocks currently running on the worker pool; an inline block
+        #: needs this at zero (see :meth:`_serves_inline`)
+        self._pool_blocks = 0
         #: background flush/dispatch tasks.  The event loop keeps only
         #: weak references to tasks (serve-lint SL005), so the engine
         #: retains every handle until the task completes.
@@ -247,7 +271,7 @@ class SolveEngine:
                 f"b has shape {b.shape}, expected ({entry.matrix.n_rows},)"
             )
         trace_id = trace_id or new_trace_id()
-        self._admit(1, trace_id, entry.key)
+        self._admit(b, trace_id, entry.key)
         self.trace_log.emit(
             "enqueue", trace_id=trace_id, matrix=entry.key, n_rhs=1,
             queue_depth=self._depth,
@@ -297,7 +321,7 @@ class SolveEngine:
                 f"got {B.shape}"
             )
         trace_id = trace_id or new_trace_id()
-        self._admit(1, trace_id, entry.key)
+        self._admit(B, trace_id, entry.key)
         self.trace_log.emit(
             "enqueue", trace_id=trace_id, matrix=entry.key,
             n_rhs=B.shape[1], queue_depth=self._depth,
@@ -308,12 +332,11 @@ class SolveEngine:
             submitted_at=time.perf_counter(),
             trace_id=trace_id,
         )
-        loop = asyncio.get_running_loop()
 
         async def run() -> None:
             try:
-                outcome = await self._dispatch_block(
-                    loop, entry, B, False, trace_id, (trace_id,)
+                outcome = await self._run_block(
+                    entry, B, False, trace_id, (trace_id,)
                 )
             except BaseException as exc:  # noqa: BLE001 - forwarded to caller
                 if not req.future.done():
@@ -400,52 +423,73 @@ class SolveEngine:
     # ------------------------------------------------------------------
     # batching front (runs on the event loop)
     # ------------------------------------------------------------------
-    def _admit(self, n: int, trace_id: str, matrix_key: str) -> None:
-        if self._closed:
-            self.telemetry.requests_rejected.inc(n)
-            self.trace_log.emit(
-                "reject", trace_id=trace_id, matrix=matrix_key,
-                reason="closed",
+    def _admit(self, B: np.ndarray, trace_id: str, matrix_key: str) -> None:
+        """Admit one request whose right-hand side ``B`` has the right
+        shape, or reject it (counted, traced, raised) before it queues."""
+        if not np.isfinite(B).all():
+            self._reject(trace_id, matrix_key, "non-finite")
+            raise InvalidRequestError(
+                "right-hand side has non-finite entries (NaN or Inf)"
             )
+        if self._closed:
+            self._reject(trace_id, matrix_key, "closed")
             raise QueueFullError("engine is closed")
-        if self._depth + n > self.max_queue:
-            self.telemetry.requests_rejected.inc(n)
-            self.trace_log.emit(
-                "reject", trace_id=trace_id, matrix=matrix_key,
-                reason="queue-full", queue_depth=self._depth,
+        if self._depth >= self.max_queue:
+            self._reject(
+                trace_id, matrix_key, "queue-full", queue_depth=self._depth
             )
             raise QueueFullError(
                 f"queue full: {self._depth} in flight, limit {self.max_queue}"
             )
-        self._depth += n
-        self.telemetry.requests_total.inc(n)
+        self._depth += 1
+        self.telemetry.requests_total.inc()
         self.telemetry.queue_depth.set(self._depth)
+
+    def _reject(
+        self, trace_id: str, matrix_key: str, reason: str, **fields
+    ) -> None:
+        self.telemetry.requests_rejected.inc()
+        self.trace_log.emit(
+            "reject", trace_id=trace_id, matrix=matrix_key, reason=reason,
+            **fields,
+        )
 
     async def _await_request(
         self, req: PendingSolve, timeout: Optional[float]
     ):
         deadline = self.default_timeout if timeout is None else timeout
+        if deadline is None:
+            return await req.future
+        req.deadline = self._clock.now() + deadline
         try:
-            if deadline is None:
-                return await req.future
-            return await self._clock.wait_for(
+            result = await self._clock.wait_for(
                 asyncio.shield(req.future), deadline
             )
         except asyncio.TimeoutError:
-            self.telemetry.requests_timed_out.inc()
-            self.trace_log.emit(
-                "timeout", trace_id=req.trace_id, deadline_s=deadline
-            )
-            # the worker will still resolve the future; mark the
-            # request abandoned so late failures are not double-counted
-            # against it, and consume its outcome so an eventual
-            # failure is not "never retrieved"
-            req.abandoned = True
-            req.future.add_done_callback(_discard_outcome)
-            raise RequestTimeoutError(
-                f"solve did not complete within {deadline} s "
-                "(worker continues; result discarded)"
-            ) from None
+            raise self._timed_out(req, deadline) from None
+        # an inline block holds the loop, so the timer above cannot fire
+        # while it runs: a result that lands late is a timeout all the same
+        if self._clock.now() > req.deadline:
+            raise self._timed_out(req, deadline)
+        return result
+
+    def _timed_out(
+        self, req: PendingSolve, deadline: float
+    ) -> RequestTimeoutError:
+        self.telemetry.requests_timed_out.inc()
+        self.trace_log.emit(
+            "timeout", trace_id=req.trace_id, deadline_s=deadline
+        )
+        # the worker may still resolve the future; mark the request
+        # abandoned so late failures are not double-counted against it,
+        # and consume its outcome so an eventual failure is not "never
+        # retrieved"
+        req.abandoned = True
+        req.future.add_done_callback(_discard_outcome)
+        return RequestTimeoutError(
+            f"solve did not complete within {deadline} s "
+            "(worker continues; result discarded)"
+        )
 
     async def _flush_after_window(self, entry: RegisteredMatrix) -> None:
         if self.batch_window > 0:
@@ -479,10 +523,9 @@ class SolveEngine:
             if width == 1
             else np.stack([r.b for r in batch], axis=1)
         )
-        loop = asyncio.get_running_loop()
         try:
-            outcome = await self._dispatch_block(
-                loop, entry, B, width > 1, batch_id, trace_ids
+            outcome = await self._run_block(
+                entry, B, width > 1, batch_id, trace_ids
             )
         except BaseException as exc:  # noqa: BLE001 - forwarded to callers
             n_failed = 0
@@ -587,7 +630,8 @@ class SolveEngine:
     ) -> None:
         """Black-box dump on kernel failure/quarantine (if journaling).
 
-        Runs on the worker thread that caught the failure, *after* the
+        Runs on the thread that caught the failure (a pool worker, or
+        the event loop for an inline host block), *after* the
         quarantine and telemetry bookkeeping released their locks —
         ``snapshot()`` re-acquires them.
         """
@@ -608,7 +652,7 @@ class SolveEngine:
         )
 
     # ------------------------------------------------------------------
-    # execution (runs on worker threads)
+    # execution (on worker threads; the host step also inline)
     # ------------------------------------------------------------------
     def _quarantined_names(self, key: str) -> frozenset[str]:
         with self._quarantine_lock:
@@ -637,6 +681,7 @@ class SolveEngine:
             "matrix": entry.key,
             "solver": solver_name,
             "lane": "sim",
+            "dispatch": "pool",
             "cycles": cycles,
             "trace_ids": list(trace_ids),
         }
@@ -648,15 +693,70 @@ class SolveEngine:
             )
         self.trace_log.emit("launch", **fields)
 
-    def _dispatch_block(self, loop, *args) -> "asyncio.Future":
-        """Run ``_execute_block`` on the worker pool inside a copy of
-        the submitting task's context — ambient instrumentation
+    async def _run_block(
+        self,
+        entry: RegisteredMatrix,
+        B: np.ndarray,
+        coalesced: bool,
+        batch_id: str,
+        trace_ids: tuple,
+    ) -> BlockOutcome:
+        """Serve one block inline on the event loop or on the pool.
+
+        The one dispatch point of the engine.  An idle engine runs a
+        warm host-lane block right here (:meth:`_serves_inline`); every
+        other block runs ``_execute_block`` on the worker pool inside a
+        copy of this task's context — ambient instrumentation
         (tracer/sanitizer/profiler ContextVars) would otherwise be
         invisible on the worker thread, and the lane policy must see it
-        to force the simulator."""
+        to force the simulator.
+        """
+        if self._serves_inline(entry, len(trace_ids)):
+            # only the host step runs here: after a failure, the one
+            # failure handler quarantines it and the pool runs the rest
+            # of the ladder, where the skipped step is ``fallback_from``
+            try:
+                return self._run_plan(
+                    entry, B, coalesced, batch_id, trace_ids,
+                    dispatch="inline",
+                )
+            except FALLBACK_ERRORS as exc:
+                if self.execution == "host":
+                    raise  # forced host lane: failures propagate
+                self._kernel_failed(
+                    entry, HOST_LANE, "host", exc, batch_id, trace_ids
+                )
         ctx = contextvars.copy_context()
-        return loop.run_in_executor(
-            self._executor, lambda: ctx.run(self._execute_block, *args)
+        self._pool_blocks += 1
+        try:
+            return await asyncio.get_running_loop().run_in_executor(
+                self._executor,
+                lambda: ctx.run(
+                    self._execute_block, entry, B, coalesced, batch_id,
+                    trace_ids,
+                ),
+            )
+        finally:
+            self._pool_blocks -= 1
+
+    def _serves_inline(self, entry: RegisteredMatrix, n_requests: int) -> bool:
+        """Whether a block of ``n_requests`` runs on the event loop.
+
+        Only when nothing could run beside it — every in-flight request
+        rides this block, no group is pending, no block is on the pool —
+        and the host lane would serve it from a plan that is already
+        built, so neither a simulation nor a plan build ever holds the
+        loop.  An injected executor receives every block.
+        """
+        return (
+            self._owns_executor
+            and self._depth == n_requests
+            and not self._pending
+            and not self._pool_blocks
+            and self.execution != "sim"
+            and not self._sim_forced()
+            and HOST_LANE not in self._quarantined_names(entry.key)
+            and self.registry.has_plan(entry.key)
         )
 
     def _sim_forced(self) -> bool:
@@ -673,9 +773,12 @@ class SolveEngine:
         coalesced: bool,
         batch_id: str,
         trace_ids: tuple,
+        dispatch: str = "pool",
     ) -> BlockOutcome:
         """Host fast lane: the registry's cached plan, in the schedule
-        variant the registry picked for this matrix."""
+        variant the registry picked for this matrix.  ``dispatch``
+        ("inline" or "pool") says where the block ran, for its launch
+        event."""
         k = B.shape[1]
         # an ambient host profiler (caller-attached) keeps collecting
         # across blocks; otherwise profile=True gets a fresh per-launch
@@ -697,6 +800,7 @@ class SolveEngine:
             "matrix": entry.key,
             "solver": HOST_LANE,
             "lane": "host",
+            "dispatch": dispatch,
             "cycles": 0,
             "exec_ms": round(exec_ms, 3),
             "n_levels": plan.n_levels,
@@ -779,6 +883,26 @@ class SolveEngine:
             batch_width=k if coalesced else 1,
         )
 
+    def _kernel_failed(
+        self,
+        entry: RegisteredMatrix,
+        name: str,
+        lane: str,
+        exc: BaseException,
+        batch_id: str,
+        trace_ids: tuple,
+    ) -> None:
+        """The one failure handler: quarantine ``name`` for this matrix,
+        record the failure, trace it, dump an incident."""
+        self._quarantine(entry.key, name)
+        self.telemetry.record_kernel_failure(entry.key, name, exc)
+        self.trace_log.emit(
+            "kernel-failure", batch_id=batch_id, matrix=entry.key,
+            solver=name, lane=lane, error=type(exc).__name__,
+            trace_ids=list(trace_ids),
+        )
+        self._incident(entry.key, name, lane, exc)
+
     def _ladder(self, entry: RegisteredMatrix, k: int):
         """``(name, lane, runner)`` steps in preference order.
 
@@ -828,14 +952,9 @@ class SolveEngine:
             try:
                 outcome = runner(entry, B, coalesced, batch_id, trace_ids)
             except FALLBACK_ERRORS as exc:
-                self._quarantine(entry.key, name)
-                self.telemetry.record_kernel_failure(entry.key, name, exc)
-                self.trace_log.emit(
-                    "kernel-failure", batch_id=batch_id, matrix=entry.key,
-                    solver=name, lane=lane, error=type(exc).__name__,
-                    trace_ids=list(trace_ids),
+                self._kernel_failed(
+                    entry, name, lane, exc, batch_id, trace_ids
                 )
-                self._incident(entry.key, name, lane, exc)
                 failures.append(name)
                 continue
             if failures:

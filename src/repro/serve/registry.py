@@ -128,6 +128,15 @@ class RegisteredMatrix:
         return total
 
 
+def _chosen_schedule(entry: RegisteredMatrix) -> Optional[str]:
+    """The variant already decided for ``entry``: a lane hint naming a
+    variant, else the rule's (or an adopted plan's) choice, else
+    ``None`` while undecided."""
+    if entry._lane_hint in COMPILED_SCHEDULES:
+        return entry._lane_hint
+    return entry._schedule
+
+
 class MatrixRegistry:
     """LRU-bounded registry of matrices and their derived artifacts."""
 
@@ -262,11 +271,12 @@ class MatrixRegistry:
         """
         with self._lock:
             entry = self._lookup(ref)
-            if entry._lane_hint in COMPILED_SCHEDULES:
-                return entry._lane_hint
-            if entry._schedule is None:
-                entry._schedule = pick_schedule(self._built_features(entry))
-            return entry._schedule
+            schedule = _chosen_schedule(entry)
+            if schedule is None:
+                schedule = entry._schedule = pick_schedule(
+                    self._built_features(entry)
+                )
+            return schedule
 
     def plan(self, ref: str) -> CompiledPlan:
         """The fast-lane plan (inspector output, cached per variant).
@@ -298,6 +308,20 @@ class MatrixRegistry:
 
     # Kept for perfbench/layers.py, which wraps this name.
     compiled_plan = plan
+
+    def has_plan(self, ref: str) -> bool:
+        """Whether :meth:`plan` would be served without a build.
+
+        A peek: it never builds, counts no hit or miss and leaves the
+        LRU order alone; an unknown or evicted ``ref`` is simply
+        ``False``.  The engine uses it to keep plan builds off its
+        event loop.
+        """
+        with self._lock:
+            entry = self._entries.get(self._names.get(ref, ref))
+            return entry is not None and (
+                _chosen_schedule(entry) in entry._plans
+            )
 
     def adopt_plan(self, ref: str, plan: CompiledPlan) -> None:
         """Install an externally built plan on an entry (no build cost).

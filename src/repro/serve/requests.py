@@ -54,6 +54,9 @@ class PendingSolve:
     future: "asyncio.Future"
     submitted_at: float
     trace_id: str = ""
+    #: absolute deadline on the engine clock, stamped before the
+    #: request's await; ``None`` when the request has no deadline
+    deadline: Optional[float] = None
     #: set when the caller gave up (deadline) but the worker is still
     #: running; late publishes to an abandoned request must not count
     #: it failed/completed a second time after ``requests_timed_out``

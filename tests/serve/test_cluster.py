@@ -11,7 +11,12 @@ import time
 import numpy as np
 import pytest
 
-from repro.errors import ClusterError, UnknownMatrixError, WorkerDiedError
+from repro.errors import (
+    ClusterError,
+    InvalidRequestError,
+    UnknownMatrixError,
+    WorkerDiedError,
+)
 from repro.serve.arena import leaked_segments
 from repro.serve.cluster import ShardRouter
 from repro.sparse.triangular import lower_triangular_system
@@ -120,6 +125,22 @@ class TestRoutingAndSolving:
         key, _ = sharded[0]
         with pytest.raises(ClusterError):
             router.submit(key, np.ones((N + 1, 1)))
+
+    def test_non_finite_rhs_rejected_by_worker(self, router, sharded):
+        key, system = sharded[0]
+        before = router.snapshot()["fleet"]["requests"]["rejected"]
+        b = system.b.copy()
+        b[3] = np.nan
+        with pytest.raises(InvalidRequestError, match="non-finite"):
+            router.solve(key, b)
+        B = np.column_stack([system.b, system.b])
+        B[5, 1] = np.inf
+        with pytest.raises(InvalidRequestError, match="non-finite"):
+            router.solve_multi(key, B)
+        after = router.snapshot()["fleet"]["requests"]["rejected"]
+        assert after - before == 2
+        resp = router.solve(key, system.b)
+        np.testing.assert_allclose(resp.x, system.x_true, rtol=1e-9)
 
     def test_ping_all_workers(self, router):
         replies = router.ping()

@@ -1,7 +1,9 @@
 """SolveEngine: coalescing, fallback ladder, timeouts, backpressure."""
 
 import asyncio
+import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ import pytest
 from repro.analysis.hazards import RACE, Hazard
 from repro.errors import (
     HazardError,
+    InvalidRequestError,
     QueueFullError,
     RequestTimeoutError,
     SolverError,
@@ -693,3 +696,269 @@ class TestCompiledLane:
             SolveEngine(execution="compiled")
         with pytest.raises(TypeError):
             SolveEngine(compiled_schedule="merged")
+
+
+class TestAdmissionValidation:
+    """Non-finite right-hand sides are refused before they queue."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("multi", [False, True])
+    def test_non_finite_rhs_rejected(self, bad, multi):
+        system = make_system(n=60, seed=50)
+        b = system.b.copy()
+        b[7] = bad
+
+        async def main():
+            async with SolveEngine() as engine:
+                engine.register(system.L, name="m")
+                with pytest.raises(InvalidRequestError, match="non-finite"):
+                    if multi:
+                        await engine.solve_multi(
+                            "m", np.column_stack([system.b, b])
+                        )
+                    else:
+                        await engine.solve("m", b)
+                # the engine is unharmed: the next request is served
+                ok = await engine.solve("m", system.b)
+                rejects = engine.trace_log.events(kind="reject")
+                snap = engine.snapshot()
+            return ok, rejects, snap
+
+        ok, rejects, snap = run(main())
+        np.testing.assert_allclose(ok.x, system.x_true, rtol=1e-9)
+        assert [e["reason"] for e in rejects] == ["non-finite"]
+        assert snap["requests"]["rejected"] == 1
+        assert snap["requests"]["total"] == 1
+        assert snap["requests"]["completed"] == 1
+
+    def test_shape_errors_keep_their_type(self):
+        system = make_system(n=60, seed=51)
+
+        async def main():
+            async with SolveEngine() as engine:
+                engine.register(system.L, name="m")
+                with pytest.raises(SolverError, match="shape"):
+                    await engine.solve("m", np.full(7, np.nan))
+
+        run(main())
+        assert not issubclass(InvalidRequestError, SolverError)
+
+
+class TestInlineDispatch:
+    """An idle engine serves a warm host-lane block on the event loop;
+    every other block runs on the worker pool."""
+
+    @staticmethod
+    def plan_threads(monkeypatch, before=None):
+        """Record the thread of every plan solve (``before`` runs first
+        inside the wrapper, e.g. to fail or stall the kernel)."""
+        from repro.solvers.compiled import CompiledPlan
+
+        seen = []
+        original = CompiledPlan.solve_many
+
+        def recording(self, B, **kw):
+            seen.append(threading.get_ident())
+            if before is not None:
+                before()
+            return original(self, B, **kw)
+
+        monkeypatch.setattr(CompiledPlan, "solve_many", recording)
+        return seen
+
+    @staticmethod
+    def pool_threads(engine):
+        """Record the thread of every ``_execute_block`` (pool) call."""
+        seen = []
+        original = engine._execute_block
+
+        def recording(*args):
+            seen.append(threading.get_ident())
+            return original(*args)
+
+        engine._execute_block = recording
+        return seen
+
+    def test_warm_idle_request_runs_on_loop(self, monkeypatch):
+        system = make_system(n=100, seed=40)
+        seen = self.plan_threads(monkeypatch)
+
+        async def main():
+            async with SolveEngine() as engine:
+                engine.register(system.L, name="m")
+                cold = await engine.solve("m", system.b)
+                warm = await engine.solve("m", system.b)
+                launches = engine.trace_log.events(kind="launch")
+            return threading.get_ident(), (cold, warm), launches
+
+        loop_thread, resps, launches = run(main())
+        # the cold first request builds its plan on a pool thread
+        assert seen[0] != loop_thread
+        assert seen[1] == loop_thread
+        assert [e["dispatch"] for e in launches] == ["pool", "inline"]
+        for r in resps:
+            np.testing.assert_allclose(r.x, system.x_true, rtol=1e-9)
+            assert r.lane == "host"
+
+    def test_coalesced_pair_runs_inline(self, monkeypatch):
+        system = make_system(n=100, seed=41)
+        seen = self.plan_threads(monkeypatch)
+
+        async def main():
+            async with SolveEngine() as engine:
+                engine.register(system.L, name="m")
+                await engine.solve("m", system.b)
+                pair = await asyncio.gather(
+                    engine.solve("m", system.b),
+                    engine.solve("m", 2.0 * system.b),
+                )
+            return threading.get_ident(), pair
+
+        loop_thread, pair = run(main())
+        assert len(seen) == 2 and seen[1] == loop_thread
+        assert [r.batch_width for r in pair] == [2, 2]
+        np.testing.assert_allclose(pair[1].x, 2.0 * system.x_true,
+                                   rtol=1e-9)
+
+    def test_two_matrices_run_on_pool(self, monkeypatch):
+        s1, s2 = make_system(n=100, seed=42), make_system(n=110, seed=43)
+        seen = self.plan_threads(monkeypatch)
+
+        async def main():
+            async with SolveEngine() as engine:
+                engine.register(s1.L, name="a")
+                engine.register(s2.L, name="b")
+                await engine.solve("a", s1.b)
+                await engine.solve("b", s2.b)
+                both = await asyncio.gather(
+                    engine.solve("a", s1.b), engine.solve("b", s2.b)
+                )
+                launches = engine.trace_log.events(kind="launch")
+            return threading.get_ident(), both, launches
+
+        loop_thread, both, launches = run(main())
+        assert len(seen) == 4
+        assert loop_thread not in seen
+        assert [e["dispatch"] for e in launches] == ["pool"] * 4
+        np.testing.assert_allclose(both[0].x, s1.x_true, rtol=1e-9)
+        np.testing.assert_allclose(both[1].x, s2.x_true, rtol=1e-9)
+
+    def test_sim_execution_never_runs_inline(self):
+        system = make_system(n=60, seed=44)
+
+        async def main():
+            async with SolveEngine(execution="sim") as engine:
+                key = engine.register(system.L, name="m")
+                engine.registry.plan(key)  # a warm plan changes nothing
+                blocks = self.pool_threads(engine)
+                for _ in range(2):
+                    await engine.solve("m", system.b)
+                launches = engine.trace_log.events(kind="launch")
+            return threading.get_ident(), blocks, launches
+
+        loop_thread, blocks, launches = run(main())
+        assert len(blocks) == 2 and loop_thread not in blocks
+        assert {e["dispatch"] for e in launches} == {"pool"}
+        assert {e["lane"] for e in launches} == {"sim"}
+
+    def test_ambient_sim_tracer_never_runs_inline(self):
+        from repro.gpu.trace import Tracer
+        from repro.solvers._sim import tracing
+
+        system = make_system(n=60, seed=45)
+
+        async def main():
+            async with SolveEngine() as engine:
+                engine.register(system.L, name="m")
+                await engine.solve("m", system.b)  # warm the plan
+                blocks = self.pool_threads(engine)
+                with tracing(Tracer()):
+                    traced = await engine.solve("m", system.b)
+            return threading.get_ident(), blocks, traced
+
+        loop_thread, blocks, traced = run(main())
+        assert traced.lane == "sim"
+        assert len(blocks) == 1 and blocks[0] != loop_thread
+
+    def test_inline_host_failure_falls_back_on_pool(self, monkeypatch):
+        system = make_system(n=100, seed=46)
+
+        def explode():
+            raise injected_hazard()
+
+        async def main():
+            async with SolveEngine() as engine:
+                engine.register(system.L, name="m")
+                await engine.solve("m", system.b)  # warm the plan
+                failed = self.plan_threads(monkeypatch, before=explode)
+                blocks = self.pool_threads(engine)
+                resps = [await engine.solve("m", system.b) for _ in range(2)]
+                failures = engine.trace_log.events(kind="kernel-failure")
+                snap = engine.snapshot()
+            return threading.get_ident(), failed, blocks, resps, failures, snap
+
+        loop_thread, failed, blocks, resps, failures, snap = run(main())
+        # the host step failed once, inline; then it was quarantined
+        assert failed == [loop_thread]
+        assert len(failures) == 1 and failures[0]["lane"] == "host"
+        assert snap["fallbacks"]["kernel_failures"] == 1
+        assert "CompiledFused" in snap["quarantined"][resps[0].matrix_key]
+        # the rest of the ladder ran on the pool, for both requests
+        assert len(blocks) == 2 and loop_thread not in blocks
+        for r in resps:
+            np.testing.assert_allclose(r.x, system.x_true, rtol=1e-9)
+            assert r.lane == "sim"
+            assert r.fallback_from == "CompiledFused"
+
+    def test_injected_executor_receives_every_block(self):
+        system = make_system(n=80, seed=47)
+
+        class CountingExecutor(ThreadPoolExecutor):
+            submitted = 0
+
+            def submit(self, fn, /, *args, **kwargs):
+                self.submitted += 1
+                return super().submit(fn, *args, **kwargs)
+
+        executor = CountingExecutor(max_workers=1)
+
+        async def main():
+            async with SolveEngine(executor=executor) as engine:
+                engine.register(system.L, name="m")
+                for _ in range(3):
+                    await engine.solve("m", system.b)
+                await engine.solve_multi("m", system.b)
+                launches = engine.trace_log.events(kind="launch")
+            return launches
+
+        try:
+            launches = run(main())
+        finally:
+            executor.shutdown(wait=True)
+        assert executor.submitted == 4
+        assert [e["dispatch"] for e in launches] == ["pool"] * 4
+
+    def test_late_inline_result_times_out(self, monkeypatch):
+        system = make_system(n=60, seed=48)
+
+        async def main():
+            async with SolveEngine() as engine:
+                engine.register(system.L, name="m")
+                await engine.solve("m", system.b)  # warm the plan
+                stalled = self.plan_threads(
+                    monkeypatch, before=lambda: time.sleep(0.1)
+                )
+                with pytest.raises(RequestTimeoutError):
+                    await engine.solve("m", system.b, timeout=0.02)
+                snap = engine.snapshot()
+                timeouts = engine.trace_log.events(kind="timeout")
+                # a request with time to spare still gets its answer
+                ok = await engine.solve("m", system.b, timeout=30.0)
+            return threading.get_ident(), stalled, snap, timeouts, ok
+
+        loop_thread, stalled, snap, timeouts, ok = run(main())
+        assert stalled[0] == loop_thread  # the block ran inline
+        assert snap["requests"]["timed_out"] == 1
+        assert snap["requests"]["completed"] == 1  # the warm-up only
+        assert len(timeouts) == 1
+        np.testing.assert_allclose(ok.x, system.x_true, rtol=1e-9)

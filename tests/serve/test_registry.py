@@ -117,6 +117,24 @@ class TestPlanArtifact:
         assert stats["hits"] == before["hits"] + 1
         assert stats["artifact_builds"] == before["artifact_builds"] + 2
 
+    def test_has_plan_peeks_without_building_or_counting(self):
+        reg = MatrixRegistry()
+        key = reg.register(random_unit_lower(60, 0.1, seed=12))
+        before = reg.stats()
+        assert not reg.has_plan(key)
+        assert not reg.has_plan("never-registered")
+        assert reg.stats() == before  # no build, no hit, no miss
+        reg.plan(key)
+        built = reg.stats()
+        assert reg.has_plan(key)
+        assert reg.stats() == built
+        # a lane hint naming the other variant makes the peek cold again
+        other = "merged" if reg.schedule_for(key) == "level" else "level"
+        reg.set_lane_hint(key, other)
+        assert not reg.has_plan(key)
+        reg.plan(key)
+        assert reg.has_plan(key)
+
     def test_plan_reuses_cached_schedule(self):
         reg = MatrixRegistry()
         key = reg.register(random_unit_lower(60, 0.1, seed=9))
