@@ -1,8 +1,9 @@
-"""Bench: merged vs level schedule of the fast-lane plan on deep matrices.
+"""Bench: sequential vs level schedule of the fast-lane plan on deep matrices.
 
-The merged schedule exists for structures where per-level dispatch
-dominates: thousands of skinny levels, each a handful of rows.  This
-bench builds the two deep cases it targets —
+The sequential schedule — one SuperLU sweep, no level barriers — exists
+for structures where per-level dispatch dominates: thousands of skinny
+levels, each a handful of rows.  This bench builds the two deep cases
+it targets —
 
 * ``circuit-deep`` — a rail-dominated circuit factor
   (``rail_prob=0.02, local_window=2, rail_count=4``), ~2.5k levels at
@@ -12,26 +13,25 @@ bench builds the two deep cases it targets —
 verifies the level-set depth is actually >= 1000 (a shallow matrix
 here means the generator drifted and the bench is measuring nothing),
 then times single-RHS solves through the ``schedule="level"`` and
-``schedule="merged"`` variants of
+``schedule="sequential"`` variants of
 :class:`~repro.solvers.compiled.CompiledPlan`
 (best-of-``REPRO_BENCH_COMPILED_REPEATS``, the timed calls
-interleaved so drift hits every variant alike).  Acceptance: the merged
-variant clears **5x** over the level variant on every deep case with
-residuals <= 1e-10 against the manufactured solution, on whichever
-backend is present (the numpy fallback must clear the bar on its own —
-numba is a bonus, not a prerequisite).
+interleaved so drift hits every variant alike).  Acceptance: the
+sequential variant clears **5x** over the level variant on every deep
+case with residuals <= 1e-10 against the manufactured solution.
 
-It also times the merged plan at k = 1, 2 and 8 right-hand sides and
-records ``batched_over_serial`` — ``t(k=2) / (2 t(k=1))`` and
+It also times the sequential plan at k = 1, 2 and 8 right-hand sides
+and records ``batched_over_serial`` — ``t(k=2) / (2 t(k=1))`` and
 ``t(k=8) / (8 t(k=1))`` — the cost of one coalesced solve relative to
 the single solves it replaces.  The serve tier coalesces concurrent
 requests into such blocks, so the k = 2 ratio is gated at
 **<= 1.5**: a width-2 batch may not cost much more than the two
 solves it stands for.  The ``host`` keys of the
 artifact name the level variant, the per-level plan the host lane ran
-before the two plan types were folded into one.  Artifact:
-``benchmarks/_output/compiled_vs_host.json`` (stable keys/ordering),
-fed to CI's regression-sentinel job.
+before the two plan types were folded into one; ``merged_levels`` is
+the plan's executed step count (1 for the sequential sweep).
+Artifact: ``benchmarks/_output/compiled_vs_host.json`` (stable
+keys/ordering), fed to CI's regression-sentinel job.
 
 Scale with ``REPRO_BENCH_COMPILED_ROWS`` /
 ``REPRO_BENCH_COMPILED_REPEATS``.
@@ -47,23 +47,23 @@ import numpy as np
 
 from benchmarks.conftest import run_once
 from repro.datasets import generate
-from repro.solvers.compiled import HAVE_NUMBA, build_compiled_plan
+from repro.solvers.compiled import build_compiled_plan
 from repro.sparse import lower_triangular_system
 
 N_ROWS = int(os.environ.get("REPRO_BENCH_COMPILED_ROWS", "16000"))
 REPEATS = int(os.environ.get("REPRO_BENCH_COMPILED_REPEATS", "15"))
-#: Acceptance floor: merged-variant speedup over the level variant.
+#: Acceptance floor: sequential-variant speedup over the level variant.
 SPEEDUP_FLOOR = 5.0
 #: A "deep" case must actually be deep or the bench measures nothing.
 MIN_LEVELS = 1000
-#: Ceiling of t(k=2) / (2 t(k=1)) on the merged plan.
+#: Ceiling of t(k=2) / (2 t(k=1)) on the sequential plan.
 BATCHED_OVER_SERIAL_K2_MAX = 1.5
 #: Block widths of the batched/serial ratios.
 BATCH_WIDTHS = (2, 8)
 
-#: The deep cases the merged schedule targets.  Wide-shallow domains
-#: (graph, road, social) are deliberately absent: the merge rule keeps
-#: those on the level schedule, and their speedup here is ~1x by design.
+#: The deep cases the sequential schedule targets.  Wide-shallow domains
+#: (graph, road, social) are deliberately absent: the sequential rule
+#: keeps those on the level schedule.
 DEEP_CASES = (
     (
         "circuit-deep",
@@ -79,7 +79,7 @@ def _best_of(fns, repeats: int) -> list[float]:
     """Best-of-``repeats`` seconds of each callable, one call of each
     per round so slow patches of a shared machine hit them alike."""
     for fn in fns:
-        fn()  # warmup: JIT compilation / cache fills stay off the clock
+        fn()  # warmup: cache fills stay off the clock
     best = [float("inf")] * len(fns)
     for _ in range(repeats):
         for i, fn in enumerate(fns):
@@ -95,7 +95,7 @@ def _compiled_session():
         L = make(N_ROWS)
         system = lower_triangular_system(L)
         host_plan = build_compiled_plan(system.L, schedule="level")
-        compiled = build_compiled_plan(system.L, schedule="merged")
+        compiled = build_compiled_plan(system.L, schedule="sequential")
 
         host_s, comp_s = _best_of(
             [lambda: host_plan.solve(system.b),
@@ -120,7 +120,6 @@ def _compiled_session():
             "base_levels": compiled.base_levels,
             "merged_levels": compiled.n_levels,
             "redundant_nnz": compiled.redundant_nnz,
-            "backend": compiled.backend,
             "host_s": host_s,
             "compiled_s": comp_s,
             "speedup": host_s / comp_s,
@@ -138,7 +137,7 @@ def _compiled_session():
 
 
 def test_compiled_vs_host(benchmark, output_dir):
-    """The merged schedule must clear 5x over the level schedule on
+    """The sequential schedule must clear 5x over the level schedule on
     every deep case, with residuals <= 1e-10, and a width-2 block may
     cost at most 1.5x the two single solves it replaces."""
     results = run_once(benchmark, _compiled_session)
@@ -147,12 +146,11 @@ def test_compiled_vs_host(benchmark, output_dir):
         "config": {
             "n_rows": N_ROWS,
             "repeats": REPEATS,
-            "have_numba": HAVE_NUMBA,
-            "schedule": "merged",
+            "schedule": "sequential",
         },
         "cases": {},
     }
-    lines = ["merged vs level schedule of the fast-lane plan", ""]
+    lines = ["sequential vs level schedule of the fast-lane plan", ""]
     for name, r in results.items():
         doc["cases"][name] = {
             "schedule": {
@@ -161,7 +159,6 @@ def test_compiled_vs_host(benchmark, output_dir):
                 "redundant_nnz": r["redundant_nnz"],
             },
             "measured": {
-                "backend": r["backend"],
                 "host_ms": round(r["host_s"] * 1e3, 3),
                 "compiled_ms": round(r["compiled_s"] * 1e3, 3),
                 "speedup": round(r["speedup"], 1),
@@ -179,7 +176,7 @@ def test_compiled_vs_host(benchmark, output_dir):
             f"{name:>13}: {r['base_levels']:>6} -> "
             f"{r['merged_levels']:>4} levels | "
             f"host {r['host_s'] * 1e3:8.2f} ms | "
-            f"compiled[{r['backend']}] {r['compiled_s'] * 1e3:7.2f} ms | "
+            f"sequential {r['compiled_s'] * 1e3:7.2f} ms | "
             f"{r['speedup']:5.1f}x | resid {r['residual']:.1e} | "
             "batched/serial "
             + " ".join(
@@ -188,14 +185,14 @@ def test_compiled_vs_host(benchmark, output_dir):
             )
         )
 
-        # proof obligations (ISSUE 9 acceptance criteria)
+        # acceptance: a deep case, solved exactly, 5x, k2 gate
         assert r["base_levels"] >= MIN_LEVELS, (
             f"{name}: only {r['base_levels']} levels — not a deep case"
         )
         assert r["merged_levels"] < r["base_levels"]
         assert r["residual"] <= 1e-10
         assert r["speedup"] >= SPEEDUP_FLOOR, (
-            f"{name}: merged only {r['speedup']:.1f}x over level"
+            f"{name}: sequential only {r['speedup']:.1f}x over level"
         )
         k2 = r["batched_over_serial"]["k2"]
         assert k2 <= BATCHED_OVER_SERIAL_K2_MAX, (
@@ -217,6 +214,3 @@ def test_compiled_vs_host(benchmark, output_dir):
         name: {k: round(v, 3) for k, v in r["batched_over_serial"].items()}
         for name, r in results.items()
     }
-    benchmark.extra_info["backend"] = (
-        "numba" if HAVE_NUMBA else "numpy"
-    )

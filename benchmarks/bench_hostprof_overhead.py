@@ -88,10 +88,8 @@ def test_hostprof_overhead(benchmark, output_dir, plan_and_system, width):
         [(r + 1.0) * system.b for r in range(width)]
     )
 
-    # answers first: profiled must be bit-identical to unprofiled.  The
-    # profiler always runs the numpy executor, so that is the bare path
-    # compared against (with numba installed, plain solves use the JIT)
-    bare_X = plan.solve_many(B, force_fallback=True)
+    # answers first: profiled must be bit-identical to unprofiled
+    bare_X = plan.solve_many(B)
     profiler = HostProfiler()
     with profiling(profiler):
         profiled_X = plan.solve_many(B)
@@ -101,7 +99,7 @@ def test_hostprof_overhead(benchmark, output_dir, plan_and_system, width):
     # both paths are warm (the bit-identity check above ran each once);
     # interleave-measure best-of-N inside a single benchmark round
     def bare_solve():
-        plan.solve_many(B, force_fallback=True)
+        plan.solve_many(B)
 
     def profiled_solve():
         with profiling(HostProfiler()):

@@ -15,9 +15,11 @@ O(nnz) like the production implementations in [1, 35].
 regime: adjacent skinny levels are coalesced into groups by substituting
 the few cross-level dependencies inside a group with the dependent rows'
 own linear expansions (Böhnlein et al., arXiv:2503.05408).  Each merged
-group then has no internal ordering constraint, so an executor pays one
-synchronization (or one interpreter step) per *group* instead of per
-level, at the price of a bounded amount of redundant arithmetic.
+group then has no internal ordering constraint, so an executor would pay
+one synchronization per *group* instead of per level, at the price of a
+bounded amount of redundant arithmetic.  It is a structural analysis
+(``analyze --levels`` previews it); the host fast lane serves deep
+matrices with a barrier-free sequential sweep instead.
 """
 
 from __future__ import annotations
@@ -204,10 +206,8 @@ class MergedSchedule:
     buys synchronization freedom with.
 
     This object is purely *structural* — it records which base levels fuse
-    and how many coefficients the substituted form carries.  The numeric
-    expansion itself is materialized by the compiled plan builder
-    (:func:`repro.solvers.compiled.build_compiled_plan`), which replays the
-    same greedy grouping decisions recorded here.
+    and how many coefficients the substituted form carries; nothing
+    materializes the numeric expansion.
 
     Attributes
     ----------
@@ -294,8 +294,8 @@ def merge_levels(
     the *set* of pre-group inputs its value is a linear combination of
     (earlier ``x`` entries, encoded as their row index, and ``b`` entries,
     encoded as ``n + row``).  Merging a level unions the input sets of its
-    in-group dependencies — exactly the support of the numeric expansion
-    the compiled plan builder later materializes.
+    in-group dependencies — exactly the support the numeric expansion
+    would have.
     """
     if max_width < 1:
         raise ValueError(f"max_width must be >= 1, got {max_width}")

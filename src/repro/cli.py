@@ -176,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--levels", action="store_true",
                       help="level-structure view: schedule depth, "
                       "level-width histogram, Eq. 1 granularity against "
-                      "the merge threshold, the schedule variant the "
+                      "the paper's threshold, the schedule variant the "
                       "serve tier would pick, and a level-merge preview "
                       "(merged depth, redundant-work ratio)")
     p_an.add_argument("--lint", action="store_true",
@@ -237,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_srv.add_argument("--execution", default="auto",
                        choices=["auto", "host", "sim"],
                        help="execution lane: 'host' runs the registry's "
-                       "fused plan (level-merged for deep-and-skinny "
+                       "plan (one SuperLU sweep for deep-and-skinny "
                        "matrices, per-level otherwise), 'sim' the "
                        "cycle-level simulator, 'auto' the host lane with "
                        "a simulator fallback")
@@ -721,7 +721,7 @@ def _analyze_levels_view(L, f, emit) -> dict:
     """Render the ``analyze --levels`` view; returns the JSON fragment.
 
     Three panels: the level-width histogram (how skinny is the DAG?),
-    the Eq. 1 granularity indicator against the merge threshold with
+    the Eq. 1 granularity indicator against the paper's threshold with
     the schedule variant the serve tier would pick, and a preview of
     what :func:`~repro.analysis.levels.merge_levels` would do with
     default knobs — merged depth and the redundant-work ratio the merge
@@ -1108,8 +1108,9 @@ def _cmd_serve_cluster(args) -> int:
     """Drive the sharded multi-process serve tier end to end.
 
     Registers ``--matrices`` distinct synthetic systems with a
-    :class:`~repro.serve.cluster.ShardRouter` (each plan built once,
-    published to shared memory, adopted zero-copy by its shard worker),
+    :class:`~repro.serve.cluster.ShardRouter` (each matrix published to
+    shared memory once, mapped zero-copy by its shard worker, which
+    builds its plan),
     fires pipelined single- and multi-RHS solves against every matrix,
     verifies every answer against the manufactured solution, and prints
     the fleet-wide roll-up.  ``--chaos-kill`` SIGKILLs one worker
@@ -1243,7 +1244,7 @@ def _cmd_serve_cluster(args) -> int:
               "(count-weighted across workers)")
         print(f"deaths        : {rt['worker_deaths']} worker death(s), "
               f"{rt['respawns']} respawn(s)")
-        print(f"arena         : {rt['arena']['resident']} plan segment(s), "
+        print(f"arena         : {rt['arena']['resident']} matrix segment(s), "
               f"{rt['arena']['resident_bytes']} bytes shared")
         print(f"slabs         : {rt['slabs']['created']} created, "
               f"{rt['slabs']['reused']} reused")

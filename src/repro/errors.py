@@ -17,6 +17,7 @@ __all__ = [
     "LaunchConfigError",
     "HazardError",
     "SolverError",
+    "NonFiniteAnswerError",
     "ExperimentError",
     "DatasetError",
     "ServeError",
@@ -91,6 +92,14 @@ class HazardError(SimulationError):
 
 class SolverError(ReproError):
     """A solver failed to produce a solution."""
+
+
+class NonFiniteAnswerError(SolverError):
+    """A solver returned an answer with NaN or Inf entries.
+
+    The right-hand side was finite, so either the kernel broke down or
+    the solve overflows float64 for this right-hand side; which of the
+    two it was shows only when another solver answers finitely."""
 
 
 class ExperimentError(ReproError):

@@ -4,18 +4,20 @@ Turns the accumulated :mod:`repro.obs.journal` record stream into the
 evidence the ROADMAP's adaptive-lane-policy item needs: which way of
 solving actually wins for which *granularity class* of matrix.  Solves
 are binned by *route* — the fast-lane plan's schedule variant
-(``"level"`` or ``"merged"``, from the record's ``schedule`` field) or
-``"sim"`` — and the recommendations are the lane-hint values
+(``"level"`` or ``"sequential"``, from the record's ``schedule`` field)
+or ``"sim"`` — and the recommendations are the lane-hint values
 (:data:`repro.serve.registry.LANE_HINTS`) the registry caches.  Class
-binning follows the exact thresholds the merge rule uses — the paper's
-Eq. 1 granularity indicator δ against
+binning follows the exact thresholds the sequential rule uses — the
+paper's Eq. 1 granularity indicator δ against
 :data:`~repro.analysis.granularity.HIGH_GRANULARITY_THRESHOLD` and the
 level depth against
 :data:`~repro.solvers.compiled.DEEP_LEVEL_COUNT` — so the recommended-
 route table is directly comparable to (and a drop-in replacement for)
 the static rule.  Journals written before the fast lanes were folded
-into one plan still count: their ``compiled`` records ran the merged
-schedule and their ``host`` records the level schedule.
+into one plan still count their ``host`` records, which ran the level
+schedule.  Records of kernels that no longer exist — the ``merged``
+schedule, and the pre-fold ``compiled`` lane that ran it — get no
+route: their latencies say nothing about today's kernels.
 
 The aggregate is fully deterministic: classes, lanes, matrices and
 anomalies all sort, percentiles use nearest-rank on the sorted sample,
@@ -60,8 +62,8 @@ __all__ = [
 EFFICACY_SCHEMA = "efficacy/1"
 
 #: The four bins: level depth × Eq. 1 granularity, thresholds shared
-#: with the merge rule (``prefers_compiled`` picks the merged schedule
-#: for exactly the ``deep-fine`` class today).
+#: with the sequential rule (``prefers_compiled`` picks the sequential
+#: schedule for exactly the ``deep-fine`` class today).
 GRANULARITY_CLASSES = (
     "deep-fine", "deep-coarse", "shallow-fine", "shallow-coarse",
 )
@@ -90,7 +92,8 @@ def granularity_class(n_levels: int, granularity: float) -> str:
     ``deep`` means ``n_levels >= DEEP_LEVEL_COUNT`` and ``fine`` means
     ``granularity <= HIGH_GRANULARITY_THRESHOLD`` — the same predicate
     pair :func:`repro.solvers.compiled.prefers_compiled` evaluates, so
-    class ``deep-fine`` is precisely the merged schedule's population.
+    class ``deep-fine`` is precisely the sequential schedule's
+    population.
     """
     depth = "deep" if n_levels >= DEEP_LEVEL_COUNT else "shallow"
     grain = (
@@ -118,25 +121,23 @@ def _lane_summary(latencies: list) -> dict:
     }
 
 
-#: Route of a pre-merge journal record without a ``schedule`` field.
-_LEGACY_ROUTES = {"compiled": "merged", "host": "level"}
-
-
 def route_of(record: dict) -> Optional[str]:
     """The lane-hint value one solve record ran on, or ``None``.
 
     A host-lane record's route is the schedule variant of the plan
-    that served it; a sim-lane record's is ``"sim"``.  Records from
-    before the fast lanes merged carry lane ``compiled`` (the merged
-    schedule) or ``host`` (the level schedule).
+    that served it; a sim-lane record's is ``"sim"``.  A ``host``
+    record from before the fast lanes were folded into one plan has no
+    ``schedule`` field and ran the level schedule.  A record of a
+    schedule that no longer exists (``merged``, or the pre-fold
+    ``compiled`` lane) has no route.
     """
     lane = record.get("lane")
     if lane == "sim":
         return "sim"
-    schedule = record.get("schedule")
-    if schedule in COMPILED_SCHEDULES:
-        return schedule
-    return _LEGACY_ROUTES.get(lane)
+    if lane != "host":
+        return None
+    schedule = record.get("schedule") or "level"
+    return schedule if schedule in COMPILED_SCHEDULES else None
 
 
 def _usable_solve(record: dict) -> bool:
@@ -312,8 +313,8 @@ def apply_lane_hints(registry, report: dict) -> int:
 
     Each matrix in the report with a decided fastest route gets a
     ``lane_hint`` artifact next to its plan (``MatrixRegistry.
-    set_lane_hint``) — a schedule variant overrides the merge rule,
-    closing the ROADMAP's measure → recommend → route loop.  Matrices
+    set_lane_hint``) — a schedule variant overrides the sequential
+    rule, closing the ROADMAP's measure → recommend → route loop.  Matrices
     no longer registered are skipped.
     """
     applied = 0

@@ -169,7 +169,6 @@ def fleet_rollup(workers: Mapping[str, dict]) -> dict:
             "evictions": _sum_field(registries, "evictions"),
             "registrations": _sum_field(registries, "registrations"),
             "artifact_builds": _sum_field(registries, "artifact_builds"),
-            "adopted_plans": _sum_field(registries, "adopted_plans"),
         },
         "slo": {
             "objective": objective,
@@ -305,9 +304,9 @@ def fleet_openmetrics(
         counter("router_respawns", "Workers respawned.",
                 router.get("respawns", 0))
         arena = router.get("arena", {})
-        gauge("arena_segments", "Plan segments resident in the arena.",
+        gauge("arena_segments", "Matrix segments resident in the arena.",
               arena.get("resident", 0))
-        gauge("arena_bytes", "Bytes resident in arena plan segments.",
+        gauge("arena_bytes", "Bytes resident in arena matrix segments.",
               arena.get("resident_bytes", 0))
         slabs = router.get("slabs", {})
         gauge("slab_segments", "Slab segments owned by the router.",

@@ -13,9 +13,9 @@ the suite and compares, entry by entry, with **explicit tolerances**:
   6 digits in the document; the default 5e-4 absorbs re-rounding noise
   without hiding a real schedule shift).
 * the ``compiled`` section (schema v2: per-matrix ``CompiledPlan``
-  structure — level counts, coefficient counts, executor agreement) is
-  always *exact*: these are integers derived from the deterministic
-  schedule, identical on every machine regardless of numba presence.
+  structure — level and coefficient counts) is always *exact*: these
+  are integers derived from the deterministic schedule and factor,
+  identical on every machine.
 
 Every comparison failure is a :class:`Regression` with the entry key,
 the field, both values, and the drift — enough for the CI log alone to
@@ -64,7 +64,6 @@ COUNTER_FIELDS = ("sim_cycles", "stats_cycles", "instructions", "launches")
 #: ``compiled`` entry fields; always exact (deterministic structure).
 COMPILED_FIELDS = (
     "base_levels", "merged_levels", "coeff_nnz", "redundant_nnz",
-    "backends_agree",
 )
 
 

@@ -91,8 +91,7 @@ class HostLaunchProfile:
     """One ``CompiledPlan`` execution under the host profiler.
 
     ``nnz`` counts the coefficients touched per right-hand side: the
-    off-diagonal elements plus one ``b`` term per row, plus any
-    redundant work of a merged schedule.
+    off-diagonal elements plus one ``b`` term per row.
 
     Construct with either ``levels=`` (a tuple of
     :class:`HostLevelSample`) or ``raw=`` (per-level ``(rows, nnz,

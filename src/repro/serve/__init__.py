@@ -22,8 +22,9 @@ This package provides the three pieces that make that real:
   ``repro-sptrsv serve-stats`` CLI.
 * :class:`~repro.serve.cluster.ShardRouter` — a multi-process sharded
   tier on top of the engine: matrices are consistent-hash-sharded onto
-  worker processes, execution plans are built once and shared zero-copy
-  through :class:`~repro.serve.arena.PlanArena` shared-memory segments,
+  worker processes, matrices are shared zero-copy through
+  :class:`~repro.serve.arena.PlanArena` shared-memory segments and each
+  worker builds its own plans,
   dead workers respawn with their shard replayed from the published
   handles (``repro-sptrsv serve-cluster``).
 

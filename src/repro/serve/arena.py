@@ -1,26 +1,22 @@
-"""Shared-memory plan arena: build a plan once, map it everywhere.
+"""Shared-memory matrix arena: publish a CSR once, map it everywhere.
 
-The serve cluster's whole premise is that the expensive per-matrix
-artifacts — the CSR arrays and the inspector's
-:class:`~repro.solvers.compiled.CompiledPlan` (row order, coefficient
-spans, scaled coefficients, level pointers, and the level variant's
-inverse diagonal), in whichever schedule
-variant the merge rule picked — are *immutable* once built.  Immutable
-numpy arrays are exactly what :mod:`multiprocessing.shared_memory` is
-good at: the router builds a plan once, lays its arrays into one
-shared segment, and every shard worker maps that segment and wraps
-zero-copy views in a fresh ``CompiledPlan``.  Registration and worker
-respawn ship a small JSON handle (segment name + array layout + the
-plan's scalars) over the pipe instead of pickling megabytes of plan per
-request — the "build once, ship a cheap schedule
-artifact" economics of Böhnlein et al. (arXiv:2503.05408) applied to
-process boundaries.
+The serve cluster ships every registered matrix to the shard worker
+that owns it.  A CSR matrix is three *immutable* numpy arrays, which is
+exactly what :mod:`multiprocessing.shared_memory` is good at: the
+router lays them into one shared segment, and every shard worker maps
+that segment and wraps zero-copy views in a fresh
+:class:`~repro.sparse.csr.CSRMatrix`.  Registration and worker respawn
+ship a small JSON handle (segment name + array layout) over the pipe
+instead of pickling the matrix.  Each worker builds its own fast-lane
+plan from those views through its registry, as an in-process engine
+does: a plan's SuperLU factor is a native object that cannot live in
+shared memory, and building one costs a few milliseconds.
 
 Three pieces:
 
-* :class:`PlanArena` — owner-side ``publish`` (lay a matrix + plan into
-  one segment, return a :class:`PlanHandle`) and attach-side ``attach``
-  / ``detach`` with per-segment refcounting, so N engines in one worker
+* :class:`PlanArena` — owner-side ``publish`` (lay a matrix into one
+  segment, return a :class:`PlanHandle`) and attach-side ``attach`` /
+  ``detach`` with per-segment refcounting, so N engines in one worker
   share one mapping and the last detach closes it.
 * :class:`SlabPool` / :class:`SegmentCache` — pooled scratch segments
   for request/response blocks (RHS in, solutions out) so payloads above
@@ -42,20 +38,18 @@ import atexit
 import os
 import secrets
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from multiprocessing import shared_memory
 from typing import Optional
 
 import numpy as np
 
 from repro.errors import ClusterError
-from repro.solvers.compiled import CompiledPlan
 from repro.sparse.csr import CSRMatrix
 
 __all__ = [
     "SEGMENT_PREFIX",
     "PlanHandle",
-    "AttachedPlan",
     "PlanArena",
     "Slab",
     "SlabPool",
@@ -160,26 +154,20 @@ def _unlink_segment(shm: shared_memory.SharedMemory) -> None:
 
 
 # ---------------------------------------------------------------------------
-# plan publication
+# matrix publication
 # ---------------------------------------------------------------------------
 
-#: Arrays laid into a plan segment, in order: the matrix (``m_``) and
-#: the plan (``p_``).  ``p_inv_diag`` exists only for the level variant.
-#: The plan's scalars travel in the handle.
-_PLAN_FIELDS = (
-    "m_row_ptr", "m_col_idx", "m_values",
-    "p_rows", "p_row_ptr", "p_idx", "p_vals", "p_level_ptr", "p_inv_diag",
-)
+#: Arrays laid into a matrix segment, in order.
+_MATRIX_FIELDS = ("row_ptr", "col_idx", "values")
 
 
 @dataclass(frozen=True)
 class PlanHandle:
-    """JSON-serializable description of one published plan segment.
+    """JSON-serializable description of one published matrix segment.
 
     ``arrays`` maps field name to ``(dtype, shape, offset)``; the field
-    vocabulary is fixed (:data:`_PLAN_FIELDS`), so both sides agree on
-    layout without shipping code.  ``schedule``, ``base_levels`` and
-    ``redundant_nnz`` are the plan's scalars.
+    vocabulary is fixed (:data:`_MATRIX_FIELDS`), so both sides agree
+    on layout without shipping code.
     """
 
     key: str
@@ -188,9 +176,6 @@ class PlanHandle:
     n_rows: int
     n_cols: int
     arrays: tuple  # of (field, dtype_str, shape_tuple, offset)
-    schedule: str
-    base_levels: int
-    redundant_nnz: int
 
     def to_json(self) -> dict:
         return {
@@ -202,9 +187,6 @@ class PlanHandle:
             "arrays": [
                 [f, d, list(s), o] for f, d, s, o in self.arrays
             ],
-            "schedule": self.schedule,
-            "base_levels": self.base_levels,
-            "redundant_nnz": self.redundant_nnz,
         }
 
     @classmethod
@@ -218,33 +200,20 @@ class PlanHandle:
             arrays=tuple(
                 (f, d, tuple(s), int(o)) for f, d, s, o in doc["arrays"]
             ),
-            schedule=doc["schedule"],
-            base_levels=int(doc["base_levels"]),
-            redundant_nnz=int(doc["redundant_nnz"]),
         )
-
-
-@dataclass(frozen=True)
-class AttachedPlan:
-    """What :meth:`PlanArena.attach` yields: zero-copy reconstructions."""
-
-    handle: PlanHandle
-    matrix: CSRMatrix
-    plan: CompiledPlan
 
 
 @dataclass
 class _Attachment:
     shm: shared_memory.SharedMemory
     refs: int = 1
-    cached: Optional[AttachedPlan] = None
+    cached: Optional[CSRMatrix] = None
 
 
 @dataclass
 class _Owned:
     handle: PlanHandle
     shm: shared_memory.SharedMemory
-    pinned: bool = field(default=True)
 
 
 def _align(offset: int) -> int:
@@ -252,7 +221,7 @@ def _align(offset: int) -> int:
 
 
 class PlanArena:
-    """Refcounted shared-memory store of published plans.
+    """Refcounted shared-memory store of published matrices.
 
     One arena instance serves both roles: the router *owns* segments
     (``publish`` / ``unlink`` / ``close``), workers *attach* to them
@@ -270,37 +239,24 @@ class PlanArena:
     # ------------------------------------------------------------------
     # owner side
     # ------------------------------------------------------------------
-    def publish(self, key: str, matrix: CSRMatrix, plan: CompiledPlan) -> PlanHandle:
-        """Lay ``matrix`` + ``plan`` into one shared segment (idempotent
-        per ``key``: a second publish returns the existing handle)."""
+    def publish(self, key: str, matrix: CSRMatrix) -> PlanHandle:
+        """Lay ``matrix`` into one shared segment (idempotent per
+        ``key``: a second publish returns the existing handle)."""
         with self._lock:
             owned = self._owned.get(key)
             if owned is not None:
                 return owned.handle
-        sources = {
-            "m_row_ptr": matrix.row_ptr,
-            "m_col_idx": matrix.col_idx,
-            "m_values": matrix.values,
-            "p_rows": plan.rows,
-            "p_row_ptr": plan.row_ptr,
-            "p_idx": plan.idx,
-            "p_vals": plan.vals,
-            "p_level_ptr": plan.level_ptr,
-            "p_inv_diag": plan.inv_diag,  # None in the merged variant
-        }
         specs = []
         offset = 0
-        for name in _PLAN_FIELDS:
-            arr = sources[name]
-            if arr is None:
-                continue
+        for name in _MATRIX_FIELDS:
+            arr = getattr(matrix, name)
             offset = _align(offset)
             specs.append((name, arr.dtype.str, tuple(arr.shape), offset))
             offset += arr.nbytes
         shm = _create_segment(offset)
         for (name, dtype, shape, off) in specs:
             dst = np.ndarray(shape, dtype=dtype, buffer=shm.buf, offset=off)
-            dst[...] = sources[name]
+            dst[...] = getattr(matrix, name)
         handle = PlanHandle(
             key=key,
             segment=shm.name,
@@ -308,9 +264,6 @@ class PlanArena:
             n_rows=matrix.n_rows,
             n_cols=matrix.n_cols,
             arrays=tuple(specs),
-            schedule=plan.schedule,
-            base_levels=plan.base_levels,
-            redundant_nnz=plan.redundant_nnz,
         )
         with self._lock:
             # lost the publish race: keep the first segment, drop ours
@@ -326,7 +279,7 @@ class PlanArena:
         with self._lock:
             owned = self._owned.get(key)
         if owned is None:
-            raise ClusterError(f"no plan published under key {key!r}")
+            raise ClusterError(f"no matrix published under key {key!r}")
         return owned.handle
 
     def unlink(self, key: str) -> None:
@@ -349,11 +302,11 @@ class PlanArena:
     # ------------------------------------------------------------------
     # attach side
     # ------------------------------------------------------------------
-    def attach(self, handle: PlanHandle) -> AttachedPlan:
-        """Map a published segment and rebuild (matrix, plan) as views.
+    def attach(self, handle: PlanHandle) -> CSRMatrix:
+        """Map a published segment and rebuild its matrix as views.
 
         Refcounted per segment: repeated attaches share one mapping and
-        one reconstructed plan; each must be paired with a
+        one reconstructed matrix; each must be paired with a
         :meth:`detach`.  The views are marked read-only — the arrays are
         shared across processes and must never be written through.
         """
@@ -369,7 +322,7 @@ class PlanArena:
                     shm = _attach_segment(handle.segment)
                 except FileNotFoundError as exc:
                     raise ClusterError(
-                        f"plan segment {handle.segment!r} for key "
+                        f"matrix segment {handle.segment!r} for key "
                         f"{handle.key!r} is gone (owner unlinked or died)"
                     ) from exc
                 att = self._attached[handle.segment] = _Attachment(shm=shm)
@@ -384,29 +337,15 @@ class PlanArena:
         matrix = CSRMatrix(
             n_rows=handle.n_rows,
             n_cols=handle.n_cols,
-            row_ptr=views["m_row_ptr"],
-            col_idx=views["m_col_idx"],
-            values=views["m_values"],
             _validated=True,  # the publisher validated; don't rescan nnz
+            **views,
         )
         # the fingerprint is the routing key; pin it so the worker never
         # re-hashes megabytes of shared arrays just to learn what it was
         object.__setattr__(matrix, "_fingerprint", handle.key)
-        plan = CompiledPlan(
-            schedule=handle.schedule,
-            rows=views["p_rows"],
-            row_ptr=views["p_row_ptr"],
-            idx=views["p_idx"],
-            vals=views["p_vals"],
-            level_ptr=views["p_level_ptr"],
-            base_levels=handle.base_levels,
-            redundant_nnz=handle.redundant_nnz,
-            inv_diag=views.get("p_inv_diag"),
-        )
-        attached = AttachedPlan(handle=handle, matrix=matrix, plan=plan)
         with self._lock:
-            self._attached[handle.segment].cached = attached
-        return attached
+            self._attached[handle.segment].cached = matrix
+        return matrix
 
     def detach(self, handle: PlanHandle) -> None:
         """Drop one reference; the last detach closes the mapping."""

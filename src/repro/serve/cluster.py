@@ -1,28 +1,26 @@
-"""Multi-worker sharded serve tier with zero-copy plan sharing.
+"""Multi-worker sharded serve tier with zero-copy matrix sharing.
 
-One :class:`SolveEngine` saturates around a single process: without
-numba the host lane's numpy kernels release the GIL only inside
-vendored BLAS-ish loops, and a single Python event loop fronts every
-request.  The cluster breaks that ceiling the way the paper breaks the
-warp-level ceiling — by going *finer*: a front-end :class:`ShardRouter`
-consistent-hash-shards matrices onto a pool of worker *processes*, each
-owning its shard of the registry and running its own engine on the host
-lane.
+One :class:`SolveEngine` saturates around a single process: the host
+lane's kernels hold the GIL for much of a solve, and a single Python
+event loop fronts every request.  The cluster breaks that ceiling the
+way the paper breaks the warp-level ceiling — by going *finer*: a
+front-end :class:`ShardRouter` consistent-hash-shards matrices onto a
+pool of worker *processes*, each owning its shard of the registry and
+running its own engine on the host lane.
 
-The expensive part of a shard is its plans, and those are built exactly
-once: the router's local registry runs the inspector for the schedule
-variant the merge rule picks (level-merged for deep, skinny matrices),
-publishes the plan's arrays into a
-:class:`~repro.serve.arena.PlanArena` shared-memory segment, and ships
-workers a small JSON handle.  Workers map the segment and *adopt* a
-zero-copy reconstruction
-(:meth:`~repro.serve.registry.MatrixRegistry.adopt_plan`) and serve it
-through the same :meth:`~repro.serve.registry.MatrixRegistry.plan`
-accessor as any engine — plan bytes cross process boundaries zero
-times, an attach copies no coefficient (it derives only O(n) executor
-bookkeeping), and a worker builds no plan of its own.  Request and response payloads above
-an inline threshold travel the same way, through pooled
-:class:`~repro.serve.arena.SlabPool` segments; the solution is written
+Matrices cross process boundaries once, as shared pages: the router
+publishes each registered matrix's CSR arrays into a
+:class:`~repro.serve.arena.PlanArena` shared-memory segment and ships
+the owning worker a small JSON handle.  The worker maps the segment,
+registers the zero-copy matrix with its own registry, and builds the
+fast-lane plan right there, through the same
+:meth:`~repro.serve.registry.MatrixRegistry.plan` accessor an
+in-process engine uses, so its first solve is already warm.  A plan
+build costs milliseconds (a natural-order SuperLU factor for deep
+matrices, a vectorized rewrite for shallow ones), and the router
+builds no plan at all.  Request and response payloads above an inline
+threshold travel through pooled :class:`~repro.serve.arena.SlabPool`
+segments; the solution is written
 back into the request's slab (the shapes match), so a large solve moves
 bytes through shared pages in both directions and through the pipe only
 as a header.
@@ -31,9 +29,10 @@ Failure model: each worker's pipe has a dedicated reader thread; EOF
 means the worker died.  In-flight requests on that worker fail fast
 with :class:`~repro.errors.WorkerDiedError`, and the router respawns
 the worker and replays its shard's registrations from the published
-handles (cheap, see above).  If respawn itself fails, the worker's
-node is removed from the hash ring and its keys re-register onto the
-surviving workers — consistent hashing moves only the dead node's arc.
+handles; the new worker rebuilds its plans.  If respawn itself fails,
+the worker's node is removed from the hash ring and its keys
+re-register onto the surviving workers — consistent hashing moves only
+the dead node's arc.
 """
 
 from __future__ import annotations
@@ -53,6 +52,7 @@ from repro.errors import (
     ClusterError,
     ReproError,
     RequestTimeoutError,
+    SolverError,
     WorkerDiedError,
 )
 from repro.metrics.fleet import fleet_openmetrics, fleet_rollup
@@ -81,6 +81,7 @@ from repro.serve.shardproto import (
     unpack_frame,
 )
 from repro.sparse.csr import CSRMatrix
+from repro.sparse.triangular import check_solvable
 
 __all__ = ["ClusterResponse", "ShardRouter"]
 
@@ -220,10 +221,10 @@ async def _worker_serve(conn, worker_id: int, config: dict) -> None:
             with recorder.span(
                 "plan", trace_id=trace_id, parent_id=parent_id,
                 attrs={"matrix": key[:12]},
-            ):
-                # cache-hot after adoption; a slow span here means the
-                # shard rebuilt or re-fetched plan state mid-request
-                engine.registry.plan(key)
+            ) as plan_span:
+                # a non-counting peek: the solve below makes the one
+                # counted lookup, as an in-process solve does
+                plan_span.attrs["warm"] = engine.registry.has_plan(key)
             with recorder.span(
                 "solve", trace_id=trace_id, parent_id=parent_id,
             ) as solve_span:
@@ -305,7 +306,7 @@ async def _worker_serve(conn, worker_id: int, config: dict) -> None:
                 with recorder.span(
                     "arena-attach", trace_id=reg_trace, parent_id=reg_parent,
                 ) as sp:
-                    attached = arena.attach(
+                    matrix = arena.attach(
                         PlanHandle.from_json(header["handle"])
                     )
                     reg_trace = sp.trace_id
@@ -313,9 +314,15 @@ async def _worker_serve(conn, worker_id: int, config: dict) -> None:
                     "registry-plan", trace_id=reg_trace, parent_id=reg_parent,
                 ):
                     key = engine.register(
-                        attached.matrix, name=header.get("name") or None
+                        matrix, name=header.get("name") or None
                     )
-                    registry.adopt_plan(key, attached.plan)
+                    try:
+                        registry.plan(key)
+                    except SolverError:
+                        # no host plan for this matrix: the engine's
+                        # ladder quarantines the host step at its
+                        # first solve, as it would in process
+                        pass
                 await reply({"op": OP_RESULT, "rid": rid, "ok": True,
                              "key": key})
             except BaseException as exc:  # noqa: BLE001 - forwarded
@@ -435,7 +442,7 @@ class ShardRouter:
             # JournalReader — the filesystem is the merge point)
             "journal_dir": str(journal_dir) if journal_dir else None,
         }
-        self._registry = MatrixRegistry()  # router-side: builds the plans
+        self._registry = MatrixRegistry()  # router-side: keys and names
         self._arena = PlanArena()
         self._slabs = SlabPool()
         self._ring = HashRing(replicas=ring_replicas)
@@ -466,12 +473,15 @@ class ShardRouter:
                 "router", sink=self._collector.record
             )
         try:
-            for wid in range(n_workers):
-                handle = _WorkerHandle(wid)
+            handles = [_WorkerHandle(wid) for wid in range(n_workers)]
+            # every worker boots (imports numpy and scipy) at once
+            for handle in handles:
                 self._start_worker(handle)
                 with self._lock:
                     self._workers[handle.node] = handle
                     self._ring.add(handle.node)
+            for handle in handles:
+                self._handshake(handle)
         except BaseException:
             self.close()
             raise
@@ -500,8 +510,10 @@ class ShardRouter:
         )
         handle.reader = reader
         reader.start()
-        # handshake: a worker that cannot import/boot fails here, not on
-        # the first real request
+
+    def _handshake(self, handle: _WorkerHandle) -> None:
+        """Wait for a started worker to answer a ping: a worker that
+        cannot import/boot fails here, not on the first real request."""
         try:
             self._request(handle, {"op": OP_PING}, timeout=self.spawn_timeout)
         except ReproError as exc:
@@ -550,17 +562,16 @@ class ShardRouter:
     def register(
         self, matrix: CSRMatrix, *, name: Optional[str] = None
     ) -> str:
-        """Register a matrix fleet-wide: build its plan once (router
-        side, in the schedule variant the merge rule picks), publish the
-        arrays to shared memory, and hand the owning shard worker the
-        zero-copy handle.  Idempotent by content."""
+        """Register a matrix fleet-wide: publish its CSR arrays to
+        shared memory and hand the owning shard worker the zero-copy
+        handle; the worker builds the plan.  Idempotent by content."""
         key = self._registry.register(matrix, name=name)
         with self._lock:
             already = key in self._published
         if already:
             return key
-        plan = self._registry.plan(key)
-        handle = self._arena.publish(key, matrix, plan)
+        check_solvable(matrix)  # refuse bad input before sharing it
+        handle = self._arena.publish(key, matrix)
         with self._lock:
             self._published[key] = (handle, name)
             worker = self._workers[self._ring.node_for(key)]
@@ -873,8 +884,9 @@ class ShardRouter:
         worker.respawning = True  # submit() refuses until replay is done
         try:
             self._start_worker(worker)
+            self._handshake(worker)
             # replay the shard's registrations from the published
-            # handles: zero plan rebuilds, zero array copies
+            # handles: zero array copies, one plan build per matrix
             for key in sorted(worker.keys):
                 with self._lock:
                     handle, name = self._published[key]

@@ -32,16 +32,15 @@ Execution model
   - ``"host"`` — the registry's cached
     :class:`~repro.solvers.compiled.CompiledPlan`, solved with
     ``solve_many`` over the whole block.  This is the production fast
-    path: one numba-JIT GIL-releasing call when numba is installed, a
-    few numpy operations per level otherwise, instead of thousands of
-    interpreter-stepped simulated cycles.  The plan's schedule variant
-    is the registry's choice, not the caller's
+    path: one SuperLU sweep or a few numpy operations per level,
+    instead of thousands of interpreter-stepped simulated cycles.  The
+    plan's schedule variant is the registry's choice, not the caller's
     (:meth:`~repro.serve.registry.MatrixRegistry.schedule_for`):
-    ``"merged"`` for deep, skinny level structures
+    ``"sequential"`` for deep, skinny level structures
     (:func:`~repro.solvers.compiled.prefers_compiled`: many levels,
     Eq. 1 granularity at or below the paper's 0.7 threshold), where
-    per-level dispatch dominates, ``"level"`` otherwise, and a cached
-    efficacy hint overrides the rule.
+    per-level dispatch would dominate, ``"level"`` otherwise, and a
+    cached efficacy hint overrides the rule.
   - ``"sim"`` — the cycle-level SIMT simulator: batched
     ``capellini_sptrsm`` for width ≥ 2, the granularity-selected solver
     chain for width 1 and multi-RHS fallbacks.  This is the measurement
@@ -57,16 +56,16 @@ Execution model
     :class:`~repro.obs.hostprof.HostProfiler` (gather/reduce/scatter
     attribution), sim-lane launches a cycle digest — the same
     ``profile`` field in both trace events, the lane decided by the
-    execution policy alone.  A profiled host block always runs the
-    per-level numpy executor (its launch event says
-    ``backend="numpy"``): with numba installed, unprofiled blocks run
-    the JIT kernel instead, so the profile times a different executor
-    and profiled answers may differ in the last bits.  Under the numpy
-    backend they are bit-identical.
+    execution policy alone.  A profiled host block runs the same
+    operations as an unprofiled one, so its answers are bit-identical.
 * Robustness: a kernel that raises ``HazardError``/``SolverError`` on a
   matrix is recorded in telemetry and *quarantined for that matrix* —
   later requests walk the :func:`~repro.solvers.select.solver_chain`
   ladder starting past it, never silently retrying the failed kernel.
+  A step whose answer holds NaN or Inf is quarantined only once a later
+  step answers the same block finitely, which shows the kernel was at
+  fault; if no step does, the right-hand side overflows float64 and
+  only that request fails (``NonFiniteAnswerError``).
   Bounded queueing (``QueueFullError``) and per-request deadlines
   (``RequestTimeoutError``) keep the engine shedding load instead of
   buffering it; a right-hand side with NaN or Inf entries is refused at
@@ -97,6 +96,7 @@ from repro.errors import (
     DeadlockError,
     HazardError,
     InvalidRequestError,
+    NonFiniteAnswerError,
     QueueFullError,
     RequestTimeoutError,
     SolverError,
@@ -139,6 +139,22 @@ EXECUTION_MODES = ("auto", "host", "sim")
 #: Errors the fallback ladder absorbs.  Anything else (simulator bugs,
 #: validation errors) propagates to the caller unchanged.
 FALLBACK_ERRORS = (HazardError, SolverError, DeadlockError)
+
+
+def _check_finite(solver_name: str, X: np.ndarray) -> None:
+    """Raise :class:`NonFiniteAnswerError` if ``X`` holds NaN or Inf.
+
+    Every ladder step checks its answer here, on the inline and the
+    pool path alike, before the launch is recorded, so a rejected
+    answer is never counted as served.  Admission refuses non-finite
+    right-hand sides, so such an answer means the kernel broke down or
+    the solve overflows for this right-hand side; the ladder walk
+    (``SolveEngine._execute_block``) tells the two apart.
+    """
+    if not np.isfinite(X).all():
+        raise NonFiniteAnswerError(
+            f"{solver_name} returned a non-finite answer"
+        )
 
 
 def _discard_outcome(future: "asyncio.Future") -> None:
@@ -711,6 +727,7 @@ class SolveEngine:
         invisible on the worker thread, and the lane policy must see it
         to force the simulator.
         """
+        suspects: dict = {}
         if self._serves_inline(entry, len(trace_ids)):
             # only the host step runs here: after a failure, the one
             # failure handler quarantines it and the pool runs the rest
@@ -723,9 +740,12 @@ class SolveEngine:
             except FALLBACK_ERRORS as exc:
                 if self.execution == "host":
                     raise  # forced host lane: failures propagate
-                self._kernel_failed(
-                    entry, HOST_LANE, "host", exc, batch_id, trace_ids
-                )
+                if isinstance(exc, NonFiniteAnswerError):
+                    suspects = {HOST_LANE: ("host", exc)}
+                else:
+                    self._kernel_failed(
+                        entry, HOST_LANE, "host", exc, batch_id, trace_ids
+                    )
         ctx = contextvars.copy_context()
         self._pool_blocks += 1
         try:
@@ -733,7 +753,7 @@ class SolveEngine:
                 self._executor,
                 lambda: ctx.run(
                     self._execute_block, entry, B, coalesced, batch_id,
-                    trace_ids,
+                    trace_ids, suspects,
                 ),
             )
         finally:
@@ -793,6 +813,7 @@ class SolveEngine:
         fresh = ambient is None and profiler is not None
         with profiling(profiler) if fresh else nullcontext():
             X = plan.solve_many(B)
+        _check_finite(HOST_LANE, X)
         exec_ms = (time.perf_counter() - t0) * 1e3
         self.telemetry.record_lane("host", k, exec_ms=exec_ms)
         fields = {
@@ -806,7 +827,6 @@ class SolveEngine:
             "n_levels": plan.n_levels,
             "base_levels": plan.base_levels,
             "schedule": plan.schedule,
-            "backend": "numpy" if profiler is not None else plan.backend,
             "trace_ids": list(trace_ids),
         }
         if profiler is not None:
@@ -870,6 +890,7 @@ class SolveEngine:
         self, entry, name, X, exec_ms, cycles, coalesced, profiler,
         batch_id, trace_ids,
     ) -> BlockOutcome:
+        _check_finite(name, X)
         k = X.shape[1]
         self.telemetry.sim_cycles.inc(cycles)
         self.telemetry.sim_exec_ms.inc(exec_ms)
@@ -931,6 +952,7 @@ class SolveEngine:
         coalesced: bool,
         batch_id: str = "",
         trace_ids: tuple = (),
+        suspects: Optional[dict] = None,
     ) -> BlockOutcome:
         """Solve a block on the first ladder step that succeeds.
 
@@ -938,12 +960,21 @@ class SolveEngine:
         step that raises one of :data:`FALLBACK_ERRORS` is quarantined
         for this matrix by the one failure handler below, and the
         first skipped or failed step becomes ``fallback_from``.
+
+        A step whose answer is non-finite (:func:`_check_finite`) is a
+        *suspect*: the walk goes on without it, and it is quarantined
+        only when a later step answers finitely, which shows the kernel
+        rather than the right-hand side was at fault.  ``suspects``
+        carries ``{name: (lane, exc)}`` from the inline host step.  If
+        no step answers finitely, the request fails with
+        :class:`NonFiniteAnswerError` and nothing is quarantined.
         """
         if self.execution == "host" and not self._sim_forced():
             # forced host lane: failures propagate to the caller
             return self._run_plan(entry, B, coalesced, batch_id, trace_ids)
         quarantined = self._quarantined_names(entry.key)
-        failures: list[str] = []
+        suspects = dict(suspects or {})
+        failures: list[str] = list(suspects)
         for name, lane, runner in self._ladder(entry, B.shape[1]):
             if name in quarantined or name in failures:
                 if name not in failures:
@@ -952,11 +983,18 @@ class SolveEngine:
             try:
                 outcome = runner(entry, B, coalesced, batch_id, trace_ids)
             except FALLBACK_ERRORS as exc:
-                self._kernel_failed(
-                    entry, name, lane, exc, batch_id, trace_ids
-                )
+                if isinstance(exc, NonFiniteAnswerError):
+                    suspects[name] = (lane, exc)
+                else:
+                    self._kernel_failed(
+                        entry, name, lane, exc, batch_id, trace_ids
+                    )
                 failures.append(name)
                 continue
+            for suspect, (s_lane, s_exc) in suspects.items():
+                self._kernel_failed(
+                    entry, suspect, s_lane, s_exc, batch_id, trace_ids
+                )
             if failures:
                 self.telemetry.record_fallback_solve(
                     entry.key, failures[0], outcome.solver_name
@@ -972,6 +1010,12 @@ class SolveEngine:
                     failures=tuple(failures),
                 )
             return outcome
+        if suspects:
+            raise NonFiniteAnswerError(
+                f"every usable solver returned a non-finite answer for "
+                f"this right-hand side on matrix {entry.name!r}: "
+                f"{sorted(suspects)}"
+            )
         raise SolverError(
             f"no usable solver left for matrix {entry.name!r}: "
             f"failed/quarantined {sorted(set(failures) | quarantined)}"

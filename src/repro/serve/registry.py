@@ -93,10 +93,9 @@ class RegisteredMatrix:
         self._csc: Optional[CSCMatrix] = None
         self._verdicts: dict[str, ScheduleReport] = {}
         # fast-lane plans, keyed by schedule variant ("level" /
-        # "merged") — the two variants of one matrix have different
-        # coefficient arrays and are distinct artifacts
+        # "sequential") — distinct artifacts of one matrix
         self._plans: dict[str, CompiledPlan] = {}
-        # the variant the merge rule picked (or an adopted plan pinned)
+        # the variant the sequential rule picked
         self._schedule: Optional[str] = None
         # measured recommendation from the efficacy analytics
         # (repro.metrics.efficacy.apply_lane_hints); a schedule variant
@@ -130,8 +129,7 @@ class RegisteredMatrix:
 
 def _chosen_schedule(entry: RegisteredMatrix) -> Optional[str]:
     """The variant already decided for ``entry``: a lane hint naming a
-    variant, else the rule's (or an adopted plan's) choice, else
-    ``None`` while undecided."""
+    variant, else the rule's choice, else ``None`` while undecided."""
     if entry._lane_hint in COMPILED_SCHEDULES:
         return entry._lane_hint
     return entry._schedule
@@ -162,7 +160,6 @@ class MatrixRegistry:
         self._registrations = 0
         self._dedup_hits = 0
         self._artifact_builds = 0
-        self._adopted_plans = 0
 
     # ------------------------------------------------------------------
     # registration and lookup
@@ -265,8 +262,8 @@ class MatrixRegistry:
     def schedule_for(self, ref: str) -> str:
         """The schedule variant :meth:`plan` serves for this matrix.
 
-        A cached lane hint naming a variant wins; otherwise the variant
-        of an adopted plan, else the merge rule over cached features
+        A cached lane hint naming a variant wins; otherwise the
+        sequential rule over cached features
         (:func:`~repro.solvers.compiled.pick_schedule`), decided once.
         """
         with self._lock:
@@ -281,13 +278,14 @@ class MatrixRegistry:
     def plan(self, ref: str) -> CompiledPlan:
         """The fast-lane plan (inspector output, cached per variant).
 
-        Always the :meth:`schedule_for` variant — the engine, the
-        cluster router and its workers all serve through this one
-        accessor, and a lane hint is the only override.  Built lazily from the *cached* level schedule — the
-        inspector never recomputes levels the :meth:`features` artifact
-        already paid for — and accounted against the LRU byte budget
-        like every other artifact.  One build per (fingerprint,
-        variant): repeated solves of one matrix are pure executor work.
+        Always the :meth:`schedule_for` variant — the engine and every
+        cluster worker serve through this one accessor, and a lane hint
+        is the only override.  Built lazily from the *cached* level
+        schedule — the inspector never recomputes levels the
+        :meth:`features` artifact already paid for — and accounted
+        against the LRU byte budget like every other artifact.  One
+        build per (fingerprint, variant): repeated solves of one matrix
+        are pure executor work.
         """
         with self._lock:
             entry = self._lookup(ref, count_miss=True)
@@ -323,37 +321,15 @@ class MatrixRegistry:
                 _chosen_schedule(entry) in entry._plans
             )
 
-    def adopt_plan(self, ref: str, plan: CompiledPlan) -> None:
-        """Install an externally built plan on an entry (no build cost).
-
-        Shard workers use this to wire in plans whose arrays live in a
-        shared-memory arena segment: the router paid the inspector cost
-        once, the worker adopts the zero-copy reconstruction instead of
-        rebuilding.  The adopted variant becomes the one :meth:`plan`
-        serves (the router picked it with the same rule), so a worker
-        never builds features or plans to serve it.  Counted separately
-        from :meth:`plan` builds; an entry that already holds that
-        variant keeps its plan (first one wins — both were built from
-        the same fingerprint, so they are equivalent).
-        """
-        with self._lock:
-            entry = self._lookup(ref)
-            if entry._schedule is None:
-                entry._schedule = plan.schedule
-            if plan.schedule not in entry._plans:
-                entry._plans[plan.schedule] = plan
-                self._adopted_plans += 1
-                self._enforce_budget(keep=entry.key)
-
     def set_lane_hint(self, ref: str, lane: Optional[str]) -> None:
         """Cache a measured-lane recommendation next to the plan.
 
         ``lane`` is one of :data:`LANE_HINTS` (or ``None`` to clear).
         This is the registry artifact the efficacy analytics
         (:func:`repro.metrics.efficacy.apply_lane_hints`) write after a
-        ``journal report`` run: a schedule variant overrides the merge
-        rule in :meth:`schedule_for`; ``"sim"`` leaves the rule in
-        charge.  Like every artifact, the hint lives and dies with its
+        ``journal report`` run: a schedule variant overrides the
+        sequential rule in :meth:`schedule_for`; ``"sim"`` leaves the
+        rule in charge.  Like every artifact, the hint lives and dies with its
         LRU entry.
         """
         if lane is not None and lane not in LANE_HINTS:
@@ -412,7 +388,6 @@ class MatrixRegistry:
                 "registrations": self._registrations,
                 "dedup_hits": self._dedup_hits,
                 "artifact_builds": self._artifact_builds,
-                "adopted_plans": self._adopted_plans,
                 "lane_hints": sum(
                     1
                     for e in self._entries.values()

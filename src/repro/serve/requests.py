@@ -80,5 +80,5 @@ class BlockOutcome:
     #: execution lane that produced ``X`` ("host" or "sim")
     lane: str = "sim"
     #: schedule variant of the host-lane plan that produced ``X``
-    #: ("level" or "merged"); ``None`` on the sim lane
+    #: ("level" or "sequential"); ``None`` on the sim lane
     schedule: Optional[str] = None

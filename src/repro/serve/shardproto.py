@@ -48,7 +48,7 @@ __all__ = [
 ]
 
 # Operations, router -> worker ...
-OP_REGISTER = "register"   # adopt a published plan (body: none)
+OP_REGISTER = "register"   # map a published matrix (body: none)
 OP_SOLVE = "solve"         # solve a block (body: inline RHS, or empty)
 OP_PING = "ping"           # health check
 OP_SNAPSHOT = "snapshot"   # return engine snapshot

@@ -41,7 +41,6 @@ from repro.solvers.select import (
 )
 from repro.solvers.upper import is_upper_triangular, reverse_matrix, solve_upper
 from repro.solvers.compiled import (
-    HAVE_NUMBA,
     CompiledFusedSolver,
     CompiledPlan,
     build_compiled_plan,
@@ -75,7 +74,6 @@ __all__ = [
     "is_upper_triangular",
     "reverse_matrix",
     "solve_upper",
-    "HAVE_NUMBA",
     "CompiledFusedSolver",
     "CompiledPlan",
     "build_compiled_plan",

@@ -1,76 +1,53 @@
-"""The fast lane: one fused, synchronization-free plan type.
+"""The fast lane: one plan type, two kernels.
 
-Every wall-clock solve in the serve tier runs a :class:`CompiledPlan`.
-Deep skinny level structures — the paper's high-granularity regime —
-would pay interpreter overhead once per level, thousands of times per
-solve, so the plan attacks that overhead on two independent axes,
-following the two halves of the fix in the literature:
+Every wall-clock solve in the serve tier runs a :class:`CompiledPlan`,
+in one of two schedule variants that :func:`pick_schedule` chooses per
+matrix from its features (the Eq. 1 rule :func:`prefers_compiled`);
+callers in the serve tier never set it.
 
-* **Kernel side** (Li, arXiv:1710.04985): the whole level loop is fused
-  into *one* call.  Every plan row is first rewritten as a pure linear
-  functional with the diagonal division folded into the coefficients
-  (off-diagonal dependency ``j`` contributes ``-L[i,j]/L[i,i]`` on
-  ``x_j``), so a solve is a start state plus one multiply-add sweep::
+* ``"level"`` — the level-scheduled numpy executor.  Every plan row is
+  rewritten as a pure linear functional with the diagonal division
+  folded into the coefficients (off-diagonal dependency ``j``
+  contributes ``-L[i,j]/L[i,i]`` on ``x_j``), so a solve starts from
+  ``X = B * inv_diag`` and runs one gather, one ``np.add.reduceat`` and
+  one scatter per level.  Wide, shallow levels amortize that per-level
+  dispatch over many rows, so shallow matrices keep this kernel.
 
-      x_i = start_i + sum_e vals[e] * W[idx[e]]
+* ``"sequential"`` — one SciPy SuperLU ``gstrs`` sweep over a
+  natural-order factor of ``L`` (``splu`` with ``permc_spec="NATURAL"``
+  and no pivoting threshold).  On a lower-triangular matrix that factor
+  is ``L`` itself, rescaled by its diagonal, with no fill.  The solve
+  has no level barriers and no per-level interpreter dispatch: the host
+  form of the paper's argument that at fine granularity synchronization
+  decides SpTRSV speed, and the fused sequential sweep Li
+  (arXiv:1710.04985) prefers for small triangular solves.  Deep, skinny
+  matrices, which would pay per-level dispatch thousands of times per
+  solve, take it.  The builder checks the factor's shape — natural row
+  and column order, zero fill — and raises :class:`SolverError` when
+  either fails, so the serve tier's fallback ladder quarantines the
+  host step instead of serving a permuted solve.
 
-  Because plan order is topological, a single flat loop over plan rows
-  is correct without any level barrier; when numba is installed that
-  loop JIT-compiles to one GIL-releasing native call
-  (``@njit(nogil=True)``).  Without numba a pure-numpy executor (one
-  gather + one ``np.add.reduceat`` + one scatter per *executed level*)
-  keeps the lane present and correct.
-
-* **Schedule side** (Böhnlein et al., arXiv:2503.05408): the builder
-  accepts ``schedule="merged"`` and materializes the numeric
-  substitution recorded by :func:`repro.analysis.levels.merge_levels` —
-  adjacent skinny levels coalesce into one executed step, with the few
-  cross-level dependencies replaced by the dependent rows' own
-  expansions.  A bounded amount of redundant arithmetic buys an order
-  of magnitude fewer interpreter iterations, which is exactly what the
-  numpy executor needs on a 10k-level chain.  ``schedule="level"``
-  keeps one step per level.
-
-Each variant stores one form of its coefficients.  The level variant
-stores dependencies only plus ``inv_diag``: a solve starts from
-``X = B * inv_diag`` and gathers from ``X`` alone, so wide shallow
-levels never gather right-hand-side terms.  The merged variant cannot
-do that — an expanded row reads other rows' ``b`` — so it stores the
-stacked form over a workspace ``W = [X; B]`` of shape ``(2n, k)``, with
-``b_i`` an explicit input (``idx >= n``, coefficient ``1/L[i,i]``) and
-a zero start.
-
-:func:`pick_schedule` chooses the variant per matrix from its features
-(the Eq. 1 rule :func:`prefers_compiled`); callers in the serve tier
-never set it.  ``HAVE_NUMBA`` reports whether the JIT backend is
-importable; nothing in this module requires it.  The profiled path
-(ambient :class:`~repro.obs.hostprof.HostProfiler`) always runs the
-per-level numpy executor so each step's wall time can be attributed to
-gather/reduce/scatter.  Its answers are bit-identical to an unprofiled
-*numpy* solve; with numba installed, unprofiled solves run the fused
-kernel, which sums in a different order, so profiled and unprofiled
-answers may then differ in the last bits.
+An ambient :class:`~repro.obs.hostprof.HostProfiler` gets one launch
+profile per solve.  The level variant attributes each level's time to
+gather/reduce/scatter; the sequential variant is one native call with
+no boundaries to attribute, so it records one step whose time counts
+as ``reduce``.  Either way the profiled solve runs the same operations
+as an unprofiled one and its answer is bit-identical.
 """
 
 from __future__ import annotations
 
-import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
+from scipy.sparse import csr_array
+from scipy.sparse.linalg import splu
 
 from repro.analysis.granularity import HIGH_GRANULARITY_THRESHOLD
-from repro.analysis.levels import (
-    DEFAULT_MERGE_BUDGET,
-    DEFAULT_MERGE_MAX_GROUP,
-    DEFAULT_MERGE_MAX_WIDTH,
-    LevelSchedule,
-    MergedSchedule,
-    compute_levels,
-    merge_levels,
-)
+from repro.analysis.levels import LevelSchedule, compute_levels
 from repro.errors import SolverError
 from repro.gpu.device import DeviceSpec
 from repro.obs.hostprof import HostLaunchProfile, active_host_profiler
@@ -81,7 +58,6 @@ from repro.sparse.triangular import check_solvable
 __all__ = [
     "COMPILED_SCHEDULES",
     "DEEP_LEVEL_COUNT",
-    "HAVE_NUMBA",
     "CompiledPlan",
     "CompiledFusedSolver",
     "build_compiled_plan",
@@ -90,63 +66,15 @@ __all__ = [
 ]
 
 #: The plan's schedule variants.
-COMPILED_SCHEDULES = ("level", "merged")
+COMPILED_SCHEDULES = ("level", "sequential")
 
-#: Level-count floor of the merge rule: below this, per-level overhead
-#: is already negligible and merging buys nothing worth its build cost.
+#: Level-count floor of the sequential rule: below this, per-level
+#: overhead is already negligible and the level kernel keeps the matrix.
 DEEP_LEVEL_COUNT = 64
-
-try:  # pragma: no cover - exercised via the with-numba CI leg
-    import numba as _numba  # noqa: F401
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - the container default
-    _numba = None
-    HAVE_NUMBA = False
-
-_kernel = None
-_kernel_lock = threading.Lock()
-
-
-def _fused_kernel():
-    """The lazily JIT-compiled flat-loop executor, or ``None``.
-
-    One loop serves both variants: each plan row adds its coefficient
-    sum onto its start value already in the workspace ``W``.  Compiled
-    once per process, under a lock (the first call from the
-    serve tier's worker threads must not race numba's own compilation
-    machinery).  Returns ``None`` when numba is not installed.
-    """
-    global _kernel
-    if not HAVE_NUMBA:
-        return None
-    if _kernel is None:
-        with _kernel_lock:
-            if _kernel is None:
-                from numba import njit
-
-                @njit(cache=False, nogil=True)
-                def kernel(rows, row_ptr, idx, vals, W):  # pragma: no cover
-                    k = W.shape[1]
-                    acc = np.empty(k, dtype=np.float64)
-                    for p in range(rows.shape[0]):
-                        for c in range(k):
-                            acc[c] = 0.0
-                        for e in range(row_ptr[p], row_ptr[p + 1]):
-                            w = vals[e]
-                            src = idx[e]
-                            for c in range(k):
-                                acc[c] += w * W[src, c]
-                        r = rows[p]
-                        for c in range(k):
-                            W[r, c] += acc[c]
-
-                _kernel = kernel
-    return _kernel
 
 
 def prefers_compiled(features) -> bool:
-    """The merge rule: deep *and* skinny.
+    """The sequential rule: deep *and* skinny.
 
     True when the level structure is deep (``n_levels`` at or beyond
     :data:`DEEP_LEVEL_COUNT`) and the Eq. 1 granularity indicator is at
@@ -162,62 +90,48 @@ def prefers_compiled(features) -> bool:
 
 
 def pick_schedule(features) -> str:
-    """The schedule variant the rule picks for one matrix: ``"merged"``
-    when :func:`prefers_compiled` holds, else ``"level"``.  The serve
-    tier lets a cached efficacy hint override it
-    (:meth:`repro.serve.registry.MatrixRegistry.schedule_for`)."""
-    return "merged" if prefers_compiled(features) else "level"
+    """The schedule variant the rule picks for one matrix:
+    ``"sequential"`` when :func:`prefers_compiled` holds, else
+    ``"level"``.  The serve tier lets a cached efficacy hint override
+    it (:meth:`repro.serve.registry.MatrixRegistry.schedule_for`)."""
+    return "sequential" if prefers_compiled(features) else "level"
 
 
 @dataclass(frozen=True)
 class CompiledPlan:
-    """The fast lane's inspector output: scaled functional form.
+    """The fast lane's inspector output.
 
     Attributes
     ----------
     schedule:
-        The schedule variant, ``"level"`` (one executed step per base
-        level) or ``"merged"`` (skinny levels coalesced by
-        :func:`~repro.analysis.levels.merge_levels`).
-    rows:
-        Plan-row → original-row map (the base schedule's order).
-    row_ptr:
-        Coefficient spans: plan row ``p`` owns
-        ``idx[row_ptr[p]:row_ptr[p+1]]`` / ``vals[...]``.
-    idx, vals:
-        Workspace inputs and pre-scaled coefficients.  ``idx[e] < n``
-        addresses an already-solved ``x`` entry.  In the merged variant
-        ``idx[e] >= n`` addresses ``b[idx[e] - n]`` in the stacked
-        ``(2n, k)`` workspace, and every span is non-empty.  In the
-        level variant every input is an ``x`` entry; a row's span is
-        empty exactly when it has no dependencies (all such rows sit in
-        level 0).
-    level_ptr:
-        Plan-row spans per *executed* level (merged groups count as one
-        level); the numpy executor iterates these, the numba kernel
-        ignores them entirely.
+        The schedule variant, ``"level"`` (one executed step per level)
+        or ``"sequential"`` (one SuperLU sweep).
     base_levels:
-        Levels of the unmerged schedule.
-    redundant_nnz:
-        Coefficients duplicated by level merging (0 for ``"level"``).
-    inv_diag:
-        ``1 / L[i, i]`` by original row — the level variant's start
-        scale (``X = B * inv_diag``); ``None`` in the merged variant.
-
-    Only O(n) executor bookkeeping is derived here, so a plan rebuilt
-    from shared-memory views (:class:`~repro.serve.arena.PlanArena`)
-    executes on those views without copying any coefficient.
+        Levels of the matrix's level schedule.
+    rows, row_ptr, idx, vals, level_ptr, inv_diag:
+        The level variant's scaled functional form (``None`` in the
+        sequential variant).  ``rows`` maps plan rows to original rows
+        (level order); plan row ``p`` owns ``idx[row_ptr[p]:
+        row_ptr[p+1]]`` / ``vals[...]``, its already-solved ``x``
+        inputs and pre-scaled coefficients, and the span is empty
+        exactly when the row has no dependencies (all such rows sit in
+        level 0).  ``level_ptr`` holds the plan-row spans per level and
+        ``inv_diag`` is ``1 / L[i, i]`` by original row, the start
+        scale (``X = B * inv_diag``).
+    factor:
+        The sequential variant's natural-order SuperLU factor of ``L``
+        (``None`` in the level variant).
     """
 
     schedule: str
-    rows: np.ndarray
-    row_ptr: np.ndarray
-    idx: np.ndarray
-    vals: np.ndarray
-    level_ptr: np.ndarray
     base_levels: int
-    redundant_nnz: int = 0
-    inv_diag: np.ndarray | None = None
+    rows: Optional[np.ndarray] = None
+    row_ptr: Optional[np.ndarray] = None
+    idx: Optional[np.ndarray] = None
+    vals: Optional[np.ndarray] = None
+    level_ptr: Optional[np.ndarray] = None
+    inv_diag: Optional[np.ndarray] = None
+    factor: Optional[object] = None
 
     def __post_init__(self) -> None:
         if self.schedule not in COMPILED_SCHEDULES:
@@ -225,23 +139,34 @@ class CompiledPlan:
                 f"schedule must be one of {COMPILED_SCHEDULES}, "
                 f"got {self.schedule!r}"
             )
-        if (self.inv_diag is None) != (self.schedule == "merged"):
+        if (self.factor is None) != (self.schedule == "level"):
             raise ValueError(
-                "the level variant carries inv_diag, the merged one does not"
+                "the sequential variant carries a factor, the level one "
+                "does not"
             )
+        if self.factor is not None:
+            # scipy builds L and U afresh on each access: read them once
+            L, U = self.factor.L, self.factor.U
+            object.__setattr__(
+                self, "_coeff_nnz", L.nnz + U.nnz - self.factor.shape[0]
+            )
+            object.__setattr__(self, "_nbytes", sum(
+                a.nbytes for m in (L, U)
+                for a in (m.data, m.indices, m.indptr)
+            ))
+            return
         ptr = self.row_ptr
         widths = np.diff(self.level_ptr)
-        if self.inv_diag is not None:
-            # a level mixing rows with and without dependencies would
-            # hand reduceat an empty segment
-            has_deps = np.zeros(len(self.rows) + 1, dtype=np.int64)
-            np.cumsum(np.diff(ptr) > 0, out=has_deps[1:])
-            n_with = np.diff(has_deps[self.level_ptr])
-            if np.any((n_with != 0) & (n_with != widths)):
-                raise SolverError(
-                    "level schedule mixes rows with and without "
-                    "dependencies in one level"
-                )
+        # a level mixing rows with and without dependencies would hand
+        # reduceat an empty segment
+        has_deps = np.zeros(len(self.rows) + 1, dtype=np.int64)
+        np.cumsum(np.diff(ptr) > 0, out=has_deps[1:])
+        n_with = np.diff(has_deps[self.level_ptr])
+        if np.any((n_with != 0) & (n_with != widths)):
+            raise SolverError(
+                "level schedule mixes rows with and without "
+                "dependencies in one level"
+            )
         # per-level executor steps: reduceat segment starts for level k
         # are ptr[r0:r1] - e0, views of one globally rebased array
         lp = self.level_ptr.tolist()
@@ -258,65 +183,63 @@ class CompiledPlan:
 
     @property
     def n_rows(self) -> int:
+        if self.factor is not None:
+            return self.factor.shape[0]
         return len(self.rows)
 
     @property
     def n_levels(self) -> int:
-        """Executed steps (merged groups count once)."""
+        """Executed steps: one per level, or the one sequential sweep."""
+        if self.factor is not None:
+            return 1
         return len(self.level_ptr) - 1
 
     @property
     def coeff_nnz(self) -> int:
-        """Coefficients per solve (``nnz(L)`` plus any redundant work;
-        the level variant's diagonal lives in ``inv_diag``)."""
-        if self.inv_diag is None:
-            return len(self.idx)
+        """Coefficients per solve: ``nnz(L)`` in both variants (the
+        level variant's diagonal lives in ``inv_diag``, the sequential
+        factor's in ``U``)."""
+        if self.factor is not None:
+            return self._coeff_nnz
         return len(self.idx) + self.n_rows
 
     @property
-    def backend(self) -> str:
-        """Which executor an unprofiled solve will use."""
-        return "numba" if HAVE_NUMBA else "numpy"
+    def redundant_nnz(self) -> int:
+        """Coefficients duplicated by the schedule: 0, since neither
+        variant does redundant work."""
+        return 0
 
     @property
     def nbytes(self) -> int:
-        """Resident bytes of the plan-owned arrays (registry budget)."""
-        total = sum(
+        """Resident bytes of the plan-owned arrays (registry budget):
+        the factor's ``L`` and ``U`` in the sequential variant."""
+        if self.factor is not None:
+            return self._nbytes
+        return sum(
             a.nbytes
             for a in (self.rows, self.row_ptr, self.idx, self.vals,
-                      self.level_ptr, self._rel)
+                      self.level_ptr, self._rel, self.inv_diag)
         )
-        if self.inv_diag is not None:
-            total += self.inv_diag.nbytes
-        return total
 
     # ------------------------------------------------------------------
     # executors
     # ------------------------------------------------------------------
-    def solve(self, b: np.ndarray, *, force_fallback: bool = False) -> np.ndarray:
-        """Fused solve, single RHS."""
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """Solve for a single right-hand side."""
         b = np.asarray(b, dtype=np.float64)
         if b.ndim != 1 or b.shape[0] != self.n_rows:
             raise SolverError(
                 f"b has shape {b.shape}, expected ({self.n_rows},)"
             )
-        return self.solve_many(
-            b.reshape(-1, 1), force_fallback=force_fallback
-        )[:, 0]
+        return self.solve_many(b.reshape(-1, 1))[:, 0]
 
-    def solve_many(
-        self, B: np.ndarray, *, force_fallback: bool = False
-    ) -> np.ndarray:
-        """Fused solve of ``L X = B`` for all columns.
+    def solve_many(self, B: np.ndarray) -> np.ndarray:
+        """Solve ``L X = B`` for all columns.
 
         Accepts 1-D ``b`` (promoted to one column), float32, and
         non-contiguous / Fortran-ordered inputs, mirroring
         :func:`repro.solvers.multirhs.capellini_sptrsm`; always returns
         a fresh C-ordered ``(n, k)`` float64 array.
-
-        ``force_fallback=True`` runs the pure-numpy executor even when
-        numba is installed — the numba-absent code path, testable on
-        any machine.
         """
         B = np.asarray(B, dtype=np.float64)
         if B.ndim == 1:
@@ -330,64 +253,42 @@ class CompiledPlan:
         profiler = active_host_profiler()
         if profiler is not None:
             return self._execute_profiled(B, profiler)
-        kernel = None if force_fallback else _fused_kernel()
-        if kernel is not None:
-            n, k = B.shape
-            if self.inv_diag is not None:
-                W = np.multiply(B, self.inv_diag[:, None], order="C")
-            else:
-                W = np.zeros((2 * n, k), dtype=np.float64)
-                W[n:] = B
-            kernel(self.rows, self.row_ptr, self.idx, self.vals, W)
-            return W if self.inv_diag is not None else W[:n].copy()
-        X, src, vals = self._start(B)
-        rows, idx = self.rows, self.idx
+        if self.factor is not None:
+            return self._sweep(B)
+        X = self._start(B)
         if X.ndim == 2:
-            self._row_steps(X, src, vals)
-        elif src is X:
+            self._row_steps(X)
+        else:
+            rows, idx, vals = self.rows, self.idx, self.vals
             for r0, r1, e0, e1, starts in self._steps:
                 X[rows[r0:r1]] += np.add.reduceat(
                     vals[e0:e1] * X[idx[e0:e1]], starts, axis=0
                 )
-        else:
-            for r0, r1, e0, e1, starts in self._steps:
-                X[rows[r0:r1]] = np.add.reduceat(
-                    vals[e0:e1] * src[idx[e0:e1]], starts, axis=0
-                )
-        if src is not X:
-            X = X.copy()
         return X.reshape(self.n_rows, -1)
 
-    def _start(self, B: np.ndarray) -> tuple:
-        """``(X, src, vals)`` for the numpy executor.
+    def _sweep(self, B: np.ndarray) -> np.ndarray:
+        """The sequential variant: one SuperLU solve of the block.
 
-        The level variant starts from ``X = B * inv_diag`` and gathers
-        from ``X`` itself (``src is X``); the merged variant gathers from
-        the stacked ``[X; B]`` workspace, whose copy of ``B`` also
-        normalizes layout and dtype.  Both workspaces are C-ordered.  A
-        single right-hand side runs on vectors: numpy's 2-D fancy
-        gathers (``src[idx]`` on ``(n, k)`` rows) cost 4-8x a vector
+        A single right-hand side goes in as a vector; SuperLU returns a
+        block in Fortran order, which is copied to C order.
+        """
+        if B.shape[1] == 1:
+            return self.factor.solve(B[:, 0]).reshape(-1, 1)
+        return np.ascontiguousarray(self.factor.solve(B))
+
+    def _start(self, B: np.ndarray) -> np.ndarray:
+        """The level variant's C-ordered workspace ``X = B * inv_diag``.
+
+        A single right-hand side runs on vectors: numpy's 2-D fancy
+        gathers (``X[idx]`` on ``(n, k)`` rows) cost 4-8x a vector
         gather, and even the row-block steps of :meth:`_row_steps` are
         slower than plain vector indexing at ``k == 1``.
         """
-        n, k = B.shape
-        vals = self.vals
-        if k == 1:
-            B = B[:, 0]
-        else:
-            vals = vals[:, None]
-        if self.inv_diag is not None:
-            inv = self.inv_diag if k == 1 else self.inv_diag[:, None]
-            X = np.multiply(B, inv, order="C")
-            return X, X, vals
-        W = np.empty((2 * n,) + B.shape[1:], dtype=np.float64)
-        W[n:] = B
-        return W[:n], W, vals
+        if B.shape[1] == 1:
+            return np.multiply(B[:, 0], self.inv_diag, order="C")
+        return np.multiply(B, self.inv_diag[:, None], order="C")
 
-    def _row_steps(
-        self, X: np.ndarray, src: np.ndarray, vals: np.ndarray,
-        raw: list | None = None,
-    ) -> None:
+    def _row_steps(self, X: np.ndarray, raw: list | None = None) -> None:
         """The ``k >= 2`` step loop, shared by profiled and unprofiled
         solves; with ``raw`` given, each step's gather (the in-place
         scale included), reduce and scatter times are appended to it.
@@ -396,75 +297,76 @@ class CompiledPlan:
         ``ndarray.take(..., axis=0)`` gathers them (2-D fancy indexing
         walks every element through the index machinery instead; the
         method skips ``np.take``'s Python-level dispatch, a microsecond
-        per call on the small steps of a merged plan), the scale
-        and the ``reduceat`` keep the row layout, and the scatter writes
-        one opaque ``8k``-byte item per row through a ``np.void`` view
-        of the C-ordered workspace.  The level variant adds the rows'
-        current values (``X = B * inv_diag``) before scattering; the
-        merged variant's rows are written once.  Each column sees the
-        same operations, in the same order, as a ``k == 1`` solve of it.
+        per call on small steps), the scale and the ``reduceat`` keep
+        the row layout, and the scatter writes one opaque ``8k``-byte
+        item per row through a ``np.void`` view of the C-ordered
+        workspace after adding the rows' current values
+        (``X = B * inv_diag``).  Each column sees the same operations,
+        in the same order, as a ``k == 1`` solve of it.
         """
         clock = time.perf_counter
         timed = raw is not None
         rows, idx = self.rows, self.idx
-        own_b = src is X
-        row = np.dtype((np.void, src.itemsize * src.shape[1]))
-        src_rows = src.view(row)[:, 0]
+        vals = self.vals[:, None]
+        row = np.dtype((np.void, X.itemsize * X.shape[1]))
+        x_rows = X.view(row)[:, 0]
         for r0, r1, e0, e1, starts in self._steps:
             level_rows = rows[r0:r1]
             if timed:
                 t0 = clock()
-            g = src.take(idx[e0:e1], axis=0)
+            g = X.take(idx[e0:e1], axis=0)
             np.multiply(g, vals[e0:e1], out=g)
             if timed:
                 t1 = clock()
             sums = np.add.reduceat(g, starts, axis=0)
             if timed:
                 t2 = clock()
-            if own_b:
-                sums += X.take(level_rows, axis=0)
-            src_rows[level_rows] = sums.view(row)[:, 0]
+            sums += X.take(level_rows, axis=0)
+            x_rows[level_rows] = sums.view(row)[:, 0]
             if timed:
                 raw.append((r1 - r0, e1 - e0, t1 - t0, t2 - t1, clock() - t2))
 
     def _execute_profiled(self, B: np.ndarray, profiler) -> np.ndarray:
-        """The numpy executor with per-level wall-clock attribution.
+        """The executor with wall-clock attribution.
 
-        Same coefficient lists, same row order, same numpy operations as
-        the unprofiled numpy executor — bit-identical output; the clock
-        is only read *around* the numpy segments (``k >= 2`` runs the
-        very same loop, :meth:`_row_steps`).  The numba kernel is
-        never used here: one fused native call has no level boundaries
-        to attribute.  In the level variant the first sample is level 0
-        plus every row's own ``b`` term (the ``X = B * inv_diag`` pass).
+        Same operations, in the same order, as the unprofiled solve —
+        bit-identical output; the clock is only read *around* them
+        (``k >= 2`` on the level variant runs the very same loop,
+        :meth:`_row_steps`).  In the level variant the first sample is
+        level 0 plus every row's own ``b`` term (the ``X = B *
+        inv_diag`` pass); the sequential variant records its one sweep
+        as one sample.
         """
         clock = time.perf_counter
-        rows, idx = self.rows, self.idx
         raw: list[tuple] = []
         t_launch = clock()
-        X, src, vals = self._start(B)
-        own_b = src is X
-        if own_b and self.n_levels:
-            raw.append((
-                int(self.level_ptr[1]), self.n_rows,
-                0.0, 0.0, clock() - t_launch,
-            ))
-        if X.ndim == 2:
-            self._row_steps(X, src, vals, raw)
+        if self.factor is not None:
+            X = self._sweep(B)
+            raw.append((self.n_rows, self.coeff_nnz, 0.0,
+                        clock() - t_launch, 0.0))
         else:
-            for r0, r1, e0, e1, starts in self._steps:
-                level_rows = rows[r0:r1]
-                t0 = clock()
-                contrib = vals[e0:e1] * src[idx[e0:e1]]
-                t1 = clock()
-                sums = np.add.reduceat(contrib, starts, axis=0)
-                t2 = clock()
-                if own_b:
+            rows, idx, vals = self.rows, self.idx, self.vals
+            X = self._start(B)
+            if self.n_levels:
+                raw.append((
+                    int(self.level_ptr[1]), self.n_rows,
+                    0.0, 0.0, clock() - t_launch,
+                ))
+            if X.ndim == 2:
+                self._row_steps(X, raw)
+            else:
+                for r0, r1, e0, e1, starts in self._steps:
+                    level_rows = rows[r0:r1]
+                    t0 = clock()
+                    contrib = vals[e0:e1] * X[idx[e0:e1]]
+                    t1 = clock()
+                    sums = np.add.reduceat(contrib, starts, axis=0)
+                    t2 = clock()
                     X[level_rows] += sums
-                else:
-                    X[level_rows] = sums
-                t3 = clock()
-                raw.append((r1 - r0, e1 - e0, t1 - t0, t2 - t1, t3 - t2))
+                    t3 = clock()
+                    raw.append(
+                        (r1 - r0, e1 - e0, t1 - t0, t2 - t1, t3 - t2)
+                    )
         wall_s = clock() - t_launch
         profiler.record(
             HostLaunchProfile(
@@ -476,28 +378,24 @@ class CompiledPlan:
                 raw=tuple(raw),
             )
         )
-        return (X if own_b else X.copy()).reshape(self.n_rows, -1)
+        return X.reshape(self.n_rows, -1)
 
 
 def build_compiled_plan(
     L: CSRMatrix,
     *,
-    schedule: str = "merged",
+    schedule: str = "sequential",
     base: LevelSchedule | None = None,
-    max_width: int = DEFAULT_MERGE_MAX_WIDTH,
-    budget: float = DEFAULT_MERGE_BUDGET,
-    max_group: int = DEFAULT_MERGE_MAX_GROUP,
 ) -> CompiledPlan:
     """Inspector for the fast lane.
 
-    Rewrites every row into the scaled functional form (coefficients
-    pre-divided by the diagonal).  The level variant keeps dependencies
-    plus ``inv_diag``; ``schedule="merged"`` builds the stacked form,
-    with the right-hand side an explicit input, and materializes the
-    numeric substitution of :func:`~repro.analysis.levels.merge_levels`
-    so each merged group executes as one step.  ``base`` may be supplied when
-    the caller already level-scheduled the matrix (the registry reuses
-    its cached schedule artifact).
+    The level variant rewrites every row into the scaled functional
+    form (coefficients pre-divided by the diagonal) plus ``inv_diag``;
+    the sequential variant factors ``L`` with SuperLU in natural order
+    and raises :class:`SolverError` if the factor is permuted or has
+    fill.  ``base`` may be supplied when the caller already
+    level-scheduled the matrix (the registry reuses its cached schedule
+    artifact).
     """
     if schedule not in COMPILED_SCHEDULES:
         raise ValueError(
@@ -506,6 +404,8 @@ def build_compiled_plan(
     check_solvable(L)
     if base is None:
         base = compute_levels(L)
+    if schedule == "sequential":
+        return _sequential_plan(L, base)
     n = L.n_rows
     order = base.order
 
@@ -515,7 +415,6 @@ def build_compiled_plan(
     diag_pos = L.row_ptr[1:] - 1
     dep_counts = (diag_pos - off_lo).astype(np.int64)[order]
     inv_diag = 1.0 / L.values[diag_pos]
-    inv_d = inv_diag[order]
 
     dep_ptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(dep_counts, out=dep_ptr[1:])
@@ -523,115 +422,45 @@ def build_compiled_plan(
     src = np.repeat(off_lo[order] - dep_ptr[:-1], dep_counts) + np.arange(
         total_dep, dtype=np.int64
     )
-    idx = L.col_idx[src].astype(np.int64)
-    vals = -L.values[src] * np.repeat(inv_d, dep_counts)
-
-    if schedule == "level":
-        return CompiledPlan(
-            schedule="level",
-            rows=order.copy(),
-            row_ptr=dep_ptr,
-            idx=idx,
-            vals=vals,
-            level_ptr=base.level_ptr.copy(),
-            base_levels=base.n_levels,
-            inv_diag=inv_diag,
-        )
-
-    # stacked form: each row's b coefficient trails its dependencies
-    row_ptr = dep_ptr + np.arange(n + 1, dtype=np.int64)
-    dep = np.ones(total_dep + n, dtype=bool)
-    dep[row_ptr[1:] - 1] = False
-    s_idx = np.empty(total_dep + n, dtype=np.int64)
-    s_vals = np.empty(total_dep + n, dtype=np.float64)
-    s_idx[dep], s_vals[dep] = idx, vals
-    s_idx[~dep], s_vals[~dep] = n + order, inv_d
-    merged = merge_levels(
-        L, base, max_width=max_width, budget=budget, max_group=max_group
-    )
-    if merged.n_levels < base.n_levels:
-        s_idx, s_vals, row_ptr = _expand_groups(
-            base, merged, s_idx, s_vals, row_ptr
-        )
-        assert len(s_idx) == merged.expanded_nnz
     return CompiledPlan(
-        schedule="merged",
-        rows=order.copy(),
-        row_ptr=row_ptr,
-        idx=s_idx,
-        vals=s_vals,
-        level_ptr=merged.level_ptr.copy(),
+        schedule="level",
         base_levels=base.n_levels,
-        redundant_nnz=merged.redundant_nnz,
+        rows=order.copy(),
+        row_ptr=dep_ptr,
+        idx=L.col_idx[src].astype(np.int64),
+        vals=-L.values[src] * np.repeat(inv_diag[order], dep_counts),
+        level_ptr=base.level_ptr.copy(),
+        inv_diag=inv_diag,
     )
 
 
-def _expand_groups(
-    base: LevelSchedule,
-    merged: MergedSchedule,
-    idx: np.ndarray,
-    vals: np.ndarray,
-    row_ptr: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Numeric substitution pass over the merged groups.
-
-    Replays the grouping recorded in ``merged``: inside each multi-level
-    group, a dependency on an in-group row is replaced by that row's own
-    (already expanded) coefficient list, scaled by the dependency's
-    coefficient.  Inputs are emitted in sorted order, so the expansion
-    is deterministic and its support matches the structural counts of
-    :func:`~repro.analysis.levels.merge_levels` exactly.  Singleton
-    groups — including every wide level — are copied through untouched.
-    """
-    n = base.n_rows
-    order = base.order
-    group_ptr = merged.group_ptr
-    base_lp = base.level_ptr
-
-    counts = np.empty(n, dtype=np.int64)
-    idx_parts: list[np.ndarray] = []
-    vals_parts: list[np.ndarray] = []
-    for g in range(merged.n_levels):
-        l0, l1 = int(group_ptr[g]), int(group_ptr[g + 1])
-        p0, p1 = int(base_lp[l0]), int(base_lp[l1])
-        if l1 - l0 == 1:
-            e0, e1 = int(row_ptr[p0]), int(row_ptr[p1])
-            idx_parts.append(idx[e0:e1])
-            vals_parts.append(vals[e0:e1])
-            counts[p0:p1] = np.diff(row_ptr[p0: p1 + 1])
-            continue
-        # plan order within the group is already topological: any
-        # in-group dependency sits at an earlier base level, hence at an
-        # earlier plan row, hence already in `exp`
-        exp: dict[int, dict[int, float]] = {}
-        for p in range(p0, p1):
-            terms: dict[int, float] = {}
-            for e in range(int(row_ptr[p]), int(row_ptr[p + 1])):
-                q = int(idx[e])
-                w = float(vals[e])
-                sub = exp.get(q)
-                if sub is None:
-                    terms[q] = terms.get(q, 0.0) + w
-                else:
-                    for q2, w2 in sub.items():
-                        terms[q2] = terms.get(q2, 0.0) + w * w2
-            exp[int(order[p])] = terms
-            inputs = sorted(terms)
-            counts[p] = len(inputs)
-            idx_parts.append(np.asarray(inputs, dtype=np.int64))
-            vals_parts.append(
-                np.asarray([terms[q] for q in inputs], dtype=np.float64)
-            )
-
-    new_row_ptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=new_row_ptr[1:])
-    if not idx_parts:
-        return idx[:0], vals[:0], new_row_ptr
-    return (
-        np.concatenate(idx_parts),
-        np.concatenate(vals_parts),
-        new_row_ptr,
+def _sequential_plan(L: CSRMatrix, base: LevelSchedule) -> CompiledPlan:
+    """The sequential variant: ``L``'s natural-order SuperLU factor."""
+    n = L.n_rows
+    A = csr_array((L.values, L.col_idx, L.row_ptr), shape=(n, n)).tocsc()
+    try:
+        factor = splu(
+            A, permc_spec="NATURAL", diag_pivot_thresh=0.0,
+            options={"SymmetricMode": True},
+        )
+    except RuntimeError as exc:  # SuperLU reports singularity this way
+        raise SolverError(f"SuperLU could not factor L: {exc}") from exc
+    natural = np.arange(n)
+    if not (
+        np.array_equal(factor.perm_r, natural)
+        and np.array_equal(factor.perm_c, natural)
+    ):
+        raise SolverError("SuperLU permuted L; the sequential variant "
+                          "needs its natural order")
+    plan = CompiledPlan(
+        schedule="sequential", base_levels=base.n_levels, factor=factor
     )
+    if plan.coeff_nnz != L.nnz:
+        raise SolverError(
+            f"SuperLU factor of L has fill: {plan.coeff_nnz} "
+            f"coefficients for {L.nnz} stored elements"
+        )
+    return plan
 
 
 class CompiledFusedSolver(SpTRSVSolver):
@@ -643,7 +472,7 @@ class CompiledFusedSolver(SpTRSVSolver):
     keys would be wrong here: CPython reuses ``id()`` values after
     garbage collection, which could serve a plan built for another
     matrix.  The two schedule variants of one matrix are distinct
-    artifacts with different coefficient arrays.
+    artifacts.
     """
 
     name = "CompiledFused"
@@ -655,7 +484,7 @@ class CompiledFusedSolver(SpTRSVSolver):
     def __init__(
         self,
         *,
-        schedule: str = "merged",
+        schedule: str = "sequential",
         plan_cache_size: int = 8,
     ) -> None:
         if schedule not in COMPILED_SCHEDULES:
@@ -696,15 +525,15 @@ class CompiledFusedSolver(SpTRSVSolver):
             solver_name=self.name,
             exec_ms=dt * 1e3,
             preprocess=PreprocessInfo(
-                description="inspector: scaled functional rewrite + level "
-                "merging (cached across solves of the same matrix)",
+                description="inspector: scaled functional rewrite (level) "
+                "or natural-order SuperLU factor (sequential), cached "
+                "across solves of the same matrix",
                 host_seconds=prep,
             ),
             extra={
                 "n_levels": plan.n_levels,
                 "base_levels": plan.base_levels,
                 "schedule": plan.schedule,
-                "backend": plan.backend,
                 "redundant_nnz": plan.redundant_nnz,
             },
         )

@@ -59,9 +59,9 @@ class TestBinning:
 class TestAggregate:
     def test_recommends_measured_fastest_lane_per_class(self):
         records = []
-        # deep-fine: merged measures faster than level
+        # deep-fine: sequential measures faster than level
         for i in range(4):
-            records.append(solve("deep0", "merged", 1.0 + 0.01 * i,
+            records.append(solve("deep0", "sequential", 1.0 + 0.01 * i,
                                  n_levels=128, granularity=0.2, ts=i))
             records.append(solve("deep0", "level", 3.0 + 0.01 * i,
                                  n_levels=128, granularity=0.2, ts=i))
@@ -74,12 +74,12 @@ class TestAggregate:
         report = aggregate(records)
         assert report["schema"] == EFFICACY_SCHEMA
         assert report["recommendations"] == {
-            "deep-fine": "merged",
+            "deep-fine": "sequential",
             "shallow-coarse": "level",
         }
         assert lane_recommendations(report) == report["recommendations"]
         assert report["classes"]["deep-fine"]["win_rates"] == {
-            "merged": 1.0, "level": 0.0,
+            "sequential": 1.0, "level": 0.0,
         }
         # determinism: same records -> identical report
         assert aggregate(records) == report
@@ -96,7 +96,7 @@ class TestAggregate:
         records = []
         for i in range(DEFAULT_MIN_SAMPLES):
             records.append(solve("m", "level", 2.0, ts=i))
-            records.append(solve("m", "merged", 2.0, ts=i))
+            records.append(solve("m", "sequential", 2.0, ts=i))
         report = aggregate(records)
         assert report["recommendations"]["deep-fine"] == "level"
 
@@ -104,13 +104,13 @@ class TestAggregate:
         records = []
         # two matrices in the same class; each wins on a different lane
         for i in range(3):
-            records.append(solve("a", "merged", 1.0, ts=i))
+            records.append(solve("a", "sequential", 1.0, ts=i))
             records.append(solve("a", "level", 2.0, ts=i))
-            records.append(solve("b", "merged", 2.0, ts=i))
+            records.append(solve("b", "sequential", 2.0, ts=i))
             records.append(solve("b", "level", 1.0, ts=i))
         cls = aggregate(records)["classes"]["deep-fine"]
         assert cls["matrices"] == 2
-        assert cls["win_rates"] == {"merged": 0.5, "level": 0.5}
+        assert cls["win_rates"] == {"sequential": 0.5, "level": 0.5}
 
     def test_unusable_records_counted_not_crashed(self):
         records = [
@@ -176,19 +176,23 @@ class TestLaneHints:
 
         registry = MatrixRegistry()
         key = registry.register(random_unit_lower(30, 0.05, seed=2))
-        for bad in ("warp", "compiled", "host"):
+        # "merged" names a schedule that no longer exists: a stale
+        # hint from an old report is refused like any other bad value
+        for bad in ("warp", "compiled", "host", "merged"):
             with pytest.raises(ServeError):
                 registry.set_lane_hint(key, bad)
-        registry.set_lane_hint(key, "merged")
-        assert registry.schedule_for(key) == "merged"
+        registry.set_lane_hint(key, "sequential")
+        assert registry.schedule_for(key) == "sequential"
         registry.set_lane_hint(key, None)  # clearable
         assert registry.lane_hint(key) is None
 
 
 class TestLegacyJournals:
-    """Journals written while there were two fast lanes still report:
-    ``compiled`` records ran the merged schedule, ``host`` records the
-    level schedule (with or without a ``schedule`` field)."""
+    """Journals written while there were two fast lanes still report
+    their ``host`` records, which ran the level schedule (with or
+    without a ``schedule`` field).  ``compiled`` records, and records of
+    the ``merged`` schedule, measured a kernel that no longer exists:
+    they get no route."""
 
     @staticmethod
     def legacy(matrix, lane, latency, *, schedule, ts):
@@ -216,14 +220,14 @@ class TestLegacyJournals:
                     self.legacy("d", lane, latency, schedule=schedule, ts=i)
                 )
         assert [route_of(r) for r in records[:4]] == [
-            "merged", "level", "level", "sim",
+            None, "level", "level", "sim",
         ]
+        assert route_of(solve("d", "merged", 1.0)) is None
         report = aggregate(records)
-        assert report["solves"] == len(records)
-        assert report["recommendations"] == {"deep-fine": "merged"}
-        assert set(report["matrices"]["d"]["lanes"]) == {
-            "level", "merged", "sim",
-        }
+        assert report["solves"] == len(records) - 3
+        assert report["unusable_solves"] == 3
+        assert report["recommendations"] == {"deep-fine": "level"}
+        assert set(report["matrices"]["d"]["lanes"]) == {"level", "sim"}
         assert report["matrices"]["d"]["lanes"]["level"]["count"] == 6
 
     def test_old_report_hints_apply(self):

@@ -44,7 +44,7 @@ def worker_snap(
         "registry": {
             "entries": 2, "resident_bytes": 1000, "hits": hits,
             "misses": misses, "evictions": 0, "registrations": 2,
-            "artifact_builds": 0, "adopted_plans": 2,
+            "artifact_builds": 0,
         },
         "slo": {
             "objective": objective, "attempts": total,
@@ -65,7 +65,7 @@ class TestRollup:
         assert fleet["requests"]["failed"] == 1
         assert fleet["batches"]["total"] == 8
         assert fleet["lanes"]["host"]["rhs"] == 20
-        assert fleet["registry"]["adopted_plans"] == 4
+        assert fleet["registry"]["registrations"] == 4
         assert fleet["fallbacks"]["by_transition"] == {
             "Capellini->LevelSet": 2
         }

@@ -51,9 +51,9 @@ class TestHostProfilerRecording:
         assert launch.nnz == system.L.nnz
 
     def test_profiled_solve_is_bit_identical(self):
-        # the profiled executor is the numpy one, on both variants and
-        # at every width (force_fallback: the numba kernel, when
-        # installed, sums in another order)
+        # the profiled executor runs the unprofiled one's operations,
+        # on both variants and at every width; a sequential solve is
+        # one SuperLU call, recorded as one launch of one step
         system, _ = make_plan(n=300, seed=9)
         for schedule in COMPILED_SCHEDULES:
             plan = build_compiled_plan(system.L, schedule=schedule)
@@ -61,10 +61,15 @@ class TestHostProfilerRecording:
                 B = np.column_stack(
                     [(r + 1.0) * system.b for r in range(k)]
                 )
-                plain = plan.solve_many(B, force_fallback=True)
-                with profiling(HostProfiler()):
+                plain = plan.solve_many(B)
+                prof = HostProfiler()
+                with profiling(prof):
                     profiled = plan.solve_many(B)
                 assert np.array_equal(plain, profiled)
+                assert len(prof.launches) == 1
+                if schedule == "sequential":
+                    assert len(prof.launches[0].levels) == 1
+                    assert prof.launches[0].nnz == system.L.nnz
 
     def test_phase_seconds_add_up_to_wall(self):
         system, plan = make_plan()

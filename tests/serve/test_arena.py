@@ -1,4 +1,4 @@
-"""PlanArena / SlabPool: zero-copy plan sharing over shared memory."""
+"""PlanArena / SlabPool: zero-copy matrix sharing over shared memory."""
 
 import numpy as np
 import pytest
@@ -19,32 +19,41 @@ from repro.sparse.triangular import lower_triangular_system
 from tests.conftest import random_unit_lower
 
 
-def published_plan(n=60, seed=1):
-    """(key, matrix, plan) trio the way the router produces them."""
-    reg = MatrixRegistry()
+def published_matrix(n=60, seed=1):
+    """(key, matrix) pair the way the router produces them."""
     L = random_unit_lower(n, 0.1, seed=seed)
-    key = reg.register(L)
-    return key, L, reg.plan(key)
+    return MatrixRegistry().register(L), L
+
+
+def worker_plan(matrix, schedule=None):
+    """The plan a shard worker builds from an attached matrix."""
+    reg = MatrixRegistry()
+    key = reg.register(matrix)
+    if schedule is not None:
+        reg.set_lane_hint(key, schedule)
+    return reg.plan(key)
 
 
 class TestPublishAttach:
     def test_round_trip_reconstructs_matrix_and_plan(self):
-        key, L, plan = published_plan()
+        key, L = published_matrix()
         system = lower_triangular_system(L)
         with PlanArena() as arena:
-            handle = arena.publish(key, L, plan)
+            handle = arena.publish(key, L)
             assert handle.key == key
             assert handle.segment.startswith(SEGMENT_PREFIX)
             attached = arena.attach(handle)
-            # the reconstruction is views, not copies: solving through
-            # it must match the original system exactly
-            np.testing.assert_array_equal(attached.matrix.values, L.values)
+            # the reconstruction is views, not copies: a plan built from
+            # it must solve the original system
+            np.testing.assert_array_equal(attached.values, L.values)
+            np.testing.assert_array_equal(attached.row_ptr, L.row_ptr)
+            np.testing.assert_array_equal(attached.col_idx, L.col_idx)
             np.testing.assert_allclose(
-                attached.plan.solve(system.b), system.x_true,
+                worker_plan(attached).solve(system.b), system.x_true,
                 rtol=1e-9, atol=1e-12,
             )
             # fingerprint pinned from the handle, not re-hashed
-            assert matrix_fingerprint(attached.matrix) == key
+            assert matrix_fingerprint(attached) == key
             arena.detach(handle)
         assert leaked_segments() == []
 
@@ -54,17 +63,16 @@ class TestPublishAttach:
         L = generate("chain", 300, seed=2)
         reg = MatrixRegistry()
         key = reg.register(L)
-        assert reg.schedule_for(key) == "merged"  # deep and skinny
+        assert reg.schedule_for(key) == "sequential"  # deep and skinny
         B = np.random.default_rng(2).standard_normal((L.n_rows, 3))
-        for schedule in ("merged", "level"):
-            reg.set_lane_hint(key, schedule)
-            plan = reg.plan(key)
+        for schedule in ("sequential", "level"):
+            plan = worker_plan(L, schedule)
             with PlanArena() as arena:
-                handle = arena.publish(key, L, plan)
-                attached = arena.attach(handle).plan
+                handle = arena.publish(key, L)
+                attached = worker_plan(arena.attach(handle), schedule)
                 assert attached.schedule == schedule
                 assert attached.base_levels == plan.base_levels
-                assert attached.redundant_nnz == plan.redundant_nnz
+                assert attached.coeff_nnz == plan.coeff_nnz
                 assert np.array_equal(
                     attached.solve_many(B), plan.solve_many(B)
                 )
@@ -72,27 +80,26 @@ class TestPublishAttach:
         assert leaked_segments() == []
 
     def test_attached_views_are_read_only(self):
-        key, L, plan = published_plan()
+        key, L = published_matrix()
         with PlanArena() as arena:
-            attached = arena.attach(arena.publish(key, L, plan))
-            with pytest.raises((ValueError, RuntimeError)):
-                attached.matrix.values[0] = 99.0
-            with pytest.raises((ValueError, RuntimeError)):
-                attached.plan.vals[0] = 99.0
+            attached = arena.attach(arena.publish(key, L))
+            for name in ("row_ptr", "col_idx", "values"):
+                with pytest.raises((ValueError, RuntimeError)):
+                    getattr(attached, name)[0] = 99
 
     def test_publish_is_idempotent_per_key(self):
-        key, L, plan = published_plan()
+        key, L = published_matrix()
         with PlanArena() as arena:
-            h1 = arena.publish(key, L, plan)
-            h2 = arena.publish(key, L, plan)
+            h1 = arena.publish(key, L)
+            h2 = arena.publish(key, L)
             assert h1 is h2
             assert arena.stats()["published"] == 1
             assert arena.stats()["resident"] == 1
 
     def test_handle_json_round_trip(self):
-        key, L, plan = published_plan()
+        key, L = published_matrix()
         with PlanArena() as arena:
-            handle = arena.publish(key, L, plan)
+            handle = arena.publish(key, L)
             doc = handle.to_json()
             clone = PlanHandle.from_json(doc)
             assert clone == handle
@@ -102,9 +109,9 @@ class TestPublishAttach:
             json.dumps(doc)
 
     def test_attach_refcounting_shares_one_mapping(self):
-        key, L, plan = published_plan()
+        key, L = published_matrix()
         with PlanArena() as arena:
-            handle = arena.publish(key, L, plan)
+            handle = arena.publish(key, L)
             a1 = arena.attach(handle)
             a2 = arena.attach(handle)
             assert a2 is a1  # cached reconstruction, not a second map
@@ -117,9 +124,9 @@ class TestPublishAttach:
             assert arena.stats()["attached"] == 0
 
     def test_attach_after_unlink_raises_cluster_error(self):
-        key, L, plan = published_plan()
+        key, L = published_matrix()
         arena = PlanArena()
-        handle = arena.publish(key, L, plan)
+        handle = arena.publish(key, L)
         arena.unlink(key)
         with pytest.raises(ClusterError):
             arena.attach(handle)
@@ -127,9 +134,9 @@ class TestPublishAttach:
         assert leaked_segments() == []
 
     def test_handle_lookup(self):
-        key, L, plan = published_plan()
+        key, L = published_matrix()
         with PlanArena() as arena:
-            handle = arena.publish(key, L, plan)
+            handle = arena.publish(key, L)
             assert arena.handle(key) is handle
             with pytest.raises(ClusterError):
                 arena.handle("missing")
@@ -138,8 +145,8 @@ class TestPublishAttach:
         keys = []
         arena = PlanArena()
         for seed in (1, 2, 3):
-            key, L, plan = published_plan(seed=seed)
-            arena.publish(key, L, plan)
+            key, L = published_matrix(seed=seed)
+            arena.publish(key, L)
             keys.append(key)
         assert arena.stats()["resident"] == 3
         arena.close()
@@ -222,10 +229,10 @@ class TestInstrumentedRefcounts:
         from repro.obs.profiler import profiling
         from repro.solvers._sim import tracing
 
-        key, L, plan = published_plan()
+        key, L = published_matrix()
         system = lower_triangular_system(L)
         with PlanArena() as arena:
-            handle = arena.publish(key, L, plan)
+            handle = arena.publish(key, L)
             with tracing(Tracer()), profiling():
                 a1 = arena.attach(handle)
                 a2 = arena.attach(handle)
@@ -233,10 +240,10 @@ class TestInstrumentedRefcounts:
                 stats = arena.stats()
                 assert stats["attaches"] == 1
                 assert stats["attach_reuses"] == 1
-                # the attached plan still solves correctly while both
-                # ambient contexts are live
+                # a plan built from the attached matrix still solves
+                # correctly while both ambient contexts are live
                 np.testing.assert_allclose(
-                    a1.plan.solve(system.b), system.x_true,
+                    worker_plan(a1).solve(system.b), system.x_true,
                     rtol=1e-9, atol=1e-12,
                 )
                 arena.detach(handle)

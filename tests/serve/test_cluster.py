@@ -1,4 +1,4 @@
-"""ShardRouter: multi-process sharded serving with zero-copy plans.
+"""ShardRouter: multi-process sharded serving over zero-copy matrices.
 
 Spawning workers is the expensive part (a fresh interpreter imports
 numpy per worker), so most tests share one module-scoped router; the
@@ -142,6 +142,17 @@ class TestRoutingAndSolving:
         resp = router.solve(key, system.b)
         np.testing.assert_allclose(resp.x, system.x_true, rtol=1e-9)
 
+    def test_unsolvable_matrix_rejected_before_publish(self, router):
+        # the router checks what it shares; the worker builds the plan
+        from repro.errors import NotTriangularError
+        from repro.sparse.convert import dense_to_csr
+
+        upper = dense_to_csr(np.triu(np.ones((4, 4))))
+        before = router.router_stats()["arena"]["published"]
+        with pytest.raises(NotTriangularError):
+            router.register(upper)
+        assert router.router_stats()["arena"]["published"] == before
+
     def test_ping_all_workers(self, router):
         replies = router.ping()
         assert set(replies) == set(router.nodes)
@@ -160,8 +171,8 @@ class TestTelemetry:
         assert fleet["requests"]["total"] == sum(
             w["requests"]["total"] for w in snap["workers"].values()
         )
-        # workers adopted the router-built plans instead of rebuilding
-        assert fleet["registry"]["adopted_plans"] >= 2
+        # each worker built features and a plan for its own matrices
+        assert fleet["registry"]["artifact_builds"] >= 4
         rt = snap["router"]
         assert rt["workers"] == 2
         assert rt["arena"]["resident"] >= 2
@@ -293,7 +304,7 @@ class TestOnePlanType:
             ShardRouter(n_workers=1, execution="bogus")
         assert spawned == []
 
-    def test_first_blocks_run_adopted_plans_of_the_rules_variant(self):
+    def test_first_blocks_run_worker_built_plans_of_the_rules_variant(self):
         from repro.datasets import generate
 
         deep = lower_triangular_system(
@@ -303,10 +314,10 @@ class TestOnePlanType:
         with ShardRouter(n_workers=1, execution="auto",
                          request_timeout=60.0) as router:
             keys = {
-                "merged": router.register(deep.L, name="deep"),
+                "sequential": router.register(deep.L, name="deep"),
                 "level": router.register(shallow.L, name="shallow"),
             }
-            for system, key in ((deep, keys["merged"]),
+            for system, key in ((deep, keys["sequential"]),
                                 (shallow, keys["level"])):
                 B = np.column_stack([system.b, 2.0 * system.b])
                 resp = router.solve_multi(key, B)
@@ -320,6 +331,39 @@ class TestOnePlanType:
         assert {e["matrix"]: e["schedule"] for e in launches} == {
             key: schedule for schedule, key in keys.items()
         }
-        registry = snap["registry"]
-        assert registry["adopted_plans"] == 2
-        assert registry["artifact_builds"] == 0  # no features, no plan
+        # the worker built each matrix's features and plan once, at
+        # registration, so even the first block ran warm and inline
+        assert snap["registry"]["artifact_builds"] == 4
+        assert {e["dispatch"] for e in launches} == {"inline"}
+
+    def test_one_request_counts_registry_hits_like_in_process(self):
+        # the worker's "plan" span only peeks at the registry; the solve
+        # makes the one counted lookup, as an in-process solve does
+        import asyncio
+
+        from repro.serve.engine import SolveEngine
+
+        system = lower_triangular_system(random_unit_lower(N, 0.1, seed=9))
+
+        async def in_process_hits():
+            async with SolveEngine(execution="host") as engine:
+                key = engine.register(system.L)
+                await engine.solve(key, system.b)  # warm
+                before = engine.registry.stats()["hits"]
+                await engine.solve(key, system.b)
+                return engine.registry.stats()["hits"] - before
+
+        expected = asyncio.run(in_process_hits())
+        assert expected >= 1
+
+        def worker_hits(router):
+            (snap,) = router.worker_snapshots().values()
+            return snap["registry"]["hits"]
+
+        with ShardRouter(n_workers=1, execution="host",
+                         request_timeout=60.0) as router:
+            key = router.register(system.L)
+            router.solve(key, system.b)  # warm
+            before = worker_hits(router)
+            router.solve(key, system.b)
+            assert worker_hits(router) - before == expected

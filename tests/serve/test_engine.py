@@ -12,6 +12,7 @@ from repro.analysis.hazards import RACE, Hazard
 from repro.errors import (
     HazardError,
     InvalidRequestError,
+    NonFiniteAnswerError,
     QueueFullError,
     RequestTimeoutError,
     SolverError,
@@ -591,7 +592,7 @@ class TestSnapshotRegistry:
         assert snap["registry"] == stats
         assert snap["cache"] == snap["registry"]  # back-compat alias
         assert snap["registry"]["entries"] == 1
-        assert "adopted_plans" in snap["registry"]
+        assert "artifact_builds" in snap["registry"]
 
 
 class TestCompiledLane:
@@ -608,7 +609,7 @@ class TestCompiledLane:
         )
 
     def test_auto_prefers_compiled_for_deep_matrices(self):
-        # the merge rule (prefers_compiled) picks the merged schedule
+        # the sequential rule (prefers_compiled) picks the SuperLU sweep
         system = self.deep_system()
 
         async def main():
@@ -624,7 +625,7 @@ class TestCompiledLane:
         np.testing.assert_allclose(resp.x, system.x_true, rtol=1e-9)
         assert resp.lane == "host"
         assert resp.fallback_from is None
-        assert launches[0]["schedule"] == "merged"
+        assert launches[0]["schedule"] == "sequential"
         assert set(snap["lanes"]) == {"host", "sim"}
 
     def test_auto_keeps_host_for_shallow_matrices(self):
@@ -642,9 +643,7 @@ class TestCompiledLane:
         assert resp.lane == "host"
         assert launches[0]["schedule"] == "level"
 
-    def test_launch_events_carry_schedule_and_backend(self):
-        from repro.solvers.compiled import HAVE_NUMBA
-
+    def test_launch_events_carry_schedule(self):
         system = self.deep_system(seed=4)
 
         async def main():
@@ -659,9 +658,9 @@ class TestCompiledLane:
         assert launches
         event = launches[0]
         assert event["lane"] == "host"
-        assert event["schedule"] == "merged"
-        assert event["backend"] == ("numba" if HAVE_NUMBA else "numpy")
-        assert event["n_levels"] <= event["base_levels"]
+        assert event["schedule"] == "sequential"
+        assert "backend" not in event  # one executor per variant
+        assert event["n_levels"] == 1 <= event["base_levels"]
 
     def test_batched_sim_fallback_records_transition(self, monkeypatch):
         from repro.solvers.compiled import CompiledPlan
@@ -696,6 +695,118 @@ class TestCompiledLane:
             SolveEngine(execution="compiled")
         with pytest.raises(TypeError):
             SolveEngine(compiled_schedule="merged")
+
+
+class TestNonFiniteOutput:
+    """A step whose answer holds NaN or Inf is quarantined only when a
+    later step answers the same block finitely (the kernel was at
+    fault).  A right-hand side that overflows every step fails its own
+    request with a typed error, never with an Inf answer, and leaves
+    the matrix servable for everyone else."""
+
+    @staticmethod
+    def overflowing_chain(n=100):
+        # deep chain (the sequential variant) with a tiny diagonal: any
+        # nonzero b overflows within two rows, on every float64 kernel
+        from repro.sparse.coo import COOMatrix
+        from repro.sparse.convert import coo_to_csr
+
+        rows = np.concatenate([np.arange(n), np.arange(1, n)])
+        cols = np.concatenate([np.arange(n), np.arange(n - 1)])
+        vals = np.concatenate([np.full(n, 1e-200), np.ones(n - 1)])
+        return coo_to_csr(COOMatrix(n, n, rows, cols, vals))
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_overflowing_rhs_fails_only_its_request(self, warm):
+        L = self.overflowing_chain()
+
+        async def main():
+            engine = SolveEngine()  # execution="auto"
+            engine.register(L, name="tiny")
+            if warm:
+                # b = 0 solves to 0 and builds the plan, so the next
+                # block runs inline
+                await engine.solve("tiny", np.zeros(L.n_rows))
+            with pytest.raises(NonFiniteAnswerError, match="non-finite"):
+                await engine.solve("tiny", np.ones(L.n_rows))
+            quarantined = engine.quarantined("tiny")
+            failures = engine.trace_log.events(kind="kernel-failure")
+            lanes = engine.snapshot()["lanes"]
+            # a benign request afterwards is still served on the host
+            ok = await engine.solve("tiny", np.zeros(L.n_rows))
+            launches = engine.trace_log.events(kind="launch")
+            await engine.close()
+            return quarantined, failures, lanes, ok, launches
+
+        quarantined, failures, lanes, ok, launches = run(main())
+        assert quarantined == frozenset()
+        assert failures == []
+        # rejected answers are not counted as served
+        assert lanes["host"]["batches"] == int(warm)
+        assert lanes["sim"]["batches"] == 0
+        assert not ok.x.any() and ok.lane == "host"
+        assert ok.fallback_from is None
+        assert launches[-1]["schedule"] == "sequential"
+        assert launches[-1]["dispatch"] == "inline"
+
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_faulty_kernel_is_quarantined(self, warm, monkeypatch):
+        from repro.solvers.compiled import CompiledPlan
+
+        system = make_system(n=90, seed=33)
+        real = CompiledPlan.solve_many
+
+        def poisoned(self, B, **kw):
+            X = real(self, B, **kw)
+            X[0] = np.nan
+            return X
+
+        async def main():
+            engine = SolveEngine()
+            engine.register(system.L, name="m")
+            if warm:
+                await engine.solve("m", system.b)
+            monkeypatch.setattr(CompiledPlan, "solve_many", poisoned)
+            resp = await engine.solve("m", system.b)
+            quarantined = engine.quarantined("m")
+            launches = engine.trace_log.events(kind="launch")
+            failures = engine.trace_log.events(kind="kernel-failure")
+            await engine.close()
+            return resp, quarantined, launches, failures
+
+        resp, quarantined, launches, failures = run(main())
+        np.testing.assert_allclose(resp.x, system.x_true, rtol=1e-9)
+        assert resp.lane == "sim"
+        assert resp.fallback_from == "CompiledFused"
+        assert quarantined == {"CompiledFused"}
+        assert [(f["solver"], f["lane"], f["error"]) for f in failures] == [
+            ("CompiledFused", "host", "NonFiniteAnswerError")
+        ]
+        # no launch event for the rejected host answer
+        assert [e["lane"] for e in launches] == ["host"] * warm + ["sim"]
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_forced_host_lane_propagates_solver_error(self):
+        L = self.overflowing_chain()
+
+        async def main():
+            engine = SolveEngine(execution="host")
+            engine.register(L, name="tiny")
+            # the first block runs on the pool, the second inline
+            for _ in range(2):
+                with pytest.raises(SolverError, match="non-finite"):
+                    await engine.solve("tiny", np.ones(L.n_rows))
+            launches = engine.trace_log.events(kind="launch")
+            snap = engine.snapshot()
+            await engine.close()
+            return launches, snap
+
+        launches, snap = run(main())
+        assert launches == []
+        assert snap["lanes"]["host"]["batches"] == 0
+        assert snap["fallbacks"]["kernel_failures"] == 0
 
 
 class TestAdmissionValidation:

@@ -141,7 +141,7 @@ async def solve_schedule(engine, name, b):
 
 class TestLaneHintRouting:
     def test_hint_overrides_static_rule(self, tmp_path):
-        deep = deep_system()  # the rule picks the merged schedule
+        deep = deep_system()  # the rule picks the sequential schedule
 
         async def main():
             engine = SolveEngine()
@@ -157,10 +157,10 @@ class TestLaneHintRouting:
             return r_auto, r_hint, r_sim, r_back
 
         r_auto, r_hint, r_sim, r_back = run(main())
-        assert r_auto[1] == "merged"
+        assert r_auto[1] == "sequential"
         assert r_hint[1] == "level"
-        assert r_sim[1] == "merged"
-        assert r_back[1] == "merged"
+        assert r_sim[1] == "sequential"
+        assert r_back[1] == "sequential"
         assert {r.lane for r, _ in (r_auto, r_hint, r_sim, r_back)} == {
             "host"
         }
@@ -172,14 +172,14 @@ class TestLaneHintRouting:
         async def main():
             engine = SolveEngine()
             key = engine.register(system.L, name="m")
-            engine.registry.set_lane_hint(key, "merged")
+            engine.registry.set_lane_hint(key, "sequential")
             result = await solve_schedule(engine, "m", system.b)
             await engine.close()
             return result
 
         resp, schedule = run(main())
         assert resp.lane == "host"
-        assert schedule == "merged"
+        assert schedule == "sequential"
         np.testing.assert_allclose(resp.x, system.x_true, rtol=1e-9)
 
 
@@ -204,7 +204,7 @@ class TestEndToEndEfficacy:
         async def main():
             # the same deep matrix on both schedule variants, and the
             # same shallow matrix on the level plan and the simulator
-            await serve("host", deep, "deep", 4, hint="merged")
+            await serve("host", deep, "deep", 4, hint="sequential")
             await serve("host", deep, "deep", 4, hint="level")
             await serve("host", shallow, "shal", 4)
             await serve("sim", shallow, "shal", 4)
@@ -234,7 +234,7 @@ class TestEndToEndEfficacy:
         ]
         assert deep_cls and shal_cls
         assert set(report["classes"][deep_cls[0]]["lanes"]) == {
-            "level", "merged",
+            "level", "sequential",
         }
         assert set(report["classes"][shal_cls[0]]["lanes"]) == {
             "level", "sim",

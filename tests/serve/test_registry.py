@@ -129,7 +129,9 @@ class TestPlanArtifact:
         assert reg.has_plan(key)
         assert reg.stats() == built
         # a lane hint naming the other variant makes the peek cold again
-        other = "merged" if reg.schedule_for(key) == "level" else "level"
+        other = (
+            "sequential" if reg.schedule_for(key) == "level" else "level"
+        )
         reg.set_lane_hint(key, other)
         assert not reg.has_plan(key)
         reg.plan(key)
@@ -259,29 +261,14 @@ class TestConcurrentRegistration:
         assert reg.stats()["artifact_builds"] == 1
 
 
-class TestAdoptPlan:
-    def test_adopted_plan_is_served_and_counted(self):
+class TestShardStats:
+    def test_sharded_stats_carry_shard_id(self):
         reg = MatrixRegistry(shard_id=3)
-        L = random_unit_lower(60, 0.1, seed=50)
-        key = reg.register(L)
-        donor = MatrixRegistry()
-        plan = donor.plan(donor.register(L))
-        reg.adopt_plan(key, plan)
-        assert reg.plan(key) is plan  # no rebuild
+        reg.plan(reg.register(random_unit_lower(60, 0.1, seed=50)))
         stats = reg.stats()
-        assert stats["adopted_plans"] == 1
-        assert stats["artifact_builds"] == 0
         assert stats["shard"] == 3
-
-    def test_first_plan_wins(self):
-        reg = MatrixRegistry()
-        L = random_unit_lower(60, 0.1, seed=51)
-        key = reg.register(L)
-        local = reg.plan(key)
-        donor = MatrixRegistry()
-        reg.adopt_plan(key, donor.plan(donor.register(L)))
-        assert reg.plan(key) is local
-        assert reg.stats()["adopted_plans"] == 0
+        assert stats["artifact_builds"] == 2  # features + plan
+        assert "adopted_plans" not in stats
 
     def test_unsharded_stats_omit_shard_key(self):
         assert "shard" not in MatrixRegistry().stats()
@@ -396,16 +383,16 @@ class TestCompiledPlanArtifact:
     def test_variants_cached_independently(self):
         reg = MatrixRegistry()
         key = reg.register(random_unit_lower(60, 0.1, seed=9))
-        reg.set_lane_hint(key, "merged")
-        merged = reg.plan(key)
+        reg.set_lane_hint(key, "sequential")
+        sequential = reg.plan(key)
         reg.set_lane_hint(key, "level")
         level = reg.plan(key)
-        assert merged is not level
-        assert merged.schedule == "merged"
+        assert sequential is not level
+        assert sequential.schedule == "sequential"
         assert level.schedule == "level"
         assert level is reg.plan(key)
-        reg.set_lane_hint(key, "merged")
-        assert merged is reg.plan(key)
+        reg.set_lane_hint(key, "sequential")
+        assert sequential is reg.plan(key)
 
     def test_plan_bytes_enter_lru_budget(self):
         reg = MatrixRegistry()

@@ -1,15 +1,11 @@
 """Compiled fast-lane equivalence suite.
 
-Mirror of ``test_host_equivalence.py`` for the fused
+Mirror of ``test_host_equivalence.py`` for the
 :class:`~repro.solvers.compiled.CompiledPlan`: the fast-lane plan must
 agree with the cycle-level simulator on every synthetic domain, both
 triangular orientations, and every right-hand-side layout — under both
-the direct (``schedule="level"``) and level-merged
-(``schedule="merged"``) plans, and regardless of whether the numba JIT
-backend is present (the container this suite usually runs in has no
-numba, so the pure-numpy fused fallback is the code under test; a
-numba-equipped CI leg exercises the JIT path with the same
-assertions).
+the level-scheduled numpy executor (``schedule="level"``) and the
+SuperLU sweep (``schedule="sequential"``).
 
 Matrices are kept small (n = 80) because each comparison runs the SIMT
 simulator — the point is agreement, not throughput.
@@ -24,9 +20,9 @@ from repro.errors import SolverError
 from repro.solvers import WritingFirstCapelliniSolver
 from repro.solvers.compiled import (
     COMPILED_SCHEDULES,
-    HAVE_NUMBA,
     CompiledFusedSolver,
     build_compiled_plan,
+    pick_schedule,
     prefers_compiled,
 )
 from repro.solvers.multirhs import capellini_sptrsm
@@ -35,19 +31,6 @@ from repro.sparse.triangular import lower_triangular_system
 
 N = 80
 TOL = {"rtol": 1e-9, "atol": 1e-12}
-
-
-def _close(actual, expected):
-    np.testing.assert_allclose(actual, expected, rtol=1e-12)
-
-
-#: ``(force_fallback, agree)``: the numpy executor must agree with
-#: itself exactly across RHS layouts; the default backend (the numba
-#: kernel, when installed) sums in another order and gets a tolerance.
-_BACKENDS = (
-    (True, np.testing.assert_array_equal),
-    (False, _close),
-)
 
 
 @pytest.fixture(scope="module", params=sorted(DOMAINS))
@@ -113,17 +96,15 @@ class TestRHSLayouts:
         plan = build_compiled_plan(system.L, schedule=schedule)
         B = np.column_stack([system.b, -2.0 * system.b])
 
-        for force_fallback, agree in _BACKENDS:
-            x_1d = plan.solve(system.b, force_fallback=force_fallback)
-            X_c = plan.solve_many(B, force_fallback=force_fallback)
-            X_f = plan.solve_many(
-                np.asfortranarray(B), force_fallback=force_fallback
-            )
-            X_1d = plan.solve_many(system.b, force_fallback=force_fallback)
+        x_1d = plan.solve(system.b)
+        X_c = plan.solve_many(B)
+        X_f = plan.solve_many(np.asfortranarray(B))
+        X_1d = plan.solve_many(system.b)
 
-            agree(X_c[:, 0], x_1d)
-            agree(X_f, X_c)
-            agree(X_1d[:, 0], x_1d)
+        np.testing.assert_array_equal(X_c[:, 0], x_1d)
+        np.testing.assert_array_equal(X_f, X_c)
+        np.testing.assert_array_equal(X_1d[:, 0], x_1d)
+        assert X_c.flags["C_CONTIGUOUS"] and X_f.flags["C_CONTIGUOUS"]
 
     def test_noncontiguous_rhs(self, domain_system, schedule):
         system = domain_system
@@ -133,14 +114,9 @@ class TestRHSLayouts:
         )
         B = wide[:, ::2]  # non-contiguous view, k=3
         assert not B.flags["C_CONTIGUOUS"]
-        for force_fallback, agree in _BACKENDS:
-            X = plan.solve_many(B, force_fallback=force_fallback)
-            agree(
-                X,
-                plan.solve_many(
-                    np.ascontiguousarray(B), force_fallback=force_fallback
-                ),
-            )
+        np.testing.assert_array_equal(
+            plan.solve_many(B), plan.solve_many(np.ascontiguousarray(B))
+        )
 
     def test_float32_rhs_upcasts(self, domain_system, schedule):
         system = domain_system
@@ -154,9 +130,9 @@ class TestRHSLayouts:
 
 
 class TestColumnIndependence:
-    """Coalesced requests must not see each other: on the numpy
-    executor, column ``c`` of a ``k``-column solve is bit-identical to
-    the one-column solve of that column, whatever ``k`` and layout."""
+    """Coalesced requests must not see each other: column ``c`` of a
+    ``k``-column solve is bit-identical to the one-column solve of that
+    column, whatever ``k`` and layout."""
 
     @staticmethod
     def _block(system, k):
@@ -178,11 +154,10 @@ class TestColumnIndependence:
             B = np.repeat(B, 2, axis=1)[:, ::2]
             assert not B.flags["C_CONTIGUOUS"]
             assert not B.flags["F_CONTIGUOUS"]
-        X = plan.solve_many(B, force_fallback=True)
+        X = plan.solve_many(B)
         for c in range(k):
             np.testing.assert_array_equal(
-                X[:, c],
-                plan.solve_many(B[:, [c]], force_fallback=True)[:, 0],
+                X[:, c], plan.solve_many(B[:, [c]])[:, 0]
             )
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -192,19 +167,19 @@ class TestColumnIndependence:
     ):
         plan = build_compiled_plan(domain_system.L, schedule=schedule)
         B = self._block(domain_system, k)
-        clean = plan.solve_many(B, force_fallback=True)
+        clean = plan.solve_many(B)
         poisoned = B.copy()
         poisoned[:: 7, k // 2] = bad
         with np.errstate(invalid="ignore"):  # inf - inf in that column
-            X = plan.solve_many(poisoned, force_fallback=True)
+            X = plan.solve_many(poisoned)
         assert not np.all(np.isfinite(X[:, k // 2]))
         others = [c for c in range(k) if c != k // 2]
         np.testing.assert_array_equal(X[:, others], clean[:, others])
 
 
-class TestMergedVariant:
+class TestSequentialVariant:
     """Cases ``test_host_parallel.py`` runs on the level variant, on the
-    merged one."""
+    sequential one (the builder's default)."""
 
     @pytest.mark.parametrize(
         "shape", [(N + 1, 2), (N, 0), (N, 2, 1)], ids=["rows", "k0", "3d"]
@@ -222,7 +197,8 @@ class TestMergedVariant:
         system = lower_triangular_system(
             generate("graph", 300, seed=12), rng=np.random.default_rng(12)
         )
-        plan = build_compiled_plan(system.L, schedule="merged")
+        plan = build_compiled_plan(system.L)
+        assert plan.schedule == "sequential"
         widths = [1, 6, 2, 1, 8, 3] * 4
 
         def run(k):
@@ -236,32 +212,60 @@ class TestMergedVariant:
     def test_cache_keyed_by_content(self):
         from tests.conftest import random_unit_lower
 
-        solver = CompiledFusedSolver(schedule="merged", plan_cache_size=2)
+        solver = CompiledFusedSolver(plan_cache_size=2)
         L1 = random_unit_lower(50, 0.15, seed=20)
         L1_copy = random_unit_lower(50, 0.15, seed=20)  # same content
         L2 = random_unit_lower(50, 0.15, seed=21)
         assert solver.plan_for(L1) is solver.plan_for(L1_copy)
         assert solver.plan_for(L1) is not solver.plan_for(L2)
-        assert solver.plan_for(L1).schedule == "merged"
+        assert solver.plan_for(L1).schedule == "sequential"
 
 
 class TestFallback:
-    """The pure-numpy fused path must stand in for the JIT exactly."""
+    """What the serve tier's fallback ladder relies on: a factor the
+    sequential kernel cannot serve in natural order without fill is
+    refused with :class:`SolverError` (the error the ladder absorbs),
+    and the solver interface reports the variant it ran."""
 
-    def test_force_fallback_matches_default(self, domain_system, schedule):
-        system = domain_system
-        plan = build_compiled_plan(system.L, schedule=schedule)
-        x_default = plan.solve(system.b)
-        x_fallback = plan.solve(system.b, force_fallback=True)
-        if HAVE_NUMBA:
-            np.testing.assert_allclose(x_fallback, x_default, **TOL)
-        else:
-            # without numba both calls ARE the fallback: bit-identical
-            np.testing.assert_array_equal(x_fallback, x_default)
+    @staticmethod
+    def _patch_splu(monkeypatch, doctor):
+        import repro.solvers.compiled as compiled
+        from types import SimpleNamespace
 
-    def test_backend_reports_availability(self, domain_system, schedule):
-        plan = build_compiled_plan(domain_system.L, schedule=schedule)
-        assert plan.backend == ("numba" if HAVE_NUMBA else "numpy")
+        real = compiled.splu
+
+        def fake(A, **kw):
+            f = real(A, **kw)
+            fields = dict(
+                perm_r=f.perm_r, perm_c=f.perm_c, L=f.L, U=f.U,
+                shape=f.shape, solve=f.solve,
+            )
+            doctor(fields)
+            return SimpleNamespace(**fields)
+
+        monkeypatch.setattr(compiled, "splu", fake)
+
+    def test_permuted_factor_is_refused(self, monkeypatch):
+        self._patch_splu(
+            monkeypatch,
+            lambda f: f.update(perm_r=f["perm_r"][::-1].copy()),
+        )
+        with pytest.raises(SolverError, match="natural order"):
+            build_compiled_plan(generate("chain", N, seed=13))
+
+    def test_factor_with_fill_is_refused(self, monkeypatch):
+        def add_fill(f):
+            U = f["U"].tolil()
+            U[0, N - 1] = 1.0
+            f["U"] = U.tocsc()
+
+        self._patch_splu(monkeypatch, add_fill)
+        with pytest.raises(SolverError, match="fill"):
+            build_compiled_plan(generate("chain", N, seed=13))
+        # the level variant needs no factor
+        assert build_compiled_plan(
+            generate("chain", N, seed=13), schedule="level"
+        ).schedule == "level"
 
     def test_solver_extra_reports_schedule(self, domain_system, schedule):
         system = domain_system
@@ -281,3 +285,5 @@ class TestLaneSelection:
         assert prefers_compiled(deep)
         assert deep.n_levels >= 64
         assert not prefers_compiled(wide)
+        assert pick_schedule(deep) == "sequential"
+        assert pick_schedule(wide) == "level"
