@@ -131,7 +131,7 @@ def test_serving_coalescing(benchmark, output_dir):
     )
     batched_cycles = snapshot["sim"]["cycles"]
     width = snapshot["batches"]["width"]
-    cache = snapshot["cache"]
+    cache = snapshot["registry"]
     hit_rate = cache["hit_rate"]
 
     lines = [
@@ -206,7 +206,7 @@ def _lane_session(execution: str):
             "wall_s": wall,
             "solves_per_sec": LANE_REQUESTS / wall,
             "residual": residual,
-            "solver": responses[0].solver_name,
+            "solver": responses[0].solver,
             "lane": responses[0].lane,
             "batch_width_max": int(snapshot["batches"]["width"]["max"]),
         }

@@ -255,7 +255,9 @@ def build_parser() -> argparse.ArgumentParser:
                        "lane, cycle phases on the simulator lane)")
     p_srv.add_argument("--trace-log", metavar="PATH", default=None,
                        help="write the engine's structured event log "
-                       "(enqueue/batch/launch/publish, JSONL) to PATH")
+                       "(enqueue/launch/publish, tracelog/2 JSONL) to "
+                       "PATH; each publish event is the request's solve "
+                       "record with its four wall-clock phases")
     p_srv.add_argument("--spans", action="store_true",
                        help="drive the session through a small sharded "
                        "cluster with distributed tracing on and print "
@@ -975,7 +977,7 @@ def _cmd_serve_stats(args) -> int:
         }, indent=2))
     else:
         req, width = snap["requests"], snap["batches"]["width"]
-        lat, cache = snap["latency_ms"], snap["cache"]
+        lat, cache = snap["latency_ms"], snap["registry"]
         hit_rate = cache["hit_rate"]
         print(f"matrix        : {args.domain}, n={L.n_rows}, nnz={L.nnz}")
         print(f"requests      : {req['total']} total, "

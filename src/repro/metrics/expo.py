@@ -294,41 +294,21 @@ def render_openmetrics(
 
 
 def parse_openmetrics(text: str) -> dict:
-    """Parse exposition text back into ``{family: {series-key: value}}``.
+    """Parse exposition text into ``{family: {series-key: value}}``.
 
-    A sanity-check inverse for tests and smoke scripts, not a full
-    OpenMetrics parser: one series key is the sample name plus its
-    rendered labelset, e.g. ``'lane_batches_total{lane="host"}'``.
-    Raises ``ValueError`` on a malformed sample line or a missing
-    ``# EOF`` terminator.
+    A flat view of :func:`parse_openmetrics_full` for tests and smoke
+    scripts: one series key is the sample name plus its rendered
+    labelset, e.g. ``'lane_batches_total{lane="host"}'``.  Raises
+    ``ValueError`` on a malformed sample line or a missing ``# EOF``
+    terminator.
     """
-    if not text.endswith("# EOF\n"):
-        raise ValueError("exposition text must end with '# EOF'")
-    families: dict[str, dict] = {}
-    current = None
-    for line in text.splitlines():
-        if not line:
-            continue
-        if line.startswith("#"):
-            parts = line.split(None, 3)
-            if len(parts) >= 3 and parts[1] in ("HELP", "TYPE"):
-                current = parts[2]
-                families.setdefault(current, {})
-            continue
-        name_and_labels, _, value = line.rpartition(" ")
-        if not name_and_labels:
-            raise ValueError(f"malformed sample line: {line!r}")
-        try:
-            parsed = int(value)
-        except ValueError:
-            parsed = float(value)  # raises ValueError if not a number
-        sample_name = name_and_labels.split("{", 1)[0]
-        if current is None or not sample_name.startswith(current):
-            raise ValueError(
-                f"sample {sample_name!r} outside its family header"
-            )
-        families[current][name_and_labels] = parsed
-    return families
+    return {
+        name: {
+            name + suffix + _labelset(labels): value
+            for suffix, labels, value in info["samples"]
+        }
+        for name, info in parse_openmetrics_full(text).items()
+    }
 
 
 def _unescape(text: str) -> str:

@@ -99,7 +99,7 @@ def fleet_rollup(workers: Mapping[str, dict]) -> dict:
         field: _sum_field(snaps, "requests", field)
         for field in ("total", "completed", "failed", "timed_out", "rejected")
     }
-    registries = [s.get("registry") or s.get("cache") or {} for s in snaps]
+    registries = [s.get("registry") or {} for s in snaps]
     reg_hits = _sum_field(registries, "hits")
     reg_misses = _sum_field(registries, "misses")
     reg_lookups = reg_hits + reg_misses
@@ -252,7 +252,7 @@ def fleet_openmetrics(
         gauge("latency_p95_ms",
               "Observed p95 request latency, by worker (milliseconds).",
               (snap.get("latency_ms") or {}).get("p95", 0.0), worker=name)
-        registry = snap.get("registry") or snap.get("cache") or {}
+        registry = snap.get("registry") or {}
         gauge("registry_entries",
               "Registry entries resident, by worker.",
               registry.get("entries", 0), worker=name)

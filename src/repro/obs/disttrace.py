@@ -37,7 +37,6 @@ process, flow arrows router→worker) lives in
 
 from __future__ import annotations
 
-import json
 import threading
 import time
 import uuid
@@ -45,7 +44,7 @@ from collections import OrderedDict, deque
 from contextlib import contextmanager
 from typing import IO, Callable, Iterable, Optional, Union
 
-from repro.obs.tracelog import TraceLog, new_trace_id
+from repro.obs.tracelog import TraceLog, new_trace_id, write_tracelog
 
 __all__ = [
     "SPAN_CONTEXT_VERSION",
@@ -55,6 +54,7 @@ __all__ = [
     "ClockAligner",
     "TraceCollector",
     "new_span_id",
+    "span_event",
 ]
 
 #: Version stamped into the wire form of a span context.  Receivers
@@ -158,6 +158,26 @@ class Span:
         }
 
 
+def span_event(span: dict) -> dict:
+    """A finished span dict (:meth:`Span.to_dict`) as one TraceLog
+    ``span`` event: the span's name under ``span``, its attrs flattened
+    beside the span fields (a span field wins a name clash).  The one
+    form every span takes in a TraceLog or a ``tracelog/2`` file."""
+    event = dict(span.get("attrs") or {})
+    event.update(
+        kind="span",
+        trace_id=span.get("trace_id"),
+        span=span.get("name"),
+        span_id=span.get("span_id"),
+        parent_id=span.get("parent_id"),
+        process=span.get("process"),
+        start=span.get("start"),
+        end=span.get("end"),
+        duration_ms=span.get("duration_ms"),
+    )
+    return event
+
+
 class SpanRecorder:
     """Per-process span factory and buffer.
 
@@ -217,18 +237,7 @@ class SpanRecorder:
         span.attrs.update(attrs)
         record = span.to_dict()
         if self.trace_log is not None:
-            self.trace_log.emit(
-                "span",
-                trace_id=span.trace_id,
-                span=span.name,
-                span_id=span.span_id,
-                parent_id=span.parent_id,
-                process=span.process,
-                start=span.start,
-                end=span.end,
-                duration_ms=record["duration_ms"],
-                **span.attrs,
-            )
+            self.trace_log.emit(**span_event(record))
         with self._lock:
             self._finished += 1
         if self.sink is not None:
@@ -482,41 +491,33 @@ class TraceCollector:
         Each exemplar contributes one synthetic ``enqueue``/``publish``
         event pair (so ``repro-sptrsv replay`` re-drives the slow
         requests and its completion check balances) followed by its
-        ``span`` records; returns the exemplar count.
+        spans as :func:`span_event` records; returns the exemplar count.
         """
         exemplars = self.exemplars()
-        lines = [json.dumps({"schema": "tracelog/2"}, sort_keys=True)]
+        events = []
         for ex in exemplars:
             root = next(
                 (s for s in ex["spans"] if s.get("parent_id") is None),
                 None,
-            )
-            attrs = (root or {}).get("attrs", {})
-            lines.append(json.dumps({
+            ) or {}
+            attrs = root.get("attrs", {})
+            events.append({
                 "kind": "enqueue",
-                "ts": (root or {}).get("start", 0.0),
+                "ts": root.get("start", 0.0),
                 "trace_id": ex["trace_id"],
                 "matrix": attrs.get("matrix", "exemplar"),
                 "n_rhs": int(attrs.get("n_rhs", 1)),
                 "total_ms": ex["total_ms"],
                 "dominant_hop": ex["dominant_hop"],
-            }, sort_keys=True, default=str))
-            lines.append(json.dumps({
+            })
+            events.append({
                 "kind": "publish",
-                "ts": (root or {}).get("end", 0.0),
+                "ts": root.get("end", 0.0),
                 "trace_id": ex["trace_id"],
                 "latency_ms": ex["total_ms"],
-            }, sort_keys=True, default=str))
-            for span in ex["spans"]:
-                lines.append(json.dumps(
-                    dict(span, kind="span"), sort_keys=True, default=str
-                ))
-        text = "\n".join(lines) + "\n"
-        if hasattr(path_or_file, "write"):
-            path_or_file.write(text)
-        else:
-            with open(path_or_file, "w", encoding="utf-8") as fh:
-                fh.write(text)
+            })
+            events.extend(span_event(span) for span in ex["spans"])
+        write_tracelog(path_or_file, events)
         return len(exemplars)
 
     # ------------------------------------------------------------------

@@ -1,15 +1,14 @@
 """Bounded structured event log with request-scoped trace ids.
 
 The serving layer answers "*why* was this request slow" by emitting one
-structured event per lifecycle step — ``enqueue`` → ``batch`` →
-``launch`` → ``publish`` (plus ``reject``/``timeout``/``kernel-failure``
-/``fallback`` on the unhappy paths) — all carrying the request's trace
-id, so one grep over the JSONL output reconstructs a request's journey
-through batching and the fallback ladder.  ``launch`` and ``publish``
-events additionally carry the execution ``lane`` (``"host"`` for the
-registry's inspector-executor plan, ``"sim"`` for the cycle-level
-simulator), so lane routing is auditable per batch, not just in the
-aggregate telemetry counters.
+structured event per lifecycle step — ``enqueue`` → ``launch`` →
+``publish`` (plus ``reject``/``timeout``/``kernel-failure``/``fallback``
+on the unhappy paths) — all carrying the request's trace id, so one
+grep over the JSONL output reconstructs a request's journey through
+batching and the fallback ladder.  A ``launch`` names its block
+(``batch_id``, ``width`` requests, their ``trace_ids``) and execution
+``lane``; a ``publish`` is the request's rendered
+:class:`~repro.serve.requests.SolveResponse`, phases included.
 
 The log is a fixed-capacity ring: appends are O(1), memory is bounded
 by construction, and the count of events dropped at the head is
@@ -26,9 +25,9 @@ import threading
 import time
 import uuid
 from collections import deque
-from typing import IO, Optional, Union
+from typing import IO, Iterable, Optional, Union
 
-__all__ = ["TraceLog", "TRACELOG_SCHEMA", "new_trace_id"]
+__all__ = ["TraceLog", "TRACELOG_SCHEMA", "new_trace_id", "write_tracelog"]
 
 #: Schema tag stamped as the first line of every JSONL export.  ``/2``
 #: added the header itself plus distributed ``span`` events; readers
@@ -89,8 +88,9 @@ class TraceLog:
         return out
 
     def request_timeline(self, trace_id: str) -> list[dict]:
-        """Every retained event of one request, plus the batch/launch
-        events of the batch it rode on (matched via ``trace_ids``)."""
+        """Every retained event of one request, plus the launch (and
+        failure/fallback) events of the block it rode on (matched via
+        ``trace_ids``)."""
         with self._lock:
             out = [
                 e
@@ -117,27 +117,24 @@ class TraceLog:
         }
 
     # ------------------------------------------------------------------
-    def to_jsonl(self) -> str:
-        """Retained events as newline-delimited JSON, preceded by the
-        ``{"schema": "tracelog/2"}`` header line."""
-        lines = [json.dumps({"schema": TRACELOG_SCHEMA}, sort_keys=True)]
-        lines.extend(
-            json.dumps(e, sort_keys=True, default=str) for e in self.events()
-        )
-        return "\n".join(lines)
-
     def write_jsonl(self, path_or_file: Union[str, IO[str]]) -> int:
-        """Write the schema header + retained events as JSONL; returns
-        the event count (the header line is not an event)."""
-        events = self.events()
-        lines = [json.dumps({"schema": TRACELOG_SCHEMA}, sort_keys=True)]
-        lines.extend(
-            json.dumps(e, sort_keys=True, default=str) for e in events
-        )
-        text = "\n".join(lines) + "\n"
-        if hasattr(path_or_file, "write"):
-            path_or_file.write(text)
-        else:
-            with open(path_or_file, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        return len(events)
+        """Write the retained events with :func:`write_tracelog`."""
+        return write_tracelog(path_or_file, self.events())
+
+
+def write_tracelog(
+    path_or_file: Union[str, IO[str]], events: Iterable[dict]
+) -> int:
+    """The one ``tracelog/2`` JSONL writer: the ``{"schema": ...}``
+    header line, then one sorted-key JSON line per event, to a path or
+    an open text file.  Returns the event count (the header is not an
+    event)."""
+    lines = [json.dumps({"schema": TRACELOG_SCHEMA}, sort_keys=True)]
+    lines.extend(json.dumps(e, sort_keys=True, default=str) for e in events)
+    text = "\n".join(lines) + "\n"
+    if hasattr(path_or_file, "write"):
+        path_or_file.write(text)
+    else:
+        with open(path_or_file, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    return len(lines) - 1

@@ -50,6 +50,7 @@ import numpy as np
 import repro.errors as _errors
 from repro.errors import (
     ClusterError,
+    InvalidRequestError,
     ReproError,
     RequestTimeoutError,
     SolverError,
@@ -61,11 +62,13 @@ from repro.obs.disttrace import (
     SpanContext,
     SpanRecorder,
     TraceCollector,
+    span_event,
 )
-from repro.obs.tracelog import TRACELOG_SCHEMA, new_trace_id
+from repro.obs.tracelog import new_trace_id, write_tracelog
 from repro.serve.arena import PlanArena, PlanHandle, SegmentCache, Slab, SlabPool
 from repro.serve.engine import EXECUTION_MODES
 from repro.serve.registry import MatrixRegistry
+from repro.serve.requests import SolveResponse, solve_fields
 from repro.serve.shardproto import (
     OP_CLOSE,
     OP_PING,
@@ -98,21 +101,13 @@ _MAX_DEATHS = 5
 
 
 @dataclass(frozen=True)
-class ClusterResponse:
-    """Result of one cluster solve (the pipe-protocol counterpart of
-    :class:`~repro.serve.requests.SolveResponse`)."""
+class ClusterResponse(SolveResponse):
+    """Result of one cluster solve: the worker engine's
+    :class:`~repro.serve.requests.SolveResponse`, rebuilt from its
+    rendered reply ``meta``, plus the node that served it.
+    ``latency_ms`` and ``phases`` are the worker engine's."""
 
-    x: np.ndarray
-    solver_name: str
-    matrix_key: str
-    worker: str
-    n_rhs: int
-    batch_width: int
-    exec_ms: float
-    latency_ms: float
-    cycles: int
-    lane: str
-    trace_id: str
+    worker: str = ""
 
 
 def _jsonable(obj):
@@ -240,45 +235,28 @@ async def _worker_serve(conn, worker_id: int, config: dict) -> None:
                     )
                     X = resp.x.reshape(n, k)
                 solve_span.attrs.update(
-                    lane=resp.lane, solver=resp.solver_name,
+                    lane=resp.lane, solver=resp.solver,
                     batch_width=resp.batch_width,
                 )
-            meta = {
-                "solver": resp.solver_name,
-                "lane": resp.lane,
-                "exec_ms": resp.exec_ms,
-                "latency_ms": resp.latency_ms,
-                "batch_width": resp.batch_width,
-                "cycles": resp.cycles,
-                "trace_id": resp.trace_id,
-            }
+            out = {"op": OP_RESULT, "rid": rid, "ok": True,
+                   "meta": solve_fields(resp)}
+            payload = b""
             # the reply span covers serialization / slab write-back and
             # finishes *before* the frame is sent so it ships with this
             # very reply (the pipe flight itself is the remainder of the
             # router's root span)
-            if slab_name is not None:
-                # B has been fully consumed: reuse the request slab for
-                # the solution (same shape) — zero new segments
-                with recorder.span(
-                    "reply", trace_id=trace_id, parent_id=parent_id,
-                    attrs={"via": "slab"},
-                ):
-                    out = slabs.ndarray(slab_name, (n, k))
-                    out[...] = X
-                await reply({
-                    "op": OP_RESULT, "rid": rid, "ok": True,
-                    "slab": slab_name, "meta": meta,
-                })
-            else:
-                with recorder.span(
-                    "reply", trace_id=trace_id, parent_id=parent_id,
-                    attrs={"via": "inline"},
-                ):
+            with recorder.span(
+                "reply", trace_id=trace_id, parent_id=parent_id,
+                attrs={"via": "inline" if slab_name is None else "slab"},
+            ):
+                if slab_name is not None:
+                    # B has been fully consumed: reuse the request slab
+                    # for the solution (same shape) — zero new segments
+                    slabs.ndarray(slab_name, (n, k))[...] = X
+                    out["slab"] = slab_name
+                else:
                     payload = np.ascontiguousarray(X).tobytes()
-                await reply(
-                    {"op": OP_RESULT, "rid": rid, "ok": True, "meta": meta},
-                    payload,
-                )
+            await reply(out, payload)
         except BaseException as exc:  # noqa: BLE001 - forwarded to router
             await reply({
                 "op": OP_RESULT, "rid": rid, "ok": False,
@@ -575,7 +553,15 @@ class ShardRouter:
         with self._lock:
             self._published[key] = (handle, name)
             worker = self._workers[self._ring.node_for(key)]
-        self._register_with(worker, handle, name)
+        try:
+            self._register_with(worker, handle, name)
+        except BaseException:
+            # unpublish, so a retry registers afresh instead of
+            # returning a key no worker holds
+            with self._lock:
+                self._published.pop(key, None)
+            self._arena.unlink(key)
+            raise
         return key
 
     def _register_with(
@@ -626,9 +612,9 @@ class ShardRouter:
         if B.ndim == 1:
             B = B.reshape(-1, 1)
         if B.ndim != 2 or B.shape[0] != entry.matrix.n_rows or B.shape[1] == 0:
-            raise ClusterError(
-                f"B must have shape ({entry.matrix.n_rows}, k>=1), "
-                f"got {B.shape}"
+            raise InvalidRequestError(
+                f"right-hand side has shape {B.shape}, expected "
+                f"({entry.matrix.n_rows}, k>=1)"
             )
         with self._lock:
             if self._closing:
@@ -802,28 +788,12 @@ class ShardRouter:
             self._slabs.release(slab)
         else:
             X = np.frombuffer(body, dtype=np.float64).reshape(shape).copy()
-        x = X[:, 0] if single else X
-        trace_id = meta.get("trace_id", "")
         if root is not None:
-            trace_id = trace_id or root.trace_id
             self._recorder.finish(
-                root,
-                ok=True,
-                lane=meta.get("lane", ""),
-                solver=meta.get("solver", ""),
+                root, ok=True, lane=meta["lane"], solver=meta["solver"]
             )
         response = ClusterResponse(
-            x=x,
-            solver_name=meta.get("solver", ""),
-            matrix_key=header.get("key", ""),
-            worker=worker.node,
-            n_rhs=shape[1],
-            batch_width=int(meta.get("batch_width", 1)),
-            exec_ms=float(meta.get("exec_ms", 0.0)),
-            latency_ms=float(meta.get("latency_ms", 0.0)),
-            cycles=int(meta.get("cycles", 0)),
-            lane=meta.get("lane", ""),
-            trace_id=trace_id,
+            x=X[:, 0] if single else X, worker=worker.node, **meta
         )
         if not fut.done():
             fut.set_result(response)
@@ -890,12 +860,7 @@ class ShardRouter:
             for key in sorted(worker.keys):
                 with self._lock:
                     handle, name = self._published[key]
-                self._request(
-                    worker,
-                    {"op": OP_REGISTER, "handle": handle.to_json(),
-                     "name": name},
-                    timeout=self.spawn_timeout,
-                )
+                self._register_with(worker, handle, name)
             with self._rid_lock:
                 self._respawns += 1
         except (ReproError, OSError):  # pragma: no cover - respawn failed
@@ -1057,41 +1022,17 @@ class ShardRouter:
         ``repro-sptrsv replay`` and offline tooling can read end to end.
         Returns the number of event lines written (header excluded).
         """
-        import json
-
-        lines = [json.dumps({"schema": TRACELOG_SCHEMA}, sort_keys=True)]
-        count = 0
+        events = []
         if self._collector is not None:
-            for span in self._collector.all_spans():
-                if span.get("process") != "router":
-                    continue  # worker spans come from their own TraceLog
-                record = {
-                    "kind": "span",
-                    "ts": span.get("start"),
-                    "worker": "router",
-                    "trace_id": span.get("trace_id"),
-                    "span": span.get("name"),
-                    "span_id": span.get("span_id"),
-                    "parent_id": span.get("parent_id"),
-                    "start": span.get("start"),
-                    "end": span.get("end"),
-                    "duration_ms": span.get("duration_ms"),
-                }
-                attrs = span.get("attrs")
-                if isinstance(attrs, dict):
-                    for k, v in attrs.items():
-                        record.setdefault(k, v)
-                lines.append(json.dumps(record, sort_keys=True, default=str))
-                count += 1
-        for node, events in sorted(self.trace_events().items()):
-            for event in events:
-                if isinstance(event, dict):
-                    event = dict(event, worker=node)
-                lines.append(json.dumps(event, sort_keys=True, default=str))
-                count += 1
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
-        return count
+            events.extend(
+                dict(span_event(span), worker="router")
+                for span in self._collector.all_spans()
+                # worker spans come from their own TraceLog
+                if span.get("process") == "router"
+            )
+        for node, worker_events in sorted(self.trace_events().items()):
+            events.extend(dict(e, worker=node) for e in worker_events)
+        return write_tracelog(path, events)
 
     def router_stats(self) -> dict:
         with self._rid_lock:

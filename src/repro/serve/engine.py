@@ -68,8 +68,8 @@ Execution model
   only that request fails (``NonFiniteAnswerError``).
   Bounded queueing (``QueueFullError``) and per-request deadlines
   (``RequestTimeoutError``) keep the engine shedding load instead of
-  buffering it; a right-hand side with NaN or Inf entries is refused at
-  admission (``InvalidRequestError``).
+  buffering it; a right-hand side of the wrong shape or with NaN or Inf
+  entries is refused at admission (``InvalidRequestError``).
 * Deadlines: a block cannot be interrupted, and one running inline
   holds the loop, so the deadline timer cannot fire while it runs.  On
   both paths a result that reaches its request after the deadline (read
@@ -86,7 +86,6 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
-from dataclasses import replace
 from typing import Iterable, Optional
 
 import numpy as np
@@ -111,7 +110,12 @@ from repro.obs.profiler import Profiler, profiling
 from repro.obs.report import phase_digest
 from repro.obs.tracelog import TraceLog, new_trace_id
 from repro.serve.registry import MatrixRegistry, RegisteredMatrix
-from repro.serve.requests import BlockOutcome, PendingSolve, SolveResponse
+from repro.serve.requests import (
+    BlockOutcome,
+    PendingSolve,
+    SolveResponse,
+    solve_fields,
+)
 from repro.serve.telemetry import ServeTelemetry
 from repro.solvers._sim import instrumentation_active
 from repro.solvers.base import SpTRSVSolver
@@ -202,7 +206,7 @@ class SolveEngine:
         self.default_timeout = default_timeout
         self.telemetry = telemetry if telemetry is not None else ServeTelemetry()
         #: bounded structured event log; every request gets a trace id
-        #: and an enqueue → batch → launch → publish event trail
+        #: and an enqueue → launch → publish event trail
         self.trace_log = trace_log if trace_log is not None else TraceLog()
         #: when True, every launch event carries a phase digest native
         #: to its lane: wall-clock gather/reduce/scatter for host-lane
@@ -282,12 +286,8 @@ class SolveEngine:
         """
         entry = self.registry.get(ref)
         b = np.ascontiguousarray(b, dtype=np.float64)
-        if b.shape != (entry.matrix.n_rows,):
-            raise SolverError(
-                f"b has shape {b.shape}, expected ({entry.matrix.n_rows},)"
-            )
         trace_id = trace_id or new_trace_id()
-        self._admit(b, trace_id, entry.key)
+        self._admit(b, 1, trace_id, entry)
         self.trace_log.emit(
             "enqueue", trace_id=trace_id, matrix=entry.key, n_rhs=1,
             queue_depth=self._depth,
@@ -331,13 +331,8 @@ class SolveEngine:
         B = np.ascontiguousarray(B, dtype=np.float64)
         if B.ndim == 1:
             B = B.reshape(-1, 1)
-        if B.ndim != 2 or B.shape[0] != entry.matrix.n_rows or B.shape[1] == 0:
-            raise SolverError(
-                f"B must have shape ({entry.matrix.n_rows}, k>=1), "
-                f"got {B.shape}"
-            )
         trace_id = trace_id or new_trace_id()
-        self._admit(B, trace_id, entry.key)
+        self._admit(B, 2, trace_id, entry)
         self.trace_log.emit(
             "enqueue", trace_id=trace_id, matrix=entry.key,
             n_rhs=B.shape[1], queue_depth=self._depth,
@@ -382,11 +377,8 @@ class SolveEngine:
 
     def snapshot(self) -> dict:
         """Telemetry + registry statistics + quarantine state, one dict."""
-        stats = self.registry.stats()
-        snap = self.telemetry.snapshot(cache=stats)
-        # "cache" (inside the telemetry snapshot) predates the registry
-        # growing non-cache state; "registry" is the canonical key.
-        snap["registry"] = stats
+        snap = self.telemetry.snapshot()
+        snap["registry"] = self.registry.stats()
         with self._quarantine_lock:
             snap["quarantined"] = {
                 key: sorted(names)
@@ -439,9 +431,20 @@ class SolveEngine:
     # ------------------------------------------------------------------
     # batching front (runs on the event loop)
     # ------------------------------------------------------------------
-    def _admit(self, B: np.ndarray, trace_id: str, matrix_key: str) -> None:
-        """Admit one request whose right-hand side ``B`` has the right
-        shape, or reject it (counted, traced, raised) before it queues."""
+    def _admit(
+        self, B: np.ndarray, ndim: int, trace_id: str, entry: RegisteredMatrix
+    ) -> None:
+        """Admit one request, or reject it (counted, traced, raised)
+        before it queues.  ``B`` must be ``(n,)`` (``ndim`` 1) or
+        ``(n, k>=1)`` (``ndim`` 2) for the matrix's ``n`` rows."""
+        matrix_key = entry.key
+        n = entry.matrix.n_rows
+        if B.ndim != ndim or B.shape[0] != n or B.size == 0:
+            self._reject(trace_id, matrix_key, "shape")
+            expected = f"({n},)" if ndim == 1 else f"({n}, k>=1)"
+            raise InvalidRequestError(
+                f"right-hand side has shape {B.shape}, expected {expected}"
+            )
         if not np.isfinite(B).all():
             self._reject(trace_id, matrix_key, "non-finite")
             raise InvalidRequestError(
@@ -530,10 +533,6 @@ class SolveEngine:
         self.telemetry.batch_width.observe(width)
         batch_id = new_trace_id()
         trace_ids = tuple(r.trace_id for r in batch)
-        self.trace_log.emit(
-            "batch", batch_id=batch_id, matrix=entry.key, width=width,
-            trace_ids=list(trace_ids),
-        )
         B = (
             batch[0].b.reshape(-1, 1)
             if width == 1
@@ -568,77 +567,63 @@ class SolveEngine:
         *,
         n_rhs: int,
     ) -> SolveResponse:
-        latency_ms = (time.perf_counter() - req.submitted_at) * 1e3
-        self.telemetry.latency_ms.observe(latency_ms)
-        self.telemetry.record_lane_latency(outcome.lane, latency_ms)
-        self.telemetry.requests_completed.inc()
-        self.trace_log.emit(
-            "publish", trace_id=req.trace_id, solver=outcome.solver_name,
-            lane=outcome.lane, latency_ms=round(latency_ms, 3),
-            batch_width=outcome.batch_width,
-        )
-        if self.journal is not None:
-            self._journal_solve(entry, req, outcome, latency_ms, n_rhs)
+        """Build the request's record and render it to every sink."""
+        now = time.perf_counter()
         x = outcome.X[:, col]
         if isinstance(col, int):
             x = x.copy()
-        return SolveResponse(
+        resp = SolveResponse(
             x=x,
-            solver_name=outcome.solver_name,
-            matrix_key=entry.key,
+            solver=outcome.solver_name,
+            matrix=entry.key,
             n_rhs=n_rhs,
             batch_width=outcome.batch_width,
             exec_ms=outcome.exec_ms,
             cycles=outcome.cycles,
-            latency_ms=latency_ms,
+            latency_ms=(now - req.submitted_at) * 1e3,
             fallback_from=outcome.fallback_from,
             trace_id=req.trace_id,
             lane=outcome.lane,
+            schedule=outcome.schedule,
+            dispatch=outcome.dispatch,
+            phases={
+                "queue_ms": (outcome.block_at - req.submitted_at) * 1e3,
+                "handoff_ms": (outcome.ladder_at - outcome.block_at) * 1e3,
+                "kernel_ms": (outcome.done_at - outcome.ladder_at) * 1e3,
+                "publish_ms": (now - outcome.done_at) * 1e3,
+            },
         )
+        self.telemetry.record_solve(resp)
+        fields = solve_fields(resp)
+        self.trace_log.emit("publish", **fields)
+        if self.journal is not None:
+            self._journal_solve(fields)
+        return resp
 
-    def _journal_solve(
-        self,
-        entry: RegisteredMatrix,
-        req: PendingSolve,
-        outcome: BlockOutcome,
-        latency_ms: float,
-        n_rhs: int,
-    ) -> None:
-        """One durable flight-recorder record per completed request.
+    def _journal_solve(self, fields: dict) -> None:
+        """One durable flight-recorder record per completed request:
+        the rendered record plus the matrix's features and an outcome.
 
         Features come from the registry cache (the lane policy already
-        built them for every served matrix), so the record costs one
-        dict build and one buffered write — the <5% budget
-        ``bench_journal_overhead.py`` enforces.
+        built them for every served matrix) and are rendered once per
+        key, so the record costs one dict merge and one buffered write —
+        the <5% budget ``bench_journal_overhead.py`` enforces.
         """
-        feature_fields = self._journal_features.get(entry.key)
+        key = fields["matrix"]
+        feature_fields = self._journal_features.get(key)
         if feature_fields is None:
-            feats = self.registry.features(entry.key)
-            feature_fields = self._journal_features[entry.key] = {
+            feats = self.registry.features(key)
+            feature_fields = self._journal_features[key] = {
                 "n_rows": feats.n_rows,
                 "nnz": feats.nnz,
                 "n_levels": feats.n_levels,
                 "granularity": round(float(feats.granularity), 6),
                 "avg_nnz_per_row": round(float(feats.avg_nnz_per_row), 6),
             }
-        exec_ms = round(float(outcome.exec_ms), 4)
-        queue_ms = round(max(latency_ms - exec_ms, 0.0), 4)
         self.journal.record_solve(
-            matrix=entry.key,
-            trace_id=req.trace_id,
-            lane=outcome.lane,
-            solver=outcome.solver_name,
-            schedule=outcome.schedule,
-            batch_width=outcome.batch_width,
-            n_rhs=n_rhs,
-            latency_ms=round(latency_ms, 4),
-            queue_ms=queue_ms,
-            exec_ms=exec_ms,
-            phases={"queue_ms": queue_ms, "exec_ms": exec_ms},
-            cycles=outcome.cycles,
-            outcome="fallback" if outcome.fallback_from else "ok",
-            fallback_from=outcome.fallback_from,
+            **fields,
             **feature_fields,
+            outcome="fallback" if fields["fallback_from"] else "ok",
         )
 
     def _incident(
@@ -685,29 +670,29 @@ class SolveEngine:
     def _emit_launch(
         self,
         entry: RegisteredMatrix,
-        solver_name: str,
-        cycles: int,
-        profiler: Optional[Profiler],
+        outcome: BlockOutcome,
         batch_id: str,
         trace_ids: tuple,
-    ) -> None:
-        """One ``launch`` event per kernel launch that served a block."""
+        profile: Optional[dict],
+        **extra,
+    ) -> BlockOutcome:
+        """The one ``launch`` event of the kernel launch that served a
+        block (``width`` requests); returns ``outcome``."""
         fields = {
             "batch_id": batch_id,
             "matrix": entry.key,
-            "solver": solver_name,
-            "lane": "sim",
-            "dispatch": "pool",
-            "cycles": cycles,
+            "solver": outcome.solver_name,
+            "lane": outcome.lane,
+            "dispatch": outcome.dispatch,
+            "cycles": outcome.cycles,
+            "width": len(trace_ids),
             "trace_ids": list(trace_ids),
+            **extra,
         }
-        if profiler is not None and profiler.launches:
-            fields["profile"] = phase_digest(
-                profiler.profile(
-                    solver_name=solver_name, device_name=self.device.name
-                )
-            )
+        if profile is not None:
+            fields["profile"] = profile
         self.trace_log.emit("launch", **fields)
+        return outcome
 
     async def _run_block(
         self,
@@ -727,16 +712,20 @@ class SolveEngine:
         invisible on the worker thread, and the lane policy must see it
         to force the simulator.
         """
+        block_at = time.perf_counter()
+        ladder_at = outcome = None
         suspects: dict = {}
         if self._serves_inline(entry, len(trace_ids)):
             # only the host step runs here: after a failure, the one
             # failure handler quarantines it and the pool runs the rest
             # of the ladder, where the skipped step is ``fallback_from``
+            ladder_at = time.perf_counter()
             try:
-                return self._run_plan(
+                outcome = self._run_plan(
                     entry, B, coalesced, batch_id, trace_ids,
                     dispatch="inline",
                 )
+                outcome.done_at = time.perf_counter()
             except FALLBACK_ERRORS as exc:
                 if self.execution == "host":
                     raise  # forced host lane: failures propagate
@@ -746,18 +735,25 @@ class SolveEngine:
                     self._kernel_failed(
                         entry, HOST_LANE, "host", exc, batch_id, trace_ids
                     )
-        ctx = contextvars.copy_context()
-        self._pool_blocks += 1
-        try:
-            return await asyncio.get_running_loop().run_in_executor(
-                self._executor,
-                lambda: ctx.run(
-                    self._execute_block, entry, B, coalesced, batch_id,
-                    trace_ids, suspects,
-                ),
-            )
-        finally:
-            self._pool_blocks -= 1
+        if outcome is None:
+            ctx = contextvars.copy_context()
+            self._pool_blocks += 1
+            try:
+                outcome = await asyncio.get_running_loop().run_in_executor(
+                    self._executor,
+                    lambda: ctx.run(
+                        self._execute_block, entry, B, coalesced, batch_id,
+                        trace_ids, suspects,
+                    ),
+                )
+            finally:
+                self._pool_blocks -= 1
+        if ladder_at is not None:
+            # the ladder walk began with the inline host step, even one
+            # that failed over to the pool
+            outcome.ladder_at = ladder_at
+        outcome.block_at = block_at
+        return outcome
 
     def _serves_inline(self, entry: RegisteredMatrix, n_requests: int) -> bool:
         """Whether a block of ``n_requests`` runs on the event loop.
@@ -816,27 +812,8 @@ class SolveEngine:
         _check_finite(HOST_LANE, X)
         exec_ms = (time.perf_counter() - t0) * 1e3
         self.telemetry.record_lane("host", k, exec_ms=exec_ms)
-        fields = {
-            "batch_id": batch_id,
-            "matrix": entry.key,
-            "solver": HOST_LANE,
-            "lane": "host",
-            "dispatch": dispatch,
-            "cycles": 0,
-            "exec_ms": round(exec_ms, 3),
-            "n_levels": plan.n_levels,
-            "base_levels": plan.base_levels,
-            "schedule": plan.schedule,
-            "trace_ids": list(trace_ids),
-        }
-        if profiler is not None:
-            new_launches = profiler.launches[first_new:]
-            if new_launches:
-                fields["profile"] = host_phase_digest(
-                    new_launches, solver_name=HOST_LANE
-                )
-        self.trace_log.emit("launch", **fields)
-        return BlockOutcome(
+        launches = profiler.launches[first_new:] if profiler is not None else []
+        outcome = BlockOutcome(
             X=X,
             solver_name=HOST_LANE,
             exec_ms=exec_ms,
@@ -844,6 +821,14 @@ class SolveEngine:
             batch_width=k if coalesced else 1,
             lane="host",
             schedule=plan.schedule,
+            dispatch=dispatch,
+        )
+        return self._emit_launch(
+            entry, outcome, batch_id, trace_ids,
+            host_phase_digest(launches, solver_name=HOST_LANE)
+            if launches else None,
+            exec_ms=round(exec_ms, 3), n_levels=plan.n_levels,
+            base_levels=plan.base_levels, schedule=plan.schedule,
         )
 
     def _run_batched(
@@ -895,13 +880,19 @@ class SolveEngine:
         self.telemetry.sim_cycles.inc(cycles)
         self.telemetry.sim_exec_ms.inc(exec_ms)
         self.telemetry.record_lane("sim", k)
-        self._emit_launch(entry, name, cycles, profiler, batch_id, trace_ids)
-        return BlockOutcome(
+        outcome = BlockOutcome(
             X=X,
             solver_name=name,
             exec_ms=exec_ms,
             cycles=cycles,
             batch_width=k if coalesced else 1,
+        )
+        return self._emit_launch(
+            entry, outcome, batch_id, trace_ids,
+            phase_digest(
+                profiler.profile(solver_name=name, device_name=self.device.name)
+            )
+            if profiler is not None and profiler.launches else None,
         )
 
     def _kernel_failed(
@@ -969,9 +960,12 @@ class SolveEngine:
         no step answers finitely, the request fails with
         :class:`NonFiniteAnswerError` and nothing is quarantined.
         """
+        ladder_at = time.perf_counter()
         if self.execution == "host" and not self._sim_forced():
             # forced host lane: failures propagate to the caller
-            return self._run_plan(entry, B, coalesced, batch_id, trace_ids)
+            outcome = self._run_plan(entry, B, coalesced, batch_id, trace_ids)
+            outcome.ladder_at, outcome.done_at = ladder_at, time.perf_counter()
+            return outcome
         quarantined = self._quarantined_names(entry.key)
         suspects = dict(suspects or {})
         failures: list[str] = list(suspects)
@@ -1004,11 +998,8 @@ class SolveEngine:
                     fallback_from=failures[0], solver=outcome.solver_name,
                     trace_ids=list(trace_ids),
                 )
-                outcome = replace(
-                    outcome,
-                    fallback_from=failures[0],
-                    failures=tuple(failures),
-                )
+                outcome.fallback_from = failures[0]
+            outcome.ladder_at, outcome.done_at = ladder_at, time.perf_counter()
             return outcome
         if suspects:
             raise NonFiniteAnswerError(

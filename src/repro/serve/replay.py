@@ -117,7 +117,10 @@ def trace_counts(events: Iterable[dict]) -> dict:
             counts["timeouts"] += 1
         elif kind == "reject":
             counts["rejects"] += 1
-        elif kind == "batch":
+        elif kind == "launch" and e.get("batch_id") not in e.get(
+            "trace_ids", ()
+        ):
+            # a solve_multi block launches under its own trace id
             counts["batches"] += 1
     return counts
 

@@ -19,16 +19,12 @@ folded into the snapshot under ``"slo"``.
 from __future__ import annotations
 
 import threading
-from collections import deque
 from typing import Optional
 
 from repro.metrics.telemetry import Counter, Gauge, Histogram
 from repro.serve.slo import SLOTracker
 
 __all__ = ["ServeTelemetry"]
-
-#: How many failure / fallback events the snapshot retains verbatim.
-EVENT_TAIL = 100
 
 
 class ServeTelemetry:
@@ -116,7 +112,6 @@ class ServeTelemetry:
         self._lock = threading.Lock()
         self._fallback_by_solver: dict[str, int] = {}
         self._failures_by_solver: dict[str, int] = {}
-        self._events: deque[dict] = deque(maxlen=EVENT_TAIL)
 
     # ------------------------------------------------------------------
     # event recording
@@ -124,20 +119,14 @@ class ServeTelemetry:
     def record_kernel_failure(
         self, matrix_key: str, solver_name: str, error: BaseException
     ) -> None:
-        """One kernel raised on one matrix (it will be quarantined)."""
+        """One kernel raised on one matrix (it will be quarantined).
+
+        Only counted here; the matrix and error are in the engine's
+        ``kernel-failure`` trace event."""
         self.kernel_failures.inc()
         with self._lock:
             self._failures_by_solver[solver_name] = (
                 self._failures_by_solver.get(solver_name, 0) + 1
-            )
-            self._events.append(
-                {
-                    "kind": "kernel-failure",
-                    "matrix": matrix_key,
-                    "solver": solver_name,
-                    "error": type(error).__name__,
-                    "message": str(error),
-                }
             )
 
     def record_fallback_solve(
@@ -149,14 +138,6 @@ class ServeTelemetry:
             key = f"{from_solver}->{to_solver}"
             self._fallback_by_solver[key] = (
                 self._fallback_by_solver.get(key, 0) + 1
-            )
-            self._events.append(
-                {
-                    "kind": "fallback-solve",
-                    "matrix": matrix_key,
-                    "from": from_solver,
-                    "to": to_solver,
-                }
             )
 
     def record_lane(
@@ -177,6 +158,14 @@ class ServeTelemetry:
         else:
             self.sim_lane_batches.inc()
             self.sim_lane_rhs.inc(n_rhs)
+
+    def record_solve(self, resp) -> None:
+        """One completed request (a
+        :class:`~repro.serve.requests.SolveResponse`): its latency, in
+        aggregate and for the lane that served it."""
+        self.latency_ms.observe(resp.latency_ms)
+        self.record_lane_latency(resp.lane, resp.latency_ms)
+        self.requests_completed.inc()
 
     def record_lane_latency(self, lane: str, latency_ms: float) -> None:
         """One completed request's end-to-end latency, attributed to the
@@ -228,14 +217,11 @@ class ServeTelemetry:
         }
         return self.slo.snapshot(attempts=attempts, errors=errors)
 
-    def snapshot(self, *, cache: Optional[dict] = None) -> dict:
-        """JSON-friendly view of every signal, optionally with the
-        registry's cache statistics merged in under ``"cache"``."""
-        with self._lock:
-            fallback_by_solver = dict(self._fallback_by_solver)
-            failures_by_solver = dict(self._failures_by_solver)
-            events = list(self._events)
-        snap = {
+    def snapshot(self) -> dict:
+        """JSON-friendly view of every signal.  Per-failure detail lives
+        in the engine's TraceLog (``kernel-failure`` / ``fallback``
+        events), not here."""
+        return {
             "requests": {
                 "total": self.requests_total.value,
                 "completed": self.requests_completed.value,
@@ -254,9 +240,9 @@ class ServeTelemetry:
             },
             "fallbacks": {
                 "solves": self.fallback_solves.value,
-                "by_transition": fallback_by_solver,
+                "by_transition": self.fallbacks_by_transition(),
                 "kernel_failures": self.kernel_failures.value,
-                "failures_by_solver": failures_by_solver,
+                "failures_by_solver": self.failures_by_solver(),
             },
             "sim": {
                 "cycles": self.sim_cycles.value,
@@ -274,11 +260,7 @@ class ServeTelemetry:
                 },
             },
             "slo": self._slo_snapshot(),
-            "events": events,
         }
-        if cache is not None:
-            snap["cache"] = cache
-        return snap
 
     # internal views the exposition layer needs beyond the primitives
     def failures_by_solver(self) -> dict:

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import io
 import json
 import threading
 
 import pytest
 
 from repro.obs import TRACELOG_SCHEMA, TraceLog, new_trace_id
+from repro.obs.tracelog import write_tracelog
 
 
 class TestTraceIds:
@@ -61,14 +63,13 @@ class TestQueries:
         t1, t2 = new_trace_id(), new_trace_id()
         log.emit("enqueue", trace_id=t1)
         log.emit("enqueue", trace_id=t2)
-        log.emit("batch", batch_id="b1", trace_ids=[t1, t2])
-        log.emit("launch", batch_id="b1", trace_ids=[t1, t2])
+        log.emit("launch", batch_id="b1", width=2, trace_ids=[t1, t2])
         log.emit("publish", trace_id=t1)
         kinds = [e["kind"] for e in log.request_timeline(t1)]
-        assert kinds == ["enqueue", "batch", "launch", "publish"]
-        # t2's timeline shares batch/launch but not t1's publish
+        assert kinds == ["enqueue", "launch", "publish"]
+        # t2's timeline shares the launch but not t1's publish
         assert [e["kind"] for e in log.request_timeline(t2)] == [
-            "enqueue", "batch", "launch"
+            "enqueue", "launch"
         ]
 
 
@@ -85,7 +86,9 @@ class TestSerialization:
         parsed = [json.loads(line) for line in lines[1:]]
         assert parsed[0]["kind"] == "enqueue"
         assert parsed[1]["latency_ms"] == 1.5
-        assert log.to_jsonl() == "\n".join(lines)
+        buf = io.StringIO()
+        assert write_tracelog(buf, log.events()) == 2
+        assert buf.getvalue() == path.read_text()
 
     def test_empty_log_writes_header_only_file(self, tmp_path):
         path = tmp_path / "empty.jsonl"

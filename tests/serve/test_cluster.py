@@ -123,7 +123,7 @@ class TestRoutingAndSolving:
 
     def test_bad_shape_rejected(self, router, sharded):
         key, _ = sharded[0]
-        with pytest.raises(ClusterError):
+        with pytest.raises(InvalidRequestError, match="shape"):
             router.submit(key, np.ones((N + 1, 1)))
 
     def test_non_finite_rhs_rejected_by_worker(self, router, sharded):
@@ -152,6 +152,30 @@ class TestRoutingAndSolving:
         with pytest.raises(NotTriangularError):
             router.register(upper)
         assert router.router_stats()["arena"]["published"] == before
+
+    def test_failed_registration_can_be_retried(self, router, monkeypatch):
+        L = random_unit_lower(N, 0.1, seed=41)
+        system = lower_triangular_system(L)
+        before = set(leaked_segments())
+        real = router._register_with
+        calls = []
+
+        def fails_once(worker, handle, name):
+            calls.append(worker.node)
+            if len(calls) == 1:
+                raise WorkerDiedError("injected registration failure")
+            return real(worker, handle, name)
+
+        monkeypatch.setattr(router, "_register_with", fails_once)
+        with pytest.raises(WorkerDiedError, match="injected"):
+            router.register(L, name="flaky")
+        # unpublished: no segment outlives the failed registration
+        assert set(leaked_segments()) - before == set()
+        key = router.register(L, name="flaky")
+        assert len(calls) == 2  # the retry reached a worker
+        resp = router.solve(key, system.b)
+        np.testing.assert_allclose(resp.x, system.x_true, rtol=1e-9)
+        assert resp.matrix == key
 
     def test_ping_all_workers(self, router):
         replies = router.ping()

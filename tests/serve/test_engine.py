@@ -82,7 +82,7 @@ class TestSingleSolve:
         async def main():
             engine = SolveEngine()
             engine.register(system.L, name="m")
-            with pytest.raises(SolverError, match="shape"):
+            with pytest.raises(InvalidRequestError, match="shape"):
                 await engine.solve("m", np.zeros(7))
             await engine.close()
 
@@ -108,7 +108,7 @@ class TestCoalescing:
         for r in resps:
             np.testing.assert_allclose(r.x, system.x_true, rtol=1e-9)
             assert r.batch_width == n_req
-            assert r.solver_name == "Capellini-SpTRSM"
+            assert r.solver == "Capellini-SpTRSM"
         assert snap["batches"]["total"] == 1
         assert snap["batches"]["width"]["max"] == n_req
         assert snap["requests"]["completed"] == n_req
@@ -223,12 +223,14 @@ class TestFallbackLadder:
             engine.register(system.L, name="m")
             resp = await engine.solve("m", system.b)
             snap = engine.snapshot()
+            failures = engine.trace_log.events(kind="kernel-failure")
+            fallbacks = engine.trace_log.events(kind="fallback")
             await engine.close()
-            return resp, snap
+            return resp, snap, failures, fallbacks
 
-        resp, snap = run(main())
+        resp, snap, failures, fallbacks = run(main())
         np.testing.assert_allclose(resp.x, system.x_true, rtol=1e-9)
-        assert resp.solver_name == "Capellini-TwoPhase"
+        assert resp.solver == "Capellini-TwoPhase"
         assert resp.fallback_from == "Capellini"
         assert resp.used_fallback
         fb = snap["fallbacks"]
@@ -236,9 +238,13 @@ class TestFallbackLadder:
         assert fb["failures_by_solver"] == {"Capellini": 1}
         assert fb["solves"] == 1
         assert fb["by_transition"] == {"Capellini->Capellini-TwoPhase": 1}
-        events = [e["kind"] for e in snap["events"]]
-        assert "kernel-failure" in events and "fallback-solve" in events
-        assert snap["quarantined"] == {resp.matrix_key: ["Capellini"]}
+        (failure,) = failures
+        assert failure["solver"] == "Capellini"
+        assert failure["error"] == "HazardError"
+        (fallback,) = fallbacks
+        assert fallback["fallback_from"] == "Capellini"
+        assert fallback["solver"] == "Capellini-TwoPhase"
+        assert snap["quarantined"] == {resp.matrix: ["Capellini"]}
 
     def test_failed_kernel_is_never_silently_retried(self, monkeypatch):
         system = make_system(n=100, seed=13)
@@ -262,7 +268,7 @@ class TestFallbackLadder:
         r1, r2, snap = run(main())
         assert calls["n"] == 1  # quarantined after the first failure
         assert snap["fallbacks"]["kernel_failures"] == 1
-        assert r2.solver_name == "Capellini-TwoPhase"
+        assert r2.solver == "Capellini-TwoPhase"
         assert r2.fallback_from == "Capellini"
         np.testing.assert_allclose(r2.x, system.x_true, rtol=1e-9)
 
@@ -291,10 +297,10 @@ class TestFallbackLadder:
             np.testing.assert_allclose(r.x, system.x_true, rtol=1e-9)
             # batched SpTRSM shares quarantine with Writing-First, so
             # the per-request retry starts at Two-Phase
-            assert r.solver_name == "Capellini-TwoPhase"
+            assert r.solver == "Capellini-TwoPhase"
             assert r.fallback_from == "Capellini"
         assert snap["fallbacks"]["kernel_failures"] == 1
-        assert snap["quarantined"] == {resps[0].matrix_key: ["Capellini"]}
+        assert snap["quarantined"] == {resps[0].matrix: ["Capellini"]}
 
     def test_ladder_exhaustion_raises(self, monkeypatch):
         system = make_system(n=60, seed=15)
@@ -406,7 +412,7 @@ class TestSharedRegistry:
             return snap
 
         snap = run(main())
-        cache = snap["cache"]
+        cache = snap["registry"]
         assert cache["artifact_builds"] == 1  # features built once
         assert cache["hits"] > 0
         assert cache["hit_rate"] > 0.5
@@ -435,7 +441,7 @@ class TestExecutionLanes:
         for r in resps:
             np.testing.assert_allclose(r.x, system.x_true, rtol=1e-9)
             assert r.lane == "host"
-            assert r.solver_name == "CompiledFused"
+            assert r.solver == "CompiledFused"
             assert r.fallback_from is None
         lanes = snap["lanes"]
         assert lanes["host"]["batches"] >= 1
@@ -458,8 +464,8 @@ class TestExecutionLanes:
 
         snap = run(main())
         # features + plan, each built exactly once across both requests
-        assert snap["cache"]["artifact_builds"] == 2
-        assert snap["cache"]["hits"] > 0
+        assert snap["registry"]["artifact_builds"] == 2
+        assert snap["registry"]["hits"] > 0
 
     def test_profile_keeps_host_lane(self):
         # profile=True must NOT push traffic off the fast path: the
@@ -534,7 +540,7 @@ class TestExecutionLanes:
             assert r.fallback_from == "CompiledFused"
         # one failure, then quarantined — never silently retried
         assert snap["fallbacks"]["kernel_failures"] == 1
-        assert "CompiledFused" in snap["quarantined"][r1.matrix_key]
+        assert "CompiledFused" in snap["quarantined"][r1.matrix]
         assert snap["lanes"]["host"]["batches"] == 0
         assert snap["lanes"]["sim"]["batches"] == 2
 
@@ -574,9 +580,9 @@ class TestExecutionLanes:
 
 class TestSnapshotRegistry:
     def test_snapshot_includes_registry_stats(self):
-        """ISSUE 7 satellite: snapshot() must expose the registry's
-        stats() under "registry" (with "cache" kept as the legacy
-        alias), so fleet roll-ups see shard cache behaviour."""
+        """snapshot() exposes the registry's stats() under "registry"
+        (the one key; the old "cache" alias is gone), so fleet roll-ups
+        see shard cache behaviour."""
         system = make_system(n=80, seed=33)
 
         async def main():
@@ -590,7 +596,7 @@ class TestSnapshotRegistry:
 
         snap, stats = run(main())
         assert snap["registry"] == stats
-        assert snap["cache"] == snap["registry"]  # back-compat alias
+        assert "cache" not in snap
         assert snap["registry"]["entries"] == 1
         assert "artifact_builds" in snap["registry"]
 
@@ -687,7 +693,7 @@ class TestCompiledLane:
         assert resp.lane == "sim"
         assert resp.fallback_from == "CompiledFused"
         assert snap["fallbacks"]["by_transition"] == {
-            f"CompiledFused->{resp.solver_name}": 1
+            f"CompiledFused->{resp.solver}": 1
         }
 
     def test_compiled_execution_mode_is_gone(self):
@@ -843,16 +849,125 @@ class TestAdmissionValidation:
         assert snap["requests"]["completed"] == 1
 
     def test_shape_errors_keep_their_type(self):
+        """A shape mismatch is refused at admission like a non-finite
+        right-hand side: InvalidRequestError (never a SolverError, which
+        the fallback ladder absorbs), counted and traced as a reject."""
         system = make_system(n=60, seed=51)
+        n = system.L.n_rows
 
         async def main():
             async with SolveEngine() as engine:
                 engine.register(system.L, name="m")
-                with pytest.raises(SolverError, match="shape"):
-                    await engine.solve("m", np.full(7, np.nan))
+                # shape is checked first: the NaNs never matter
+                for call, bad in (
+                    (engine.solve, np.full(7, np.nan)),
+                    (engine.solve, np.ones((n, 1))),
+                    (engine.solve_multi, np.ones((n + 1, 2))),
+                    (engine.solve_multi, np.ones((n, 0))),
+                ):
+                    with pytest.raises(InvalidRequestError, match="shape"):
+                        await call("m", bad)
+                rejects = engine.trace_log.events(kind="reject")
+                snap = engine.snapshot()
+            return rejects, snap
 
-        run(main())
+        rejects, snap = run(main())
+        assert [e["reason"] for e in rejects] == ["shape"] * 4
+        assert snap["requests"]["rejected"] == 4
+        assert snap["requests"]["total"] == 0
         assert not issubclass(InvalidRequestError, SolverError)
+
+
+class TestSolveRecord:
+    """One record per request: stamped phases, rendered to every sink."""
+
+    @staticmethod
+    def assert_phases(resp):
+        assert set(resp.phases) == {
+            "queue_ms", "handoff_ms", "kernel_ms", "publish_ms",
+        }
+        assert min(resp.phases.values()) >= 0
+        assert sum(resp.phases.values()) == pytest.approx(
+            resp.latency_ms, abs=0.01
+        )
+
+    def test_phases_sum_to_latency_inline_and_pool(self):
+        system = make_system(n=100, seed=60)
+
+        async def main():
+            async with SolveEngine() as engine:
+                engine.register(system.L, name="m")
+                cold = await engine.solve("m", system.b)
+                warm = await engine.solve("m", system.b)
+                multi = await engine.solve_multi(
+                    "m", np.column_stack([system.b, system.b])
+                )
+            async with SolveEngine(execution="sim") as engine:
+                engine.register(system.L, name="m")
+                sim = await engine.solve("m", system.b)
+            return cold, warm, multi, sim
+
+        cold, warm, multi, sim = run(main())
+        assert (cold.dispatch, warm.dispatch) == ("pool", "inline")
+        assert (multi.dispatch, sim.dispatch) == ("inline", "pool")
+        assert warm.schedule == "level" and sim.schedule is None
+        for resp in (cold, warm, multi, sim):
+            self.assert_phases(resp)
+        # no thread hop on the inline path
+        assert warm.phases["handoff_ms"] < cold.phases["handoff_ms"]
+
+    def test_inline_failover_phases_sum_to_latency(self, monkeypatch):
+        from repro.solvers.compiled import CompiledPlan
+
+        system = make_system(n=100, seed=61)
+        original = CompiledPlan.solve_many
+        calls = {"n": 0}
+
+        def second_call_fails(self, B, **kw):
+            calls["n"] += 1
+            if calls["n"] == 2:
+                raise injected_hazard()
+            return original(self, B, **kw)
+
+        monkeypatch.setattr(CompiledPlan, "solve_many", second_call_fails)
+
+        async def main():
+            async with SolveEngine() as engine:
+                engine.register(system.L, name="m")
+                await engine.solve("m", system.b)  # cold, on the pool
+                return await engine.solve("m", system.b)
+
+        resp = run(main())
+        # the inline host step failed; the pool's sim ladder served it
+        assert resp.fallback_from == "CompiledFused"
+        assert (resp.lane, resp.dispatch) == ("sim", "pool")
+        self.assert_phases(resp)
+
+    def test_publish_event_and_journal_line_render_the_record(
+        self, tmp_path
+    ):
+        from repro.obs.journal import JournalReader, JournalWriter
+        from repro.serve.requests import solve_fields
+
+        system = make_system(n=100, seed=62)
+
+        async def main():
+            journal = JournalWriter(tmp_path)
+            async with SolveEngine(journal=journal) as engine:
+                engine.register(system.L, name="m")
+                resp = await engine.solve("m", system.b)
+                (publish,) = engine.trace_log.events(kind="publish")
+            journal.close()
+            return resp, publish
+
+        resp, publish = run(main())
+        fields = solve_fields(resp)
+        assert {k: publish[k] for k in fields} == fields
+        assert set(publish) == set(fields) | {"seq", "ts", "kind"}
+        (line,) = JournalReader(tmp_path).records(kind="solve")
+        assert {k: line[k] for k in fields} == fields
+        assert line["outcome"] == "ok"
+        assert {"n_rows", "nnz", "n_levels"} <= set(line)
 
 
 class TestInlineDispatch:
@@ -1013,7 +1128,7 @@ class TestInlineDispatch:
         assert failed == [loop_thread]
         assert len(failures) == 1 and failures[0]["lane"] == "host"
         assert snap["fallbacks"]["kernel_failures"] == 1
-        assert "CompiledFused" in snap["quarantined"][resps[0].matrix_key]
+        assert "CompiledFused" in snap["quarantined"][resps[0].matrix]
         # the rest of the ladder ran on the pool, for both requests
         assert len(blocks) == 2 and loop_thread not in blocks
         for r in resps:

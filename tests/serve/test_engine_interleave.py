@@ -91,10 +91,10 @@ class TestTimeoutFallbackQuarantine:
         t_timeout, r2, snap = asyncio.run(main())
         assert t_timeout == 0.5  # virtual deadline, not wall time
         assert calls["n"] == 1  # quarantined after the first failure
-        assert r2.solver_name == "Capellini-TwoPhase"
+        assert r2.solver == "Capellini-TwoPhase"
         assert r2.fallback_from == "Capellini"
         np.testing.assert_allclose(r2.x, system.x_true, rtol=1e-9)
-        assert snap["quarantined"] == {r2.matrix_key: ["Capellini"]}
+        assert snap["quarantined"] == {r2.matrix: ["Capellini"]}
         req = snap["requests"]
         assert req["total"] == 2
         assert req["timed_out"] == 1

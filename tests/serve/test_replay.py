@@ -42,7 +42,10 @@ class TestTraceCounts:
         events = [
             {"kind": "enqueue", "n_rhs": 1},
             {"kind": "enqueue", "n_rhs": 4},
-            {"kind": "batch"},
+            # a coalesced batch launches under a fresh batch id; a
+            # solve_multi block under its request's own trace id
+            {"kind": "launch", "batch_id": "b1", "trace_ids": ["t1"]},
+            {"kind": "launch", "batch_id": "t2", "trace_ids": ["t2"]},
             {"kind": "publish"},
             {"kind": "publish"},
             {"kind": "timeout"},

@@ -35,8 +35,8 @@ class TestHappyPath:
                     e["kind"]
                     for e in engine.trace_log.request_timeline(resp.trace_id)
                 ]
-                assert kinds == ["enqueue", "batch", "launch", "publish"]
-                assert engine.snapshot()["trace"]["emitted"] == 4
+                assert kinds == ["enqueue", "launch", "publish"]
+                assert engine.snapshot()["trace"]["emitted"] == 3
 
         asyncio.run(run())
 
@@ -50,12 +50,11 @@ class TestHappyPath:
                 )
                 ids = {r.trace_id for r in resps}
                 assert len(ids) == 4  # one id per request
-                batches = engine.trace_log.events(kind="batch")
-                assert len(batches) == 1
-                assert set(batches[0]["trace_ids"]) == ids
                 launches = engine.trace_log.events(kind="launch")
                 assert len(launches) == 1
-                assert launches[0]["batch_id"] == batches[0]["batch_id"]
+                assert set(launches[0]["trace_ids"]) == ids
+                assert launches[0]["width"] == 4
+                assert launches[0]["batch_id"] not in ids
 
         asyncio.run(run())
 

@@ -177,7 +177,7 @@ class TestServeStats:
         doc = json.loads(out)
         snap = doc["snapshot"]
         assert snap["requests"]["completed"] == 7  # 6 singles + 1 multi
-        assert snap["cache"]["entries"] == 1
+        assert snap["registry"]["entries"] == 1
         assert snap["batches"]["width"]["max"] >= 2
         assert doc["max_error"] < 1e-8
 
@@ -344,7 +344,8 @@ class TestServeStatsTrace:
         assert lines[0] == {"schema": "tracelog/2"}
         events = lines[1:]
         kinds = {e["kind"] for e in events}
-        assert {"enqueue", "batch", "launch", "publish"} <= kinds
+        assert {"enqueue", "launch", "publish"} <= kinds
+        assert "batch" not in kinds  # the launch carries the batch
         launches = [e for e in events if e["kind"] == "launch"]
         assert all("profile" in e for e in launches)
 
