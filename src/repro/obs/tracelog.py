@@ -2,13 +2,13 @@
 
 The serving layer answers "*why* was this request slow" by emitting one
 structured event per lifecycle step — ``enqueue`` → ``launch`` →
-``publish`` (plus ``reject``/``timeout``/``kernel-failure``/``fallback``
-on the unhappy paths) — all carrying the request's trace id, so one
-grep over the JSONL output reconstructs a request's journey through
-batching and the fallback ladder.  A ``launch`` names its block
-(``batch_id``, ``width`` requests, their ``trace_ids``) and execution
-``lane``; a ``publish`` is the request's rendered
-:class:`~repro.serve.requests.SolveResponse`, phases included.
+``publish``, or ``timeout``/``fail``, plus ``reject``/``kernel-failure``/
+``fallback`` — all carrying the request's trace id, so one grep over
+the JSONL output reconstructs a request's journey.  A ``launch`` names
+its block (``batch_id``, ``width`` requests, their ``trace_ids``) and
+``lane``; a ``publish`` is the rendered
+:class:`~repro.serve.requests.SolveResponse`.  The engine's counters
+are a fold of these events (``ServeTelemetry.count``).
 
 The log is a fixed-capacity ring: appends are O(1), memory is bounded
 by construction, and the count of events dropped at the head is

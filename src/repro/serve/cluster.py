@@ -1017,15 +1017,17 @@ class ShardRouter:
     def write_trace_jsonl(self, path) -> int:
         """Merged fleet trace as one ``tracelog/2`` JSONL file.
 
-        Router spans (tagged ``worker="router"``) first, then every
-        worker's TraceLog events tagged with their node name — one file
-        ``repro-sptrsv replay`` and offline tooling can read end to end.
-        Returns the number of event lines written (header excluded).
+        Router spans (``process == "router"``; a root ``request`` span
+        keeps its ``worker`` attr, the shard that served it) first, then
+        every worker's TraceLog events tagged with their node name — one
+        file ``repro-sptrsv replay`` and offline tooling can read end to
+        end.  Returns the number of event lines written (header
+        excluded).
         """
         events = []
         if self._collector is not None:
             events.extend(
-                dict(span_event(span), worker="router")
+                span_event(span)
                 for span in self._collector.all_spans()
                 # worker spans come from their own TraceLog
                 if span.get("process") == "router"

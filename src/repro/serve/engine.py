@@ -288,7 +288,7 @@ class SolveEngine:
         b = np.ascontiguousarray(b, dtype=np.float64)
         trace_id = trace_id or new_trace_id()
         self._admit(b, 1, trace_id, entry)
-        self.trace_log.emit(
+        self._emit(
             "enqueue", trace_id=trace_id, matrix=entry.key, n_rhs=1,
             queue_depth=self._depth,
         )
@@ -333,7 +333,7 @@ class SolveEngine:
             B = B.reshape(-1, 1)
         trace_id = trace_id or new_trace_id()
         self._admit(B, 2, trace_id, entry)
-        self.trace_log.emit(
+        self._emit(
             "enqueue", trace_id=trace_id, matrix=entry.key,
             n_rhs=B.shape[1], queue_depth=self._depth,
         )
@@ -352,8 +352,7 @@ class SolveEngine:
             except BaseException as exc:  # noqa: BLE001 - forwarded to caller
                 if not req.future.done():
                     req.future.set_exception(exc)
-                    if not req.abandoned:
-                        self.telemetry.requests_failed.inc()
+                    self._failed(entry, req, exc)
             else:
                 if not req.future.done():
                     req.future.set_result((outcome, slice(None)))
@@ -461,17 +460,30 @@ class SolveEngine:
                 f"queue full: {self._depth} in flight, limit {self.max_queue}"
             )
         self._depth += 1
-        self.telemetry.requests_total.inc()
         self.telemetry.queue_depth.set(self._depth)
 
     def _reject(
         self, trace_id: str, matrix_key: str, reason: str, **fields
     ) -> None:
-        self.telemetry.requests_rejected.inc()
-        self.trace_log.emit(
+        self._emit(
             "reject", trace_id=trace_id, matrix=matrix_key, reason=reason,
             **fields,
         )
+
+    def _emit(self, kind: str, **fields) -> None:
+        """The one exit of a lifecycle fact: traced, then counted."""
+        self.telemetry.count(self.trace_log.emit(kind, **fields))
+
+    def _failed(
+        self, entry: RegisteredMatrix, req: PendingSolve, exc: BaseException
+    ) -> None:
+        """A raised block's ``fail`` event for ``req``, unless a
+        ``timeout`` already ended its trail."""
+        if not req.abandoned:
+            self._emit(
+                "fail", trace_id=req.trace_id, matrix=entry.key,
+                error=type(exc).__name__,
+            )
 
     async def _await_request(
         self, req: PendingSolve, timeout: Optional[float]
@@ -495,12 +507,9 @@ class SolveEngine:
     def _timed_out(
         self, req: PendingSolve, deadline: float
     ) -> RequestTimeoutError:
-        self.telemetry.requests_timed_out.inc()
-        self.trace_log.emit(
-            "timeout", trace_id=req.trace_id, deadline_s=deadline
-        )
+        self._emit("timeout", trace_id=req.trace_id, deadline_s=deadline)
         # the worker may still resolve the future; mark the request
-        # abandoned so late failures are not double-counted against it,
+        # abandoned so a late failure adds no second terminal event,
         # and consume its outcome so an eventual failure is not "never
         # retrieved"
         req.abandoned = True
@@ -529,8 +538,6 @@ class SolveEngine:
         self, entry: RegisteredMatrix, batch: list[PendingSolve]
     ) -> None:
         width = len(batch)
-        self.telemetry.batches_total.inc()
-        self.telemetry.batch_width.observe(width)
         batch_id = new_trace_id()
         trace_ids = tuple(r.trace_id for r in batch)
         B = (
@@ -543,16 +550,10 @@ class SolveEngine:
                 entry, B, width > 1, batch_id, trace_ids
             )
         except BaseException as exc:  # noqa: BLE001 - forwarded to callers
-            n_failed = 0
             for req in batch:
                 if not req.future.done():
                     req.future.set_exception(exc)
-                    if not req.abandoned:
-                        n_failed += 1
-            # abandoned (timed-out) requests are already accounted as
-            # requests_timed_out; counting them failed as well would
-            # break total == completed + failed + timed_out
-            self.telemetry.requests_failed.inc(n_failed)
+                    self._failed(entry, req, exc)
             return
         for col, req in enumerate(batch):
             if not req.future.done():
@@ -593,9 +594,8 @@ class SolveEngine:
                 "publish_ms": (now - outcome.done_at) * 1e3,
             },
         )
-        self.telemetry.record_solve(resp)
         fields = solve_fields(resp)
-        self.trace_log.emit("publish", **fields)
+        self._emit("publish", **fields)
         if self.journal is not None:
             self._journal_solve(fields)
         return resp
@@ -677,7 +677,8 @@ class SolveEngine:
         **extra,
     ) -> BlockOutcome:
         """The one ``launch`` event of the kernel launch that served a
-        block (``width`` requests); returns ``outcome``."""
+        block (``width`` requests, ``n_rhs`` columns); returns
+        ``outcome``."""
         fields = {
             "batch_id": batch_id,
             "matrix": entry.key,
@@ -685,13 +686,15 @@ class SolveEngine:
             "lane": outcome.lane,
             "dispatch": outcome.dispatch,
             "cycles": outcome.cycles,
+            "exec_ms": outcome.exec_ms,
+            "n_rhs": outcome.X.shape[1],
             "width": len(trace_ids),
             "trace_ids": list(trace_ids),
             **extra,
         }
         if profile is not None:
             fields["profile"] = profile
-        self.trace_log.emit("launch", **fields)
+        self._emit("launch", **fields)
         return outcome
 
     async def _run_block(
@@ -795,7 +798,6 @@ class SolveEngine:
         variant the registry picked for this matrix.  ``dispatch``
         ("inline" or "pool") says where the block ran, for its launch
         event."""
-        k = B.shape[1]
         # an ambient host profiler (caller-attached) keeps collecting
         # across blocks; otherwise profile=True gets a fresh per-launch
         # one so the trace digest covers exactly this block
@@ -811,14 +813,13 @@ class SolveEngine:
             X = plan.solve_many(B)
         _check_finite(HOST_LANE, X)
         exec_ms = (time.perf_counter() - t0) * 1e3
-        self.telemetry.record_lane("host", k, exec_ms=exec_ms)
         launches = profiler.launches[first_new:] if profiler is not None else []
         outcome = BlockOutcome(
             X=X,
             solver_name=HOST_LANE,
             exec_ms=exec_ms,
             cycles=0,
-            batch_width=k if coalesced else 1,
+            batch_width=B.shape[1] if coalesced else 1,
             lane="host",
             schedule=plan.schedule,
             dispatch=dispatch,
@@ -827,7 +828,7 @@ class SolveEngine:
             entry, outcome, batch_id, trace_ids,
             host_phase_digest(launches, solver_name=HOST_LANE)
             if launches else None,
-            exec_ms=round(exec_ms, 3), n_levels=plan.n_levels,
+            n_levels=plan.n_levels,
             base_levels=plan.base_levels, schedule=plan.schedule,
         )
 
@@ -876,16 +877,12 @@ class SolveEngine:
         batch_id, trace_ids,
     ) -> BlockOutcome:
         _check_finite(name, X)
-        k = X.shape[1]
-        self.telemetry.sim_cycles.inc(cycles)
-        self.telemetry.sim_exec_ms.inc(exec_ms)
-        self.telemetry.record_lane("sim", k)
         outcome = BlockOutcome(
             X=X,
             solver_name=name,
             exec_ms=exec_ms,
             cycles=cycles,
-            batch_width=k if coalesced else 1,
+            batch_width=X.shape[1] if coalesced else 1,
         )
         return self._emit_launch(
             entry, outcome, batch_id, trace_ids,
@@ -905,10 +902,9 @@ class SolveEngine:
         trace_ids: tuple,
     ) -> None:
         """The one failure handler: quarantine ``name`` for this matrix,
-        record the failure, trace it, dump an incident."""
+        trace and count the failure, dump an incident."""
         self._quarantine(entry.key, name)
-        self.telemetry.record_kernel_failure(entry.key, name, exc)
-        self.trace_log.emit(
+        self._emit(
             "kernel-failure", batch_id=batch_id, matrix=entry.key,
             solver=name, lane=lane, error=type(exc).__name__,
             trace_ids=list(trace_ids),
@@ -990,10 +986,7 @@ class SolveEngine:
                     entry, suspect, s_lane, s_exc, batch_id, trace_ids
                 )
             if failures:
-                self.telemetry.record_fallback_solve(
-                    entry.key, failures[0], outcome.solver_name
-                )
-                self.trace_log.emit(
+                self._emit(
                     "fallback", batch_id=batch_id, matrix=entry.key,
                     fallback_from=failures[0], solver=outcome.solver_name,
                     trace_ids=list(trace_ids),

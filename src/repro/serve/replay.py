@@ -6,7 +6,9 @@ serve-stats --trace-out trace.jsonl`` or any
 re-drives an engine with the same request pattern — one ``solve`` /
 ``solve_multi`` per recorded ``enqueue`` event, inter-arrival gaps
 preserved and scaled by a speed multiplier — and checks the replayed
-telemetry against counts recovered from the recording.
+telemetry against the recording's, which come from the engine's own
+fold: the recorded events fed through a fresh
+:class:`~repro.serve.telemetry.ServeTelemetry`.
 
 Two pacing modes, both built on the interleave harness's clock seam:
 
@@ -49,6 +51,7 @@ from repro.analysis.interleave import AsyncioClock, VirtualClock
 from repro.errors import TraceSchemaError
 from repro.metrics.fleet import fleet_rollup
 from repro.serve.engine import SolveEngine
+from repro.serve.telemetry import ServeTelemetry
 from repro.sparse.csr import CSRMatrix
 
 __all__ = [
@@ -96,33 +99,46 @@ def load_events(path: str | Path) -> list[dict]:
     return events
 
 
+def _counts(snapshot: dict) -> dict:
+    """What replay compares, from a telemetry snapshot or a fleet
+    roll-up: the request counters plus coalesced batches served."""
+    return {**snapshot["requests"], "batches": snapshot["batches"]["total"]}
+
+
 def trace_counts(events: Iterable[dict]) -> dict:
-    """Request-level counts recovered from a recorded event trail."""
-    counts = {
-        "requests": 0,
-        "rhs": 0,
-        "published": 0,
-        "timeouts": 0,
-        "rejects": 0,
-        "batches": 0,
-    }
+    """A recording's counts: its events folded through a fresh
+    :class:`ServeTelemetry`, exactly as the engine counted them."""
+    telemetry = ServeTelemetry()
     for e in events:
-        kind = e.get("kind")
-        if kind == "enqueue":
-            counts["requests"] += 1
-            counts["rhs"] += int(e.get("n_rhs", 1))
-        elif kind == "publish":
-            counts["published"] += 1
-        elif kind == "timeout":
-            counts["timeouts"] += 1
-        elif kind == "reject":
-            counts["rejects"] += 1
-        elif kind == "launch" and e.get("batch_id") not in e.get(
+        telemetry.count(e)
+    return _counts(telemetry.snapshot())
+
+
+def _ticks(events: list[dict], speed: float):
+    """Yield ``(gap_s, [(matrix, n_rhs), ...])`` per replay tick, in
+    recorded order, ``gap_s`` the recorded gap since the previous tick
+    over ``speed``.  The requests that rode one coalesced ``launch``
+    (matched by its ``trace_ids``) share the tick of the first of them,
+    so the replayed engine coalesces them too; every other request has
+    its own tick."""
+    rode = {}
+    for e in events:
+        if e.get("kind") == "launch" and e.get("batch_id") not in e.get(
             "trace_ids", ()
         ):
-            # a solve_multi block launches under its own trace id
-            counts["batches"] += 1
-    return counts
+            rode.update(dict.fromkeys(e["trace_ids"], e["batch_id"]))
+    ticks: dict = {}
+    for i, e in enumerate(events):
+        if e.get("kind") == "enqueue":
+            ticks.setdefault(rode.get(e.get("trace_id"), i), []).append(e)
+    prev_ts: Optional[float] = None
+    for tick in ticks.values():
+        ts = float(tick[0].get("ts", 0.0))
+        gap = ts - prev_ts if prev_ts is not None and ts > prev_ts else 0.0
+        prev_ts = ts
+        yield gap / speed, [
+            (e["matrix"], int(e.get("n_rhs", 1))) for e in tick
+        ]
 
 
 def stand_in_matrix(n: int, index: int) -> CSRMatrix:
@@ -172,9 +188,8 @@ class ReplayReport:
         else:
             mode = "virtual clock" if self.virtual else f"wall x{self.speed:g}"
         lines = [
-            f"replayed {self.recorded['requests']} request(s) "
-            f"({self.recorded['rhs']} rhs) over {self.n_matrices} "
-            f"matrix key(s) [{mode}]",
+            f"replayed {self.recorded['total']} request(s) over "
+            f"{self.n_matrices} matrix key(s) [{mode}]",
             f"recorded: {self.recorded}",
             f"replayed: {self.replayed}",
         ]
@@ -186,12 +201,14 @@ class ReplayReport:
         return "\n".join(lines)
 
 
-def _compare(recorded: dict, replayed: dict) -> list[str]:
+def _compare(recorded: dict, replayed: dict, *, batches: bool) -> list[str]:
+    """Mismatches between the recording's counts and the replay's.
+    ``batches`` gates the coalesced-batch count."""
     mismatches = []
-    if replayed["total"] != recorded["requests"]:
+    if replayed["total"] != recorded["total"]:
         mismatches.append(
             f"admitted {replayed['total']} request(s), "
-            f"recording has {recorded['requests']}"
+            f"recording has {recorded['total']}"
         )
     settled = (
         replayed["completed"] + replayed["failed"] + replayed["timed_out"]
@@ -201,15 +218,20 @@ def _compare(recorded: dict, replayed: dict) -> list[str]:
             f"replay telemetry inconsistent: admitted {replayed['total']} "
             f"but settled {settled}"
         )
-    # every request the recording saw published must complete on
+    # every request the recording saw completed must complete on
     # replay: replay runs without deadlines, so recorded timeouts come
     # back as completions
-    expect_completed = recorded["published"] + recorded["timeouts"]
+    expect_completed = recorded["completed"] + recorded["timed_out"]
     if replayed["completed"] != expect_completed:
         mismatches.append(
             f"completed {replayed['completed']} request(s), recording "
             f"implies {expect_completed} "
-            "(published + timed-out, replay runs deadline-free)"
+            "(completed + timed-out, replay runs deadline-free)"
+        )
+    if batches and replayed["batches"] != recorded["batches"]:
+        mismatches.append(
+            f"served {replayed['batches']} coalesced batch(es), "
+            f"recording has {recorded['batches']}"
         )
     return mismatches
 
@@ -221,37 +243,24 @@ async def replay_events(
     *,
     speed: float = 1.0,
 ) -> dict:
-    """Re-issue the recorded enqueues against ``engine``; returns the
-    final request-level telemetry values."""
-    enqueues = [e for e in events if e.get("kind") == "enqueue"]
+    """Re-issue the recorded enqueues against ``engine``, tick by tick
+    (:func:`_ticks`); returns its final :func:`_counts`."""
     tasks = []
-    prev_ts: Optional[float] = None
-    for e in enqueues:
-        ts = float(e.get("ts", 0.0))
-        if prev_ts is not None and ts > prev_ts:
-            await clock.sleep((ts - prev_ts) / speed)
-        prev_ts = ts
-        key = e["matrix"]
-        n_rhs = int(e.get("n_rhs", 1))
-        n = engine.registry.get(key).matrix.n_rows
-        if n_rhs > 1:
-            coro = engine.solve_multi(
-                key, np.ones((n, n_rhs)), timeout=None
-            )
-        else:
-            coro = engine.solve(key, np.ones(n), timeout=None)
-        tasks.append(asyncio.ensure_future(coro))
+    for gap_s, tick in _ticks(events, speed):
+        if gap_s:
+            await clock.sleep(gap_s)
+        for key, n_rhs in tick:
+            n = engine.registry.get(key).matrix.n_rows
+            if n_rhs > 1:
+                coro = engine.solve_multi(
+                    key, np.ones((n, n_rhs)), timeout=None
+                )
+            else:
+                coro = engine.solve(key, np.ones(n), timeout=None)
+            tasks.append(asyncio.ensure_future(coro))
     await asyncio.gather(*tasks, return_exceptions=True)
     await engine.close()
-    t = engine.telemetry
-    return {
-        "total": t.requests_total.value,
-        "completed": t.requests_completed.value,
-        "failed": t.requests_failed.value,
-        "timed_out": t.requests_timed_out.value,
-        "rejected": t.requests_rejected.value,
-        "batches": t.batches_total.value,
-    }
+    return _counts(engine.telemetry.snapshot())
 
 
 def replay_events_cluster(
@@ -261,35 +270,28 @@ def replay_events_cluster(
     speed: float = 1.0,
 ) -> dict:
     """Re-issue the recorded enqueues through a
-    :class:`~repro.serve.cluster.ShardRouter` as pipelined submits;
-    returns fleet-level request telemetry (roll-up across workers)."""
+    :class:`~repro.serve.cluster.ShardRouter` as pipelined submits, tick
+    by tick (:func:`_ticks`); returns the fleet roll-up's
+    :func:`_counts`."""
     import time
 
-    enqueues = [e for e in events if e.get("kind") == "enqueue"]
     futures = []
-    prev_ts: Optional[float] = None
-    for e in enqueues:
-        ts = float(e.get("ts", 0.0))
-        if prev_ts is not None and ts > prev_ts:
-            time.sleep((ts - prev_ts) / speed)
-        prev_ts = ts
-        key = e["matrix"]
-        n_rhs = int(e.get("n_rhs", 1))
-        n = router._registry.get(key).matrix.n_rows
-        futures.append(
-            router.submit(
-                key, np.ones((n, n_rhs)), single=n_rhs == 1
+    for gap_s, tick in _ticks(events, speed):
+        if gap_s:
+            time.sleep(gap_s)
+        for key, n_rhs in tick:
+            n = router._registry.get(key).matrix.n_rows
+            futures.append(
+                router.submit(
+                    key, np.ones((n, n_rhs)), single=n_rhs == 1
+                )
             )
-        )
     for fut in futures:
         try:
             fut.result(timeout=router.request_timeout)
         except Exception:  # noqa: BLE001 - accounted in worker telemetry
             pass
-    fleet = fleet_rollup(router.worker_snapshots())
-    counts = dict(fleet["requests"])
-    counts["batches"] = fleet["batches"]["total"]
-    return counts
+    return _counts(fleet_rollup(router.worker_snapshots()))
 
 
 def replay_file(
@@ -338,7 +340,7 @@ def replay_file(
             speed=speed,
             virtual=False,
             n_matrices=len(keys),
-            mismatches=_compare(recorded, replayed),
+            mismatches=_compare(recorded, replayed, batches=False),
             workers=workers,
         )
 
@@ -354,7 +356,7 @@ def replay_file(
             default_timeout=None,
             execution=execution,
             clock=clock,
-            max_queue=max(64, recorded["requests"] + 1),
+            max_queue=max(64, recorded["total"] + 1),
             journal=journal,
         )
         for i, key in enumerate(keys):
@@ -372,5 +374,11 @@ def replay_file(
         speed=speed,
         virtual=virtual,
         n_matrices=len(keys),
-        mismatches=_compare(recorded, replayed),
+        # a recording without launches (an exemplar export) holds no
+        # batches to compare
+        mismatches=_compare(
+            recorded, replayed,
+            batches=virtual
+            and any(e.get("kind") == "launch" for e in events),
+        ),
     )

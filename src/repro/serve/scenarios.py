@@ -18,19 +18,34 @@ import asyncio
 
 import numpy as np
 
-from repro.errors import QueueFullError, RequestTimeoutError
+from repro.errors import (
+    NonFiniteAnswerError,
+    QueueFullError,
+    RequestTimeoutError,
+)
 from repro.serve.engine import SolveEngine
 from repro.serve.requests import SolveResponse
 from repro.sparse.convert import dense_to_csr
 
 __all__ = [
     "SCENARIOS",
+    "TERMINAL_EVENTS",
     "close_drain_scenario",
     "coalesce_scenario",
     "engine_invariants",
+    "late_failure_scenario",
     "scenario_matrix",
     "timeout_scenario",
 ]
+
+#: Event kinds that end an admitted request's own TraceLog trail.
+TERMINAL_EVENTS = ("publish", "timeout", "fail")
+
+#: The ways a scenario request may end: served, timed out, shed, or
+#: refused as overflowing.
+OUTCOMES = (
+    SolveResponse, RequestTimeoutError, QueueFullError, NonFiniteAnswerError
+)
 
 
 def scenario_matrix():
@@ -138,11 +153,45 @@ async def close_drain_scenario(sched) -> dict:
     return {"engine": engine, "results": list(results), "n_requests": 3}
 
 
+async def late_failure_scenario(sched) -> dict:
+    """A block that fails after its request's deadline (a late failure),
+    one that fails in time, then a served request on the same matrix:
+    ``b = ones`` overflows the ``1e-200`` diagonal on the forced host
+    lane (``NonFiniteAnswerError``), ``b = zeros`` solves to zero."""
+    matrix = dense_to_csr(
+        np.tril(np.full((4, 4), 0.5), -1) + np.eye(4) * 1e-200
+    )
+    engine = SolveEngine(
+        batch_window=0.0,
+        execution="host",
+        clock=sched.clock,
+        executor=sched.executor(cost=1.0),
+    )
+    key = engine.register(matrix, name="interleave-late-failure")
+    results: list = []
+    with np.errstate(all="ignore"):
+        for b, timeout in ((1.0, 0.5), (1.0, 30.0), (0.0, 30.0)):
+            try:
+                results.append(
+                    await engine.solve(key, np.full(4, b), timeout=timeout)
+                )
+            except (RequestTimeoutError, NonFiniteAnswerError) as exc:
+                results.append(exc)
+    await engine.close()
+    kinds = [type(r) for r in results]
+    if kinds != [RequestTimeoutError, NonFiniteAnswerError, SolveResponse]:
+        raise AssertionError(f"unexpected outcomes: {results!r}")
+    if results[2].x.any():
+        raise AssertionError("a zero right-hand side solved to nonzero")
+    return {"engine": engine, "results": results, "n_requests": 3}
+
+
 #: name → scenario factory, as exposed by ``check-interleavings``.
 SCENARIOS = {
     "coalesce": coalesce_scenario,
     "timeout": timeout_scenario,
     "close-drain": close_drain_scenario,
+    "late-failure": late_failure_scenario,
 }
 
 
@@ -157,9 +206,7 @@ def engine_invariants():
                 f"got {len(results)}"
             )
         for i, res in enumerate(results):
-            if not isinstance(
-                res, (SolveResponse, RequestTimeoutError, QueueFullError)
-            ):
+            if not isinstance(res, OUTCOMES):
                 raise AssertionError(
                     f"request {i} ended in an unexpected state: {res!r}"
                 )
@@ -194,4 +241,25 @@ def engine_invariants():
                 f"queue_depth gauge stuck at {t.queue_depth.value}"
             )
 
-    return [resolved_exactly_once, engine_idle, telemetry_consistent]
+    def trail_ends_once(sched, value):
+        # a request's own trail: the events carrying its trace id (a
+        # launch names its requests in trace_ids, not trace_id)
+        trails: dict = {}
+        for e in value["engine"].trace_log.events():
+            trails.setdefault(e.get("trace_id"), []).append(e["kind"])
+        for trace_id, kinds in trails.items():
+            if "enqueue" not in kinds:
+                continue  # rejected at admission: never admitted
+            ends = [k for k in kinds if k in TERMINAL_EVENTS]
+            if len(ends) != 1 or kinds[-1] != ends[0]:
+                raise AssertionError(
+                    f"request {trace_id}'s trail {kinds} does not end in "
+                    f"exactly one of {TERMINAL_EVENTS}"
+                )
+
+    return [
+        resolved_exactly_once,
+        engine_idle,
+        telemetry_consistent,
+        trail_ends_once,
+    ]

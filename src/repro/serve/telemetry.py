@@ -114,43 +114,64 @@ class ServeTelemetry:
         self._failures_by_solver: dict[str, int] = {}
 
     # ------------------------------------------------------------------
-    # event recording
+    # the event fold
     # ------------------------------------------------------------------
-    def record_kernel_failure(
-        self, matrix_key: str, solver_name: str, error: BaseException
-    ) -> None:
-        """One kernel raised on one matrix (it will be quarantined).
+    def count(self, event: dict) -> None:
+        """Fold one lifecycle event (a TraceLog record) into the counters.
 
-        Only counted here; the matrix and error are in the engine's
-        ``kernel-failure`` trace event."""
-        self.kernel_failures.inc()
-        with self._lock:
-            self._failures_by_solver[solver_name] = (
-                self._failures_by_solver.get(solver_name, 0) + 1
+        The engine counts only what it traces (``SolveEngine._emit``) and
+        replay folds a recording the same way.  Kinds that count nothing
+        (``span``, older recordings' ``batch``) are skipped; fields older
+        recordings lack read as defaults.
+        """
+        kind = event.get("kind")
+        if kind == "enqueue":
+            self.requests_total.inc()
+        elif kind == "launch":
+            lane = event.get("lane", "sim")
+            trace_ids = event.get("trace_ids", ())
+            exec_ms = event.get("exec_ms", 0.0)
+            self.record_lane(
+                lane, event.get("n_rhs", len(trace_ids)), exec_ms=exec_ms
+            )
+            if lane == "sim":
+                self.sim_cycles.inc(event.get("cycles", 0))
+                self.sim_exec_ms.inc(exec_ms)
+            # a solve_multi block launches under its own trace id
+            if event.get("batch_id") not in trace_ids:
+                self.batches_total.inc()
+                self.batch_width.observe(len(trace_ids))
+        elif kind == "publish":
+            self.requests_completed.inc()
+            self.latency_ms.observe(event["latency_ms"])
+            self.record_lane_latency(
+                event.get("lane", "sim"), event["latency_ms"]
+            )
+        elif kind == "reject":
+            self.requests_rejected.inc()
+        elif kind == "timeout":
+            self.requests_timed_out.inc()
+        elif kind == "fail":
+            self.requests_failed.inc()
+        elif kind == "kernel-failure":
+            self.kernel_failures.inc()
+            self._tally(self._failures_by_solver, event["solver"])
+        elif kind == "fallback":
+            self.fallback_solves.inc()
+            self._tally(
+                self._fallback_by_solver,
+                f"{event['fallback_from']}->{event['solver']}",
             )
 
-    def record_fallback_solve(
-        self, matrix_key: str, from_solver: str, to_solver: str
-    ) -> None:
-        """A request was served by a fallback instead of its primary."""
-        self.fallback_solves.inc()
+    def _tally(self, by_name: dict, name: str) -> None:
         with self._lock:
-            key = f"{from_solver}->{to_solver}"
-            self._fallback_by_solver[key] = (
-                self._fallback_by_solver.get(key, 0) + 1
-            )
+            by_name[name] = by_name.get(name, 0) + 1
 
     def record_lane(
         self, lane: str, n_rhs: int, *, exec_ms: float = 0.0
     ) -> None:
-        """One block (batch or multi-RHS request) served by ``lane``.
-
-        ``lane`` is ``"host"`` (the registry's fast-lane plan) or
-        ``"sim"`` (cycle-level simulator); ``exec_ms`` is host
-        wall-clock and only meaningful for the host lane — the
-        simulator's modeled cost is tracked separately by
-        :attr:`sim_cycles` / :attr:`sim_exec_ms`.
-        """
+        """One block served by ``lane`` (``"host"`` or ``"sim"``);
+        ``exec_ms`` (host wall-clock) counts only on the host lane."""
         if lane == "host":
             self.host_lane_batches.inc()
             self.host_lane_rhs.inc(n_rhs)
@@ -158,14 +179,6 @@ class ServeTelemetry:
         else:
             self.sim_lane_batches.inc()
             self.sim_lane_rhs.inc(n_rhs)
-
-    def record_solve(self, resp) -> None:
-        """One completed request (a
-        :class:`~repro.serve.requests.SolveResponse`): its latency, in
-        aggregate and for the lane that served it."""
-        self.latency_ms.observe(resp.latency_ms)
-        self.record_lane_latency(resp.lane, resp.latency_ms)
-        self.requests_completed.inc()
 
     def record_lane_latency(self, lane: str, latency_ms: float) -> None:
         """One completed request's end-to-end latency, attributed to the
@@ -206,8 +219,8 @@ class ServeTelemetry:
     # snapshot
     # ------------------------------------------------------------------
     def _slo_snapshot(self) -> dict:
-        # _admit raises *before* requests_total.inc on a reject, so the
-        # attempt denominator is admitted + rejected
+        # a rejected request never enqueues, so the attempt
+        # denominator is admitted + rejected
         rejected = self.requests_rejected.value
         attempts = self.requests_total.value + rejected
         errors = {

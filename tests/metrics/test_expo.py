@@ -60,8 +60,9 @@ def build_reference_telemetry() -> ServeTelemetry:
         t.latency_ms.observe(ms)
     t.queue_depth.set(5)
     t.queue_depth.set(2)
-    t.record_kernel_failure("m1", "Capellini", RuntimeError("boom"))
-    t.record_fallback_solve("m1", "Capellini", "LevelSet")
+    t.count({"kind": "kernel-failure", "matrix": "m1", "solver": "Capellini"})
+    t.count({"kind": "fallback", "matrix": "m1",
+             "fallback_from": "Capellini", "solver": "LevelSet"})
     t.record_lane("host", 4, exec_ms=1.25)
     t.record_lane("host", 2, exec_ms=0.75)
     t.record_lane("sim", 1)

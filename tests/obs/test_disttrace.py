@@ -366,8 +366,8 @@ class TestExemplarExport:
         assert all("schema" not in e for e in events)
         report = replay_file(path, virtual=True)
         assert report.ok, report.summary()
-        assert report.recorded["requests"] == 2
-        assert report.recorded["rhs"] == 3    # n_rhs 1 + 2
+        assert report.recorded["total"] == 2
+        assert report.replayed["completed"] == 2
 
     def test_unknown_future_schema_refused(self, tmp_path):
         bad = tmp_path / "future.jsonl"

@@ -162,19 +162,35 @@ class TestExports:
         assert json.loads(lines[0]) == {"schema": "tracelog/2"}
         events = [json.loads(line) for line in lines[1:]]
         assert len(events) == count
-        workers_seen = {e.get("worker") for e in events}
-        assert workers_seen == {"router"} | set(router.nodes)
+        router_lines = [e for e in events if e.get("process") == "router"]
+        worker_lines = [e for e in events if e.get("process") != "router"]
+        assert router_lines
+        assert {e["worker"] for e in worker_lines} == set(router.nodes)
         # span join on disk: router-minted root trace ids appear in
         # worker-side events too
         router_roots = {
-            e["trace_id"] for e in events
-            if e["worker"] == "router" and e.get("span") == "request"
+            e["trace_id"] for e in router_lines if e.get("span") == "request"
         }
-        worker_ids = {
-            e.get("trace_id") for e in events if e["worker"] != "router"
-        }
+        worker_ids = {e.get("trace_id") for e in worker_lines}
         assert {resp.trace_id for _, resp in responses} <= router_roots
         assert router_roots & worker_ids
+
+    def test_merged_trace_root_spans_name_their_shard(
+        self, router, responses, tmp_path
+    ):
+        path = tmp_path / "fleet-events.jsonl"
+        router.write_trace_jsonl(str(path))
+        events = [
+            json.loads(line) for line in path.read_text().splitlines()[1:]
+        ]
+        roots = {
+            e["trace_id"]: e for e in events
+            if e.get("process") == "router" and e.get("span") == "request"
+        }
+        assert roots
+        assert all(e["worker"] in router.nodes for e in roots.values())
+        for _, resp in responses:
+            assert roots[resp.trace_id]["worker"] == resp.worker
 
     def test_exemplar_export_replays_clean(
         self, router, responses, tmp_path

@@ -46,15 +46,18 @@ class TestTraceCounts:
             # solve_multi block under its request's own trace id
             {"kind": "launch", "batch_id": "b1", "trace_ids": ["t1"]},
             {"kind": "launch", "batch_id": "t2", "trace_ids": ["t2"]},
-            {"kind": "publish"},
-            {"kind": "publish"},
+            {"kind": "publish", "lane": "host", "latency_ms": 1.0},
+            {"kind": "publish", "lane": "host", "latency_ms": 2.0},
             {"kind": "timeout"},
+            {"kind": "fail"},
             {"kind": "reject"},
         ]
+        # the recording's events folded through ServeTelemetry.count,
+        # under the snapshot's names
         counts = trace_counts(events)
         assert counts == {
-            "requests": 2, "rhs": 5, "published": 2, "timeouts": 1,
-            "rejects": 1, "batches": 1,
+            "total": 2, "completed": 2, "failed": 1, "timed_out": 1,
+            "rejected": 1, "batches": 1,
         }
 
 
@@ -73,8 +76,8 @@ class TestReplayFile:
         record_session(str(trace), requests=6, rhs=3)
         report = replay_file(trace)
         assert report.ok, report.summary()
-        assert report.recorded["requests"] == 7
-        assert report.recorded["rhs"] == 9
+        assert report.recorded["total"] == 7
+        assert report.recorded["batches"] == 1  # the 6 singles coalesce
         assert report.replayed["total"] == 7
         assert report.replayed["completed"] == 7
         assert report.n_matrices == 1
@@ -117,8 +120,60 @@ class TestReplayFile:
         trace.write_text("")
         report = replay_file(trace)
         assert report.ok
-        assert report.recorded["requests"] == 0
+        assert report.recorded["total"] == 0
         assert report.replayed["total"] == 0
+
+
+class TestReplayCoalescing:
+    """A virtual replay issues the requests of one recorded coalesced
+    launch in one tick, so it serves the recording's batches, and a
+    batch-count mismatch fails the replay."""
+
+    @staticmethod
+    def record_cli(path, capsys):
+        from repro.cli import main
+
+        rc = main(["serve-stats", "--n-rows", "200", "--requests", "8",
+                   "--rhs", "2", "--execution", "host",
+                   "--trace-log", str(path)])
+        assert rc == 0
+        capsys.readouterr()
+
+    def test_coalesced_batch_replays_as_one(self, tmp_path, capsys):
+        trace = tmp_path / "events.jsonl"
+        self.record_cli(trace, capsys)
+        report = replay_file(trace)
+        assert report.recorded["batches"] == 1
+        assert report.replayed["batches"] == 1
+        assert report.ok, report.summary()
+
+    def test_split_launch_reports_batch_mismatch(self, tmp_path, capsys):
+        from repro.obs.tracelog import write_tracelog
+
+        trace = tmp_path / "events.jsonl"
+        self.record_cli(trace, capsys)
+        events = load_events(trace)
+        (launch,) = [
+            e for e in events
+            if e["kind"] == "launch" and e["batch_id"] not in e["trace_ids"]
+        ]
+        # the block's 8 requests recorded as two launches of 4: the
+        # recording now counts 2 batches, the replay still serves the
+        # block's requests as one
+        ids = launch["trace_ids"]
+        launch.update(trace_ids=ids[:4], width=4)
+        events.insert(
+            events.index(launch) + 1, dict(launch, trace_ids=ids[4:])
+        )
+        split = tmp_path / "split.jsonl"
+        write_tracelog(split, events)
+        report = replay_file(split)
+        assert report.recorded["batches"] == 2
+        assert report.replayed["batches"] == 1
+        assert not report.ok
+        assert any("coalesced batch" in m for m in report.mismatches)
+        # wall replays report batches without gating on them
+        assert replay_file(split, virtual=False, speed=1000.0).ok
 
 
 class TestClusterReplay:
@@ -129,7 +184,7 @@ class TestClusterReplay:
         assert report.workers == 2
         assert not report.virtual  # cluster replay is wall-paced only
         assert report.ok, report.summary()
-        assert report.replayed["total"] == report.recorded["requests"]
+        assert report.replayed["total"] == report.recorded["total"]
         assert "cluster of 2 worker(s)" in report.summary()
 
     def test_cluster_replay_leaves_no_shared_memory(self, tmp_path):
@@ -166,7 +221,24 @@ class TestSchemaValidation:
         )
         events = load_events(path)
         assert len(events) == 1
-        assert trace_counts(events)["rhs"] == 2
+        assert trace_counts(events)["total"] == 1
+
+    @pytest.mark.parametrize("name", [
+        # a headerless /1 dump: batch events, launches without lane,
+        # width, n_rhs or exec_ms, publishes without lane
+        "tracelog1_headerless.jsonl",
+        # a sim-lane tracelog/2 recording from before fail events and
+        # the launch's n_rhs/exec_ms fields
+        "tracelog2_sim_before_fail.jsonl",
+    ])
+    def test_older_recordings_fold_and_replay(self, name):
+        from pathlib import Path
+
+        report = replay_file(Path(__file__).parent / "golden" / name)
+        assert report.ok, report.summary()
+        assert report.recorded == report.replayed
+        assert report.recorded["total"] == 5
+        assert report.recorded["batches"] == 1
 
     def test_unknown_schema_raises_named_error(self, tmp_path):
         from repro.errors import TraceSchemaError

@@ -116,8 +116,10 @@ class TestServeTelemetry:
         t = ServeTelemetry()
         t.requests_total.inc(3)
         t.batch_width.observe(2)
-        t.record_kernel_failure("k1", "Capellini", RuntimeError("boom"))
-        t.record_fallback_solve("k1", "Capellini", "LevelSet")
+        t.count({"kind": "kernel-failure", "matrix": "k1",
+                 "solver": "Capellini"})
+        t.count({"kind": "fallback", "matrix": "k1",
+                 "fallback_from": "Capellini", "solver": "LevelSet"})
         snap = t.snapshot()
         assert snap["requests"]["total"] == 3
         assert snap["batches"]["width"]["count"] == 1
@@ -140,5 +142,91 @@ class TestServeTelemetry:
 
         t = ServeTelemetry()
         t.latency_ms.observe(1.25)
-        t.record_kernel_failure("k", "S", ValueError("x"))
+        t.count({"kind": "kernel-failure", "matrix": "k", "solver": "S"})
         json.dumps(t.snapshot())
+
+
+class TestEventFold:
+    """The engine counts only what it traces: its telemetry equals its
+    own TraceLog folded through a fresh ``ServeTelemetry.count``."""
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    def test_folded_trace_equals_engine_telemetry(self, monkeypatch):
+        import asyncio
+
+        import numpy as np
+
+        from repro.errors import (
+            InvalidRequestError,
+            NonFiniteAnswerError,
+            RequestTimeoutError,
+            SolverError,
+        )
+        from repro.serve import SolveEngine
+        from repro.solvers.compiled import CompiledPlan
+        from repro.sparse.convert import dense_to_csr
+        from repro.sparse.triangular import lower_triangular_system
+
+        from tests.conftest import random_unit_lower
+
+        healthy = lower_triangular_system(random_unit_lower(60, 0.05, seed=1))
+        flaky = lower_triangular_system(random_unit_lower(40, 0.05, seed=2))
+        # a 1e-200 diagonal: b = ones overflows on every lane
+        tiny = dense_to_csr(
+            np.tril(np.full((6, 6), 0.5), -1) + np.eye(6) * 1e-200
+        )
+        real = CompiledPlan.solve_many
+
+        def host_fails_on_flaky(self, B, **kw):
+            if B.shape[0] == flaky.L.n_rows:
+                raise SolverError("injected host-lane failure")
+            return real(self, B, **kw)
+
+        monkeypatch.setattr(CompiledPlan, "solve_many", host_fails_on_flaky)
+
+        async def session():
+            engine = SolveEngine()  # execution="auto"
+            engine.register(healthy.L, name="ok")
+            engine.register(flaky.L, name="flaky")
+            engine.register(tiny, name="tiny")
+            # completions: one coalesced batch of 4, one multi-RHS block
+            await asyncio.gather(
+                *[engine.solve("ok", healthy.b) for _ in range(4)]
+            )
+            await engine.solve_multi("ok", np.column_stack([healthy.b] * 3))
+            # a kernel failure with fallback, then a quarantined skip
+            await engine.solve("flaky", flaky.b)
+            await engine.solve("flaky", flaky.b)
+            with pytest.raises(InvalidRequestError):
+                await engine.solve("ok", np.full(60, np.nan))
+            with pytest.raises(RequestTimeoutError):
+                await engine.solve("ok", healthy.b, timeout=0.0)
+            with pytest.raises(NonFiniteAnswerError):
+                await engine.solve("tiny", np.ones(6))
+            await engine.close()
+            return engine
+
+        engine = asyncio.run(session())
+        folded = ServeTelemetry()
+        for event in engine.trace_log.events():
+            folded.count(event)
+        expected = engine.telemetry.snapshot()
+        got = folded.snapshot()
+        # the queue gauge is state the engine sets directly, not an event
+        del expected["queue"], got["queue"]
+        assert got == expected
+        # ... and the session reached every counter the fold feeds
+        assert expected["requests"] == {
+            "total": 9, "completed": 7, "failed": 1, "timed_out": 1,
+            "rejected": 1,
+        }
+        # the coalesced 4, two flaky singles and the timed-out single
+        # (served late); the failed request's block was never served
+        assert expected["batches"]["total"] == 4
+        assert expected["fallbacks"]["kernel_failures"] == 1
+        assert expected["fallbacks"]["solves"] == 2
+        assert expected["lanes"]["host"]["batches"] == 3
+        assert expected["lanes"]["host"]["rhs"] == 8
+        assert expected["lanes"]["sim"]["batches"] == 2
+        assert expected["sim"]["cycles"] > 0

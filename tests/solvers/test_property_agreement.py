@@ -136,12 +136,13 @@ def _condition_scaled_error(L, x, b):
     seed=st.integers(0, 99_999),
 )
 def test_plans_agree_with_scipy_or_engine_rejects(n, structure, scale, seed):
-    """Each fast-lane plan agrees with SciPy's ``spsolve_triangular``
-    to a relative tolerance scaled by the componentwise condition
-    number, or the engine refuses the request with a typed error —
-    never a silent wrong answer.  A refusal must be justified: the
-    answer is non-finite and the reference or the error bound overflows
-    too, which a unit-scale factor never does."""
+    """Each fast-lane plan, and the simulator lane's solver ladder,
+    agrees with SciPy's ``spsolve_triangular`` to a relative tolerance
+    scaled by the componentwise condition number, or the engine refuses
+    the request with a typed error — never a silent wrong answer.  A
+    refusal must be justified: the answer is non-finite and the
+    reference or the error bound overflows too, which a unit-scale
+    factor never does."""
     import asyncio
 
     from scipy.sparse.linalg import spsolve_triangular
@@ -156,21 +157,23 @@ def test_plans_agree_with_scipy_or_engine_rejects(n, structure, scale, seed):
         ref = spsolve_triangular(csr_to_scipy(L), b, lower=True)
         bound = _condition_scaled_error(L, ref, b)
 
-    async def serve(schedule):
-        async with SolveEngine(execution="host") as engine:
+    async def serve(lane):
+        execution = "sim" if lane == "sim" else "host"
+        async with SolveEngine(execution=execution) as engine:
             key = engine.register(L)
-            engine.registry.set_lane_hint(key, schedule)
+            if execution == "host":
+                engine.registry.set_lane_hint(key, lane)
             try:
                 return (await engine.solve(key, b)).x
             except NonFiniteAnswerError:
                 return None  # typed rejection of an overflowing solve
 
-    for schedule in ("level", "sequential"):
+    for lane in ("level", "sequential", "sim"):
         with np.errstate(all="ignore"):
-            x = asyncio.run(serve(schedule))
+            x = asyncio.run(serve(lane))
         if x is None:
-            assert scale != "unit", (schedule, "rejected a unit-scale solve")
-            assert not np.isfinite(bound).all(), (schedule, "unjustified")
+            assert scale != "unit", (lane, "rejected a unit-scale solve")
+            assert not np.isfinite(bound).all(), (lane, "unjustified")
             continue
-        assert np.isfinite(ref).all(), (schedule, "served an overflow")
-        assert np.all(np.abs(x - ref) <= bound), schedule
+        assert np.isfinite(ref).all(), (lane, "served an overflow")
+        assert np.all(np.abs(x - ref) <= bound), lane

@@ -493,7 +493,7 @@ class TestReplayCommand:
         doc = json.loads(capsys.readouterr().out)
         assert rc == 0
         assert doc["ok"] is True
-        assert doc["recorded"]["requests"] == 3
+        assert doc["recorded"]["total"] == 3
         assert doc["replayed"]["total"] == 3
 
 
