@@ -22,7 +22,7 @@ Usage::
     repro-sptrsv serve-stats --execution host --requests 32
     repro-sptrsv serve-stats --profile --trace-log events.jsonl
     repro-sptrsv serve-stats --openmetrics
-    repro-sptrsv serve-stats --spans --workers 2 --requests 8
+    repro-sptrsv serve-cluster --spans --workers 2 --matrices 2 --requests 8
     repro-sptrsv serve-cluster --workers 2 --matrices 3 --requests 8
     repro-sptrsv serve-cluster --workers 2 --chaos-kill --openmetrics
     repro-sptrsv serve-cluster --chrome-trace fleet.json --trace-log fleet.jsonl
@@ -130,6 +130,81 @@ def _resolve_sim_solver(name: str, L):
     return getattr(solvers, cls_name)(), None
 
 
+#: every option more than one verb takes, declared once; a verb adds the
+#: ones it takes with :func:`_options`, which also sets its defaults
+_OPTIONS: dict[str, dict] = {
+    "--matrix": dict(default=None, help="Matrix Market file to load"),
+    "--domain": dict(default="circuit",
+                     help="generate a matrix of this domain "
+                     "(default: circuit)"),
+    "--n-rows": dict(type=int, help="rows of the generated matrix "
+                     "(default: %(default)s)"),
+    "--seed": dict(type=int, default=0,
+                   help="generator seed (matrix i of a cluster session "
+                   "uses seed + i)"),
+    "--device": dict(default="SimSmall", choices=["SimSmall", "SimTiny"],
+                     help="simulated GPU"),
+    "--requests": dict(type=int,
+                       help="single-RHS solves fired per matrix "
+                       "(concurrently into one engine, pipelined through "
+                       "a cluster, or per refresh for serve-top --demo; "
+                       "default: %(default)s)"),
+    "--rhs": dict(type=int, default=4,
+                  help="width of the one multi-RHS solve per matrix "
+                  "(0 to skip)"),
+    "--max-batch": dict(type=int, default=32,
+                        help="widest coalesced batch an engine launches"),
+    "--execution": dict(choices=["auto", "host", "sim"],
+                        help="execution lane: 'host' runs the registry's "
+                        "plan (one SuperLU sweep for deep-and-skinny "
+                        "matrices, per-level otherwise), 'sim' the "
+                        "cycle-level simulator, 'auto' the host lane with "
+                        "a simulator fallback (default: %(default)s)"),
+    "--workers": dict(type=int, default=2,
+                      help="shard worker processes to spawn (default: "
+                      "%(default)s; replay: 0 replays through one "
+                      "in-process engine instead, and a cluster replay is "
+                      "always wall-paced)"),
+    "--matrices": dict(type=int,
+                       help="distinct matrices to register (sharded by "
+                       "content fingerprint; default: %(default)s)"),
+    "--json": dict(action="store_true",
+                   help="emit the result as one JSON document on stdout"),
+    "--openmetrics": dict(action="store_true",
+                          help="print the telemetry (a cluster's fleet "
+                          "roll-up) in OpenMetrics/Prometheus text format "
+                          "instead of the snapshot"),
+    "--trace-log": dict(metavar="PATH", default=None,
+                        help="write the session's structured event log "
+                        "(tracelog/2 JSONL) to PATH: the engine's "
+                        "enqueue/launch/publish events, or in a cluster "
+                        "the router spans merged with every worker's log; "
+                        "each publish event is the request's solve record "
+                        "with its four wall-clock phases"),
+    "--journal-dir": dict(metavar="DIR", default=None,
+                          help="journal every solve (checksummed JSONL "
+                          "segments, one series per shard worker in a "
+                          "cluster) into DIR; inspect with 'repro-sptrsv "
+                          "journal'"),
+}
+_MATRIX = ("--domain", "--n-rows", "--seed")
+_SESSION = ("--requests", "--rhs", "--max-batch", "--execution")
+_OUTPUTS = ("--json", "--openmetrics", "--trace-log", "--journal-dir")
+
+
+def _options(p: argparse.ArgumentParser, *flags: str, **defaults) -> None:
+    """Add the shared ``flags`` to ``p`` with this verb's ``defaults``.
+
+    ``--matrix`` and ``--domain`` are two sources of one input, so a
+    verb that takes both gets them as mutually exclusive.
+    """
+    source = p.add_mutually_exclusive_group() if "--matrix" in flags else p
+    for flag in flags:
+        target = source if flag in ("--matrix", "--domain") else p
+        target.add_argument(flag, **_OPTIONS[flag])
+    p.set_defaults(**defaults)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-sptrsv",
@@ -139,6 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_exp = sub.add_parser("experiments", help="regenerate paper tables/figures")
+    p_exp.set_defaults(func=_cmd_experiments)
     p_exp.add_argument("ids", nargs="*", help="experiment ids (default: all)")
     p_exp.add_argument("--list", action="store_true", help="list experiment ids")
     p_exp.add_argument("--n-matrices", type=int, default=None,
@@ -149,26 +225,17 @@ def build_parser() -> argparse.ArgumentParser:
                        help="also write each result as JSON into DIR")
 
     p_solve = sub.add_parser("solve", help="solve one generated system")
-    p_solve.add_argument("--domain", default="circuit")
-    p_solve.add_argument("--n-rows", type=int, default=2000)
-    p_solve.add_argument("--seed", type=int, default=0)
+    _options(p_solve, *_MATRIX, "--device", n_rows=2000, func=_cmd_solve)
     p_solve.add_argument("--solver", default="auto",
                          choices=sorted(_solver_registry()))
-    p_solve.add_argument("--device", default="SimSmall",
-                         choices=["SimSmall", "SimTiny"])
 
     p_an = sub.add_parser(
         "analyze",
         help="level/granularity analysis, static schedule verification "
         "and kernel lint",
     )
-    group = p_an.add_mutually_exclusive_group(required=False)
-    group.add_argument("--matrix", help="Matrix Market file to analyze")
-    group.add_argument("--domain", default=None,
-                       help="generate a matrix of this domain "
-                       "(default: circuit)")
-    p_an.add_argument("--n-rows", type=int, default=10000)
-    p_an.add_argument("--seed", type=int, default=0)
+    _options(p_an, "--matrix", *_MATRIX, "--json", n_rows=10000,
+             domain=None, func=_cmd_analyze)
     p_an.add_argument("--solver", default=None, metavar="NAME",
                       help="statically verify deadlock-freedom of NAME "
                       "(e.g. naive-thread, capellini, syncfree) on the "
@@ -185,10 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--serve-lint", action="store_true",
                       help="run the async-hazard lint (SL001-SL005) over "
                       "repro.serve (no matrix needed)")
-    p_an.add_argument("--json", action="store_true",
-                      help="emit the analysis as one JSON document on "
-                      "stdout (machine-readable verdicts for CI and the "
-                      "serve engine)")
     p_an.add_argument("--trace", action="store_true",
                       help="run --solver (default: auto) on the simulator "
                       "with the warp tracer attached and render the "
@@ -199,24 +262,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="cycle-level phase attribution of one simulated solve: "
         "flame summary, Chrome/Perfetto trace, JSON report",
     )
-    p_prof.add_argument("--matrix", default=None,
-                        help="Matrix Market file to solve")
-    p_prof.add_argument("--domain", default=None,
-                        help="generate a matrix of this domain "
-                        "(default: circuit)")
-    p_prof.add_argument("--n-rows", type=int, default=1000)
-    p_prof.add_argument("--seed", type=int, default=0)
+    _options(p_prof, "--matrix", *_MATRIX, "--device", "--json",
+             n_rows=1000, domain=None, func=_cmd_profile)
     p_prof.add_argument("--solver", default="auto",
                         help="solver/policy name (writing_first, "
                         "two_phase, syncfree, syncfree_csc, levelset, "
                         "adaptive, naive_thread or auto)")
-    p_prof.add_argument("--device", default="SimSmall",
-                        choices=["SimSmall", "SimTiny"])
     p_prof.add_argument("--chrome-trace", metavar="PATH", default=None,
                         help="write a Perfetto-loadable trace "
                         "(chrome://tracing / ui.perfetto.dev) to PATH")
-    p_prof.add_argument("--json", action="store_true",
-                        help="emit the full profile report as JSON")
     p_prof.add_argument("--top", type=int, default=8,
                         help="wait-heavy warps/levels to list")
 
@@ -225,53 +279,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="run a synthetic serving session through repro.serve and "
         "print the telemetry snapshot",
     )
-    p_srv.add_argument("--domain", default="circuit")
-    p_srv.add_argument("--n-rows", type=int, default=800)
-    p_srv.add_argument("--seed", type=int, default=0)
-    p_srv.add_argument("--requests", type=int, default=16,
-                       help="concurrent single-RHS requests to fire")
-    p_srv.add_argument("--rhs", type=int, default=4,
-                       help="right-hand sides of the one multi-RHS request "
-                       "(0 to skip)")
-    p_srv.add_argument("--max-batch", type=int, default=32)
-    p_srv.add_argument("--execution", default="auto",
-                       choices=["auto", "host", "sim"],
-                       help="execution lane: 'host' runs the registry's "
-                       "plan (one SuperLU sweep for deep-and-skinny "
-                       "matrices, per-level otherwise), 'sim' the "
-                       "cycle-level simulator, 'auto' the host lane with "
-                       "a simulator fallback")
-    p_srv.add_argument("--device", default="SimSmall",
-                       choices=["SimSmall", "SimTiny"])
-    p_srv.add_argument("--json", action="store_true",
-                       help="print the raw snapshot as JSON")
-    p_srv.add_argument("--openmetrics", action="store_true",
-                       help="print the telemetry in OpenMetrics/"
-                       "Prometheus text format instead of the snapshot")
+    _options(p_srv, *_MATRIX, "--device", *_SESSION, *_OUTPUTS,
+             n_rows=800, requests=16, execution="auto",
+             func=_cmd_serve_stats)
     p_srv.add_argument("--profile", action="store_true",
                        help="attach the per-lane profiler: every launch "
                        "event in the trace log carries a phase digest "
                        "(wall-clock gather/reduce/scatter on the host "
                        "lane, cycle phases on the simulator lane)")
-    p_srv.add_argument("--trace-log", metavar="PATH", default=None,
-                       help="write the engine's structured event log "
-                       "(enqueue/launch/publish, tracelog/2 JSONL) to "
-                       "PATH; each publish event is the request's solve "
-                       "record with its four wall-clock phases")
-    p_srv.add_argument("--spans", action="store_true",
-                       help="drive the session through a small sharded "
-                       "cluster with distributed tracing on and print "
-                       "per-hop latency attribution (p50/p99 per hop) "
-                       "plus captured slow-request exemplars")
-    p_srv.add_argument("--workers", type=int, default=2,
-                       help="shard workers for --spans mode")
-    p_srv.add_argument("--slow-ms", type=float, default=None,
-                       help="explicit slow-request threshold for --spans "
-                       "(default: adaptive p95 of root durations)")
-    p_srv.add_argument("--journal-dir", metavar="DIR", default=None,
-                       help="journal every solve (checksummed JSONL "
-                       "segments) into DIR; inspect with "
-                       "'repro-sptrsv journal'")
 
     p_cl = sub.add_parser(
         "serve-cluster",
@@ -279,52 +294,34 @@ def build_parser() -> argparse.ArgumentParser:
         "serve tier (ShardRouter + shard workers, zero-copy plans) and "
         "print the fleet snapshot",
     )
-    p_cl.add_argument("--workers", type=int, default=2,
-                      help="shard worker processes to spawn")
-    p_cl.add_argument("--matrices", type=int, default=3,
-                      help="distinct matrices to register (sharded by "
-                      "content fingerprint)")
-    p_cl.add_argument("--domain", default="circuit")
-    p_cl.add_argument("--n-rows", type=int, default=400)
-    p_cl.add_argument("--seed", type=int, default=0)
-    p_cl.add_argument("--requests", type=int, default=8,
-                      help="pipelined single-RHS solves per matrix")
-    p_cl.add_argument("--rhs", type=int, default=4,
-                      help="width of the one multi-RHS solve per matrix "
-                      "(0 to skip)")
-    p_cl.add_argument("--max-batch", type=int, default=32)
-    p_cl.add_argument("--execution", default="host",
-                      choices=["auto", "host", "sim"],
-                      help="worker engines' execution lane")
+    _options(p_cl, "--workers", "--matrices", *_MATRIX, *_SESSION,
+             *_OUTPUTS, matrices=3, n_rows=400, requests=8,
+             execution="host", func=_cmd_serve_cluster)
     p_cl.add_argument("--chaos-kill", action="store_true",
                       help="SIGKILL one worker mid-session and verify "
                       "the router respawns it and answers stay correct")
     p_cl.add_argument("--timeout", type=float, default=60.0,
                       help="per-request deadline (s)")
-    p_cl.add_argument("--json", action="store_true",
-                      help="print the fleet snapshot as JSON")
-    p_cl.add_argument("--openmetrics", action="store_true",
-                      help="print the fleet roll-up in OpenMetrics text "
-                      "format instead of the snapshot")
-    p_cl.add_argument("--trace-log", metavar="PATH", default=None,
-                      help="write the merged fleet trace (router spans + "
-                      "every worker's event log, tracelog/2 JSONL) to "
-                      "PATH")
     p_cl.add_argument("--chrome-trace", metavar="PATH", default=None,
                       help="write the session's distributed spans as one "
                       "multi-process Chrome/Perfetto trace (one pid row "
                       "per worker, flow arrows router->worker) to PATH")
-    p_cl.add_argument("--journal-dir", metavar="DIR", default=None,
-                      help="every shard worker journals its solves into "
-                      "per-shard segment files under DIR (the filesystem "
-                      "is the merge point; read with 'repro-sptrsv "
-                      "journal')")
+    p_cl.add_argument("--spans", action="store_true",
+                      help="also print per-hop latency attribution "
+                      "(p50/p99 per hop: router enqueue/send, worker "
+                      "deserialize/plan/solve/reply) plus the captured "
+                      "slow-request exemplars")
+    p_cl.add_argument("--slow-ms", type=float, default=None,
+                      help="explicit slow-request threshold for exemplar "
+                      "capture (default: adaptive p95 of root durations)")
 
     p_top = sub.add_parser(
         "serve-top",
         help="live terminal dashboard over a fleet OpenMetrics "
         "exposition ('top' for the sharded serve tier)",
     )
+    _options(p_top, "--workers", "--matrices", *_MATRIX, "--requests",
+             matrices=2, n_rows=250, requests=4, func=_cmd_serve_top)
     p_top.add_argument("--url", default=None,
                        help="scrape this /metrics endpoint (e.g. an "
                        "OpenMetricsExporter in front of a router)")
@@ -336,15 +333,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_top.add_argument("--iterations", type=int, default=0,
                        help="frames to render before exiting "
                        "(0 = until interrupted)")
-    p_top.add_argument("--workers", type=int, default=2,
-                       help="demo cluster worker processes")
-    p_top.add_argument("--matrices", type=int, default=2,
-                       help="demo cluster registered matrices")
-    p_top.add_argument("--n-rows", type=int, default=250)
-    p_top.add_argument("--requests", type=int, default=4,
-                       help="demo solves fired per refresh")
-    p_top.add_argument("--domain", default="circuit")
-    p_top.add_argument("--seed", type=int, default=0)
 
     p_reg = sub.add_parser(
         "regress",
@@ -353,8 +341,10 @@ def build_parser() -> argparse.ArgumentParser:
         "BENCH_solvers.json (exit 1 on regressions)",
     )
     from repro.metrics.regression import add_arguments as _regress_args
+    from repro.metrics.regression import run as _regress_run
 
     _regress_args(p_reg)
+    p_reg.set_defaults(func=_regress_run)
 
     p_il = sub.add_parser(
         "check-interleavings",
@@ -363,6 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
         "on any invariant violation or hang, printing the minimal "
         "reproducing schedule",
     )
+    _options(p_il, "--json", func=_cmd_check_interleavings)
     p_il.add_argument("--scenario", default="all",
                       help="scenario name or 'all' (see repro.serve."
                       "scenarios.SCENARIOS)")
@@ -376,14 +367,14 @@ def build_parser() -> argparse.ArgumentParser:
                       help="'random': independent seeded schedules; "
                       "'systematic': bounded breadth-first enumeration "
                       "of decision prefixes")
-    p_il.add_argument("--json", action="store_true",
-                      help="emit one JSON document of all reports")
 
     p_rep = sub.add_parser(
         "replay",
         help="feed a recorded trace-log JSONL back through a solve "
         "engine and check the replayed telemetry against the recording",
     )
+    _options(p_rep, "--execution", "--workers", "--json", "--journal-dir",
+             execution="host", workers=0, func=_cmd_replay)
     p_rep.add_argument("trace", help="TraceLog JSONL file (e.g. from "
                        "serve-stats --trace-log)")
     p_rep.add_argument("--speed", type=float, default=1.0,
@@ -395,24 +386,13 @@ def build_parser() -> argparse.ArgumentParser:
                        help="rows of the stand-in matrices")
     p_rep.add_argument("--batch-window", type=float, default=0.0,
                        help="replay engine's coalescing window (s)")
-    p_rep.add_argument("--execution", default="host",
-                       choices=["auto", "host", "sim"])
-    p_rep.add_argument("--workers", type=int, default=0,
-                       help="replay through an N-worker sharded cluster "
-                       "instead of one in-process engine (always "
-                       "wall-paced; 0 = in-process)")
-    p_rep.add_argument("--json", action="store_true",
-                       help="emit the replay report as JSON")
-    p_rep.add_argument("--journal-dir", metavar="DIR", default=None,
-                       help="journal the replayed solves into DIR — a "
-                       "recorded trace regenerates an efficacy report "
-                       "without live traffic")
 
     p_j = sub.add_parser(
         "journal",
         help="inspect a solve journal: tail recent records, query by "
         "matrix/lane/kind, or build the lane-efficacy report",
     )
+    p_j.set_defaults(func=_cmd_journal)
     jsub = p_j.add_subparsers(dest="verb", required=True)
     j_tail = jsub.add_parser("tail", help="print the newest records")
     j_tail.add_argument("dir", help="journal directory")
@@ -435,18 +415,18 @@ def build_parser() -> argparse.ArgumentParser:
         "latency anomalies; exits 0 healthy / 1 anomalies / 2 "
         "unreadable journal",
     )
+    _options(j_report, "--json")
     j_report.add_argument("dir", help="journal directory")
     j_report.add_argument("--min-samples", type=int, default=None,
                           help="samples a lane needs per class before "
                           "it can be recommended")
-    j_report.add_argument("--json", action="store_true",
-                          help="emit the full report as JSON")
     j_report.add_argument("--out", metavar="PATH", default=None,
                           help="write the recommended-lane artifact "
                           "here (default: DIR/lane_recommendations."
                           "json)")
 
     p_gen = sub.add_parser("generate", help="write a synthetic matrix to .mtx")
+    p_gen.set_defaults(func=_cmd_generate)
     p_gen.add_argument("--domain", required=True)
     p_gen.add_argument("--n-rows", type=int, required=True)
     p_gen.add_argument("--seed", type=int, default=0)
@@ -456,33 +436,87 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "experiments":
-        return _cmd_experiments(args)
-    if args.command == "solve":
-        return _cmd_solve(args)
-    if args.command == "analyze":
-        return _cmd_analyze(args)
-    if args.command == "profile":
-        return _cmd_profile(args)
-    if args.command == "serve-stats":
-        return _cmd_serve_stats(args)
-    if args.command == "serve-cluster":
-        return _cmd_serve_cluster(args)
-    if args.command == "serve-top":
-        return _cmd_serve_top(args)
-    if args.command == "check-interleavings":
-        return _cmd_check_interleavings(args)
-    if args.command == "replay":
-        return _cmd_replay(args)
-    if args.command == "journal":
-        return _cmd_journal(args)
-    if args.command == "regress":
-        from repro.metrics.regression import run as regress_run
+    return args.func(args)
 
-        return regress_run(args)
-    if args.command == "generate":
-        return _cmd_generate(args)
-    raise AssertionError("unreachable")  # pragma: no cover
+
+def _device(args):
+    """The simulated device ``--device`` names."""
+    from repro.gpu.device import SIM_SMALL, SIM_TINY
+
+    return SIM_SMALL if args.device == "SimSmall" else SIM_TINY
+
+
+def _load_matrix(args):
+    """``(L, name)``: the ``--matrix`` file when the verb takes one and it
+    is given, else a generated ``--domain`` matrix (circuit by default)."""
+    if getattr(args, "matrix", None):
+        from repro.sparse import make_unit_lower_triangular, read_matrix_market
+
+        return (
+            make_unit_lower_triangular(read_matrix_market(args.matrix)),
+            args.matrix,
+        )
+    from repro.datasets import generate
+
+    domain = args.domain or "circuit"
+    return generate(domain, args.n_rows, args.seed), domain
+
+
+def _block(system, k: int):
+    """``(B, X)``: a ``k``-wide right-hand side (column ``r`` is
+    ``(r + 1) * b``) and its manufactured solution."""
+    scale = np.arange(1.0, k + 1.0)
+    return np.outer(system.b, scale), np.outer(system.x_true, scale)
+
+
+def _max_error(x, truth) -> float:
+    return float(np.max(np.abs(x - truth)))
+
+
+def _cluster_systems(router, args, prefix: str):
+    """Register ``--matrices`` synthetic systems (seeds ``--seed + i``)
+    with ``router``; returns ``(keys, systems)``."""
+    from repro.datasets import generate
+    from repro.sparse import lower_triangular_system
+
+    systems = [
+        lower_triangular_system(
+            generate(args.domain, args.n_rows, args.seed + i)
+        )
+        for i in range(max(args.matrices, 1))
+    ]
+    keys = [
+        router.register(s.L, name=f"{prefix}-{i}")
+        for i, s in enumerate(systems)
+    ]
+    return keys, systems
+
+
+def _fire(router, keys, systems, requests: int, rhs: int) -> list:
+    """Pipeline ``requests`` single-RHS solves and one ``rhs``-wide block
+    (if ``rhs > 0``) per matrix; returns ``(future, truth)`` pairs."""
+    futs = []
+    for key, s in zip(keys, systems):
+        for _ in range(max(requests, 0)):
+            futs.append((router.submit(key, s.b, single=True), s.x_true))
+        if rhs > 0:
+            B, X_true = _block(s, rhs)
+            futs.append((router.submit(key, B), X_true))
+    return futs
+
+
+def _verify(futs: list, timeout: float, *, tolerate=()) -> tuple[float, int]:
+    """Wait for every ``(future, truth)`` pair; returns the worst error
+    and how many futures raised one of the ``tolerate`` errors."""
+    worst, lost = 0.0, 0
+    for fut, truth in futs:
+        try:
+            resp = fut.result(timeout=timeout)
+        except tolerate:
+            lost += 1
+            continue
+        worst = max(worst, _max_error(resp.x, truth))
+    return worst, lost
 
 
 def _cmd_experiments(args) -> int:
@@ -521,20 +555,17 @@ def _cmd_experiments(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    from repro.datasets import generate
-    from repro.gpu.device import SIM_SMALL, SIM_TINY
     from repro.solvers import select_solver
     from repro.sparse import lower_triangular_system
 
-    device = SIM_SMALL if args.device == "SimSmall" else SIM_TINY
-    L = generate(args.domain, args.n_rows, args.seed)
+    L, name = _load_matrix(args)
     system = lower_triangular_system(L)
     solver_cls = _solver_registry()[args.solver]
     solver = select_solver(L) if solver_cls is None else solver_cls()
-    result = solver.solve(system.L, system.b, device=device)
-    err = float(np.max(np.abs(result.x - system.x_true)))
+    result = solver.solve(system.L, system.b, device=_device(args))
+    err = _max_error(result.x, system.x_true)
     print(f"solver    : {result.solver_name}")
-    print(f"matrix    : {args.domain}, n={L.n_rows}, nnz={L.nnz}")
+    print(f"matrix    : {name}, n={L.n_rows}, nnz={L.nnz}")
     print(f"exec (sim): {result.exec_ms:.4f} ms "
           f"({result.gflops(L):.3f} GFLOPS)")
     print(f"preprocess: {result.preprocess.modeled_ms:.4f} ms modeled — "
@@ -590,61 +621,45 @@ def _report_json(r) -> dict:
     }
 
 
+def _lint_doc(label: str, findings: list, emit) -> dict:
+    """Print one lint's findings and summary; returns its JSON fragment."""
+    for finding in findings:
+        emit(finding.format())
+    emit(f"{label}: {len(findings)} finding(s)" if findings
+         else f"{label}: clean")
+    return {
+        "count": len(findings),
+        "findings": [f.to_json_dict() for f in findings],
+    }
+
+
 def _cmd_analyze(args) -> int:
     import json
 
     from repro.analysis import extract_features
-    from repro.datasets import generate
-    from repro.sparse import read_matrix_market, make_unit_lower_triangular
 
-    rc = 0
     doc: dict = {}
     emit = (lambda *a, **k: None) if args.json else print
     if args.lint:
         from repro.analysis.lint import lint_paths, solver_package_paths
 
-        findings = lint_paths(solver_package_paths())
-        for finding in findings:
-            emit(finding.format())
-        emit(
-            f"kernel lint: {len(findings)} finding(s)"
-            if findings
-            else "kernel lint: clean"
+        doc["lint"] = _lint_doc(
+            "kernel lint", lint_paths(solver_package_paths()), emit
         )
-        doc["lint"] = {
-            "count": len(findings),
-            "findings": [f.to_json_dict() for f in findings],
-        }
-        rc = 1 if findings else 0
     if args.serve_lint:
         from repro.analysis.asynclint import lint_paths, serve_package_paths
 
-        findings = lint_paths(serve_package_paths())
-        for finding in findings:
-            emit(finding.format())
-        emit(
-            f"serve lint: {len(findings)} finding(s)"
-            if findings
-            else "serve lint: clean"
+        doc["serve_lint"] = _lint_doc(
+            "serve lint", lint_paths(serve_package_paths()), emit
         )
-        doc["serve_lint"] = {
-            "count": len(findings),
-            "findings": [f.to_json_dict() for f in findings],
-        }
-        rc = max(rc, 1 if findings else 0)
+    rc = 1 if any(lint["count"] for lint in doc.values()) else 0
     if args.lint or args.serve_lint:
         if args.matrix is None and args.domain is None and args.solver is None:
             if args.json:
                 print(json.dumps(doc, indent=2))
             return rc
 
-    if args.matrix:
-        L = make_unit_lower_triangular(read_matrix_market(args.matrix))
-        name = args.matrix
-    else:
-        domain = args.domain or "circuit"
-        L = generate(domain, args.n_rows, args.seed)
-        name = domain
+    L, name = _load_matrix(args)
     f = extract_features(L)
     emit(f"{name}: {f.summary()}")
     doc["matrix"] = name
@@ -652,10 +667,6 @@ def _cmd_analyze(args) -> int:
 
     if args.levels:
         doc["levels"] = _analyze_levels_view(L, f, emit)
-        if args.solver is None and not args.trace:
-            if args.json:
-                print(json.dumps(doc, indent=2))
-            return rc
 
     if args.trace:
         from repro.errors import DeadlockError, SolverError
@@ -685,11 +696,7 @@ def _cmd_analyze(args) -> int:
             "events": len(tracer.events),
             "timeline": timeline,
         }
-        if args.json:
-            print(json.dumps(doc, indent=2))
-        return rc
-
-    if args.solver:
+    elif args.solver:
         from repro.analysis.schedule import (
             render_verdict_table,
             verify_all,
@@ -705,15 +712,12 @@ def _cmd_analyze(args) -> int:
         doc["reports"] = [_report_json(r) for r in reports]
         if any(r.verdict != "SAFE" for r in reports):
             rc = max(rc, 1)
-        if args.json:
-            print(json.dumps(doc, indent=2))
-        return rc
+    elif not args.levels:
+        from repro.solvers import select_solver
 
-    from repro.solvers import select_solver
-
-    recommended = select_solver(f).name
-    emit(f"recommended solver: {recommended}")
-    doc["recommended_solver"] = recommended
+        recommended = select_solver(f).name
+        emit(f"recommended solver: {recommended}")
+        doc["recommended_solver"] = recommended
     if args.json:
         print(json.dumps(doc, indent=2))
     return rc
@@ -816,29 +820,17 @@ def _cmd_profile(args) -> int:
     import json
 
     from repro.analysis import extract_features
-    from repro.datasets import generate
     from repro.errors import DeadlockError, SolverError
-    from repro.gpu.device import SIM_SMALL, SIM_TINY
     from repro.obs import (
         profile_json,
         profile_solve,
         render_flame,
         write_chrome_trace,
     )
-    from repro.sparse import (
-        lower_triangular_system,
-        make_unit_lower_triangular,
-        read_matrix_market,
-    )
+    from repro.sparse import lower_triangular_system
 
-    device = SIM_SMALL if args.device == "SimSmall" else SIM_TINY
-    if args.matrix:
-        L = make_unit_lower_triangular(read_matrix_market(args.matrix))
-        name = args.matrix
-    else:
-        domain = args.domain or "circuit"
-        L = generate(domain, args.n_rows, args.seed)
-        name = domain
+    device = _device(args)
+    L, name = _load_matrix(args)
     system = lower_triangular_system(L)
     solver, err_msg = _resolve_sim_solver(args.solver, system.L)
     if solver is None:
@@ -851,7 +843,7 @@ def _cmd_profile(args) -> int:
     except (DeadlockError, SolverError) as exc:
         print(f"profiled solve failed: {exc}", file=sys.stderr)
         return 1
-    err = float(np.max(np.abs(result.x - system.x_true)))
+    err = _max_error(result.x, system.x_true)
 
     # level attribution holds only for single-launch kernels with a
     # static row->warp mapping (LevelSet re-numbers warps per launch)
@@ -910,15 +902,10 @@ def _cmd_serve_stats(args) -> int:
     import asyncio
     import json
 
-    from repro.datasets import generate
-    from repro.gpu.device import SIM_SMALL, SIM_TINY
     from repro.serve import SolveEngine
     from repro.sparse import lower_triangular_system
 
-    if args.spans:
-        return _serve_stats_spans(args)
-    device = SIM_SMALL if args.device == "SimSmall" else SIM_TINY
-    L = generate(args.domain, args.n_rows, args.seed)
+    L, _ = _load_matrix(args)
     system = lower_triangular_system(L)
 
     async def session() -> tuple[dict, float, str | None]:
@@ -928,8 +915,8 @@ def _cmd_serve_stats(args) -> int:
 
             journal = JournalWriter(args.journal_dir, shard="serve")
         engine = SolveEngine(
-            device=device, max_batch=args.max_batch, profile=args.profile,
-            execution=args.execution, journal=journal,
+            device=_device(args), max_batch=args.max_batch,
+            profile=args.profile, execution=args.execution, journal=journal,
         )
         engine.register(system.L, name="cli-demo")
         responses = await asyncio.gather(
@@ -937,18 +924,13 @@ def _cmd_serve_stats(args) -> int:
               for _ in range(max(args.requests, 0))]
         )
         err = max(
-            (float(np.max(np.abs(r.x - system.x_true))) for r in responses),
+            (_max_error(r.x, system.x_true) for r in responses),
             default=0.0,
         )
         if args.rhs > 0:
-            B = np.column_stack(
-                [(r + 1.0) * system.b for r in range(args.rhs)]
-            )
+            B, X_true = _block(system, args.rhs)
             multi = await engine.solve_multi("cli-demo", B)
-            X_true = np.column_stack(
-                [(r + 1.0) * system.x_true for r in range(args.rhs)]
-            )
-            err = max(err, float(np.max(np.abs(multi.x - X_true))))
+            err = max(err, _max_error(multi.x, X_true))
         snap = engine.snapshot()
         om = None
         if args.openmetrics:
@@ -1017,95 +999,6 @@ def _cmd_serve_stats(args) -> int:
     return 0 if err < 1e-8 else 1
 
 
-def _serve_stats_spans(args) -> int:
-    """Tail-latency attribution: which hop makes slow requests slow?
-
-    Drives a short session through a small sharded cluster with
-    distributed tracing on, then prints per-hop latency percentiles
-    (router enqueue/send, worker deserialize/plan/solve/reply) and the
-    captured slow-request exemplars with their dominant hop.
-    """
-    import json
-
-    from repro.datasets import generate
-    from repro.serve.cluster import ShardRouter
-    from repro.sparse import lower_triangular_system
-
-    execution = "host" if args.execution == "auto" else args.execution
-    systems = [
-        lower_triangular_system(
-            generate(args.domain, args.n_rows, args.seed + i)
-        )
-        for i in range(2)
-    ]
-    err = 0.0
-    with ShardRouter(
-        n_workers=max(args.workers, 1),
-        execution=execution,
-        max_batch=args.max_batch,
-        slow_ms=args.slow_ms,
-    ) as router:
-        keys = [
-            router.register(s.L, name=f"span-{i}")
-            for i, s in enumerate(systems)
-        ]
-        futs = []
-        for key, s in zip(keys, systems):
-            for _ in range(max(args.requests, 0)):
-                futs.append((router.submit(key, s.b, single=True), s.x_true))
-            if args.rhs > 0:
-                B = np.column_stack(
-                    [(r + 1.0) * s.b for r in range(args.rhs)]
-                )
-                X_true = np.column_stack(
-                    [(r + 1.0) * s.x_true for r in range(args.rhs)]
-                )
-                futs.append((router.submit(key, B), X_true))
-        for fut, truth in futs:
-            resp = fut.result(timeout=60.0)
-            err = max(err, float(np.max(np.abs(resp.x - truth))))
-        # the ping drains every worker's buffered spans and feeds the
-        # clock aligner, so the stats below cover the whole session
-        router.ping()
-        hops = router.hop_stats()
-        exemplars = router.exemplars()
-        span_stats = router.router_stats()["spans"]
-
-    if args.json:
-        print(json.dumps({
-            "hops": hops,
-            "exemplars": [
-                {k: v for k, v in ex.items() if k != "spans"}
-                for ex in exemplars
-            ],
-            "spans": span_stats,
-            "max_error": err,
-        }, indent=2))
-        return 0 if err < 1e-8 else 1
-
-    print(f"spans         : {span_stats['spans']} across "
-          f"{span_stats['traces']} trace(s)")
-    name_w = max((len(h) for h in hops), default=3)
-    print(f"{'hop'.ljust(name_w)}  {'count':>6}  {'p50 ms':>9}  "
-          f"{'p99 ms':>9}  {'max ms':>9}")
-    for hop in sorted(hops):
-        hs = hops[hop]
-        print(f"{hop.ljust(name_w)}  {hs['count']:>6}  "
-              f"{hs['p50_ms']:>9.3f}  {hs['p99_ms']:>9.3f}  "
-              f"{hs['max_ms']:>9.3f}")
-    print(f"slow threshold: {span_stats['slow_threshold_ms']:.3f} ms "
-          f"({'explicit' if args.slow_ms is not None else 'adaptive p95'})")
-    if exemplars:
-        print(f"exemplars     : {len(exemplars)} captured")
-        for ex in exemplars:
-            print(f"  {ex['trace_id']}  {ex['total_ms']:9.3f} ms  "
-                  f"dominant hop: {ex['dominant_hop']}")
-    else:
-        print("exemplars     : none captured")
-    print(f"max error     : {err:.3e}")
-    return 0 if err < 1e-8 else 1
-
-
 def _cmd_serve_cluster(args) -> int:
     """Drive the sharded multi-process serve tier end to end.
 
@@ -1117,74 +1010,36 @@ def _cmd_serve_cluster(args) -> int:
     verifies every answer against the manufactured solution, and prints
     the fleet-wide roll-up.  ``--chaos-kill`` SIGKILLs one worker
     mid-session and asserts the router respawns it and keeps answering
-    correctly.  Exits non-zero on a bad residual or a leaked
-    shared-memory segment.
+    correctly.  ``--spans`` adds tail-latency attribution — which hop
+    makes slow requests slow: per-hop latency percentiles (router
+    enqueue/send, worker deserialize/plan/solve/reply) and the captured
+    slow-request exemplars with their dominant hop.  Exits non-zero on a
+    bad residual or a leaked shared-memory segment.
     """
     import json
 
-    from repro.datasets import generate
     from repro.errors import WorkerDiedError
     from repro.serve.arena import leaked_segments
     from repro.serve.cluster import ShardRouter
-    from repro.sparse import lower_triangular_system
 
     emit = (lambda *a, **k: None) if (args.json or args.openmetrics) else print
-    systems = [
-        lower_triangular_system(
-            generate(args.domain, args.n_rows, args.seed + i)
-        )
-        for i in range(max(args.matrices, 1))
-    ]
-
-    err = 0.0
     deaths_seen = 0
     with ShardRouter(
         n_workers=args.workers,
         execution=args.execution,
         max_batch=args.max_batch,
         request_timeout=args.timeout,
+        slow_ms=args.slow_ms,
         journal_dir=args.journal_dir,
     ) as router:
-        keys = [
-            router.register(s.L, name=f"cli-{i}")
-            for i, s in enumerate(systems)
-        ]
+        keys, systems = _cluster_systems(router, args, "cli")
         for i, key in enumerate(keys):
             emit(f"matrix {i}     : {key[:12]}… -> {router.worker_for(key)}")
 
         def fire() -> list:
-            """Pipeline every request, then pair futures with truths."""
-            futs = []
-            for key, s in zip(keys, systems):
-                for _ in range(max(args.requests, 0)):
-                    futs.append(
-                        (router.submit(key, s.b, single=True), s.x_true)
-                    )
-                if args.rhs > 0:
-                    B = np.column_stack(
-                        [(r + 1.0) * s.b for r in range(args.rhs)]
-                    )
-                    X_true = np.column_stack(
-                        [(r + 1.0) * s.x_true for r in range(args.rhs)]
-                    )
-                    futs.append((router.submit(key, B), X_true))
-            return futs
+            return _fire(router, keys, systems, args.requests, args.rhs)
 
-        def drain(futs: list, *, tolerate_deaths: bool) -> float:
-            worst = 0.0
-            nonlocal deaths_seen
-            for fut, truth in futs:
-                try:
-                    resp = fut.result(timeout=args.timeout)
-                except WorkerDiedError:
-                    if not tolerate_deaths:
-                        raise
-                    deaths_seen += 1
-                    continue
-                worst = max(worst, float(np.max(np.abs(resp.x - truth))))
-            return worst
-
-        err = max(err, drain(fire(), tolerate_deaths=False))
+        err, _ = _verify(fire(), args.timeout)
         if args.chaos_kill:
             import time
 
@@ -1194,10 +1049,13 @@ def _cmd_serve_cluster(args) -> int:
             # in-flight requests on the victim fail with WorkerDiedError;
             # the router respawns the shard, so a retry must succeed
             # (the respawn runs in the reader thread — poll briefly)
-            err = max(err, drain(futs, tolerate_deaths=True))
+            worst, deaths_seen = _verify(
+                futs, args.timeout, tolerate=WorkerDiedError
+            )
+            err = max(err, worst)
             for _ in range(100):
                 try:
-                    err = max(err, drain(fire(), tolerate_deaths=False))
+                    err = max(err, _verify(fire(), args.timeout)[0])
                     break
                 except WorkerDiedError:
                     time.sleep(0.2)
@@ -1221,6 +1079,14 @@ def _cmd_serve_cluster(args) -> int:
                  f"{args.chrome_trace}")
         snap = router.snapshot()
         om = router.openmetrics() if args.openmetrics else None
+        spans = {
+            "hops": router.hop_stats(),
+            "exemplars": [
+                {k: v for k, v in ex.items() if k != "spans"}
+                for ex in router.exemplars()
+            ],
+            "spans": snap["router"]["spans"],
+        } if args.spans else {}
     leaked = leaked_segments()
 
     if args.openmetrics:
@@ -1232,6 +1098,7 @@ def _cmd_serve_cluster(args) -> int:
             "chaos_kill": bool(args.chaos_kill),
             "in_flight_failures": deaths_seen,
             "leaked_segments": leaked,
+            **spans,
         }, indent=2))
     else:
         fleet, rt = snap["fleet"], snap["router"]
@@ -1255,9 +1122,35 @@ def _cmd_serve_cluster(args) -> int:
             print(f"journal       : {fj['records_written']} record(s) "
                   f"across {fj['shards']} shard(s), "
                   f"{fj['records_dropped']} dropped -> {args.journal_dir}")
+        if spans:
+            _print_spans(spans, explicit=args.slow_ms is not None)
         print(f"leaked shm    : {len(leaked)}")
         print(f"max error     : {err:.3e}")
     return 0 if err < 1e-8 and not leaked else 1
+
+
+def _print_spans(report: dict, *, explicit: bool) -> None:
+    """The ``serve-cluster --spans`` hop table and exemplar list."""
+    hops, span_stats = report["hops"], report["spans"]
+    print(f"spans         : {span_stats['spans']} across "
+          f"{span_stats['traces']} trace(s)")
+    name_w = max((len(h) for h in hops), default=3)
+    print(f"{'hop'.ljust(name_w)}  {'count':>6}  {'p50 ms':>9}  "
+          f"{'p99 ms':>9}  {'max ms':>9}")
+    for hop in sorted(hops):
+        hs = hops[hop]
+        print(f"{hop.ljust(name_w)}  {hs['count']:>6}  "
+              f"{hs['p50_ms']:>9.3f}  {hs['p99_ms']:>9.3f}  "
+              f"{hs['max_ms']:>9.3f}")
+    print(f"slow threshold: {span_stats['slow_threshold_ms']:.3f} ms "
+          f"({'explicit' if explicit else 'adaptive p95'})")
+    if report["exemplars"]:
+        print(f"exemplars     : {len(report['exemplars'])} captured")
+        for ex in report["exemplars"]:
+            print(f"  {ex['trace_id']}  {ex['total_ms']:9.3f} ms  "
+                  f"dominant hop: {ex['dominant_hop']}")
+    else:
+        print("exemplars     : none captured")
 
 
 def _cmd_serve_top(args) -> int:
@@ -1270,6 +1163,7 @@ def _cmd_serve_top(args) -> int:
     sequentially when piped.
     """
     import time
+    from itertools import count
 
     from repro.metrics.dashboard import render_dashboard
     from repro.metrics.expo import parse_openmetrics
@@ -1280,61 +1174,50 @@ def _cmd_serve_top(args) -> int:
 
     clear = "\x1b[2J\x1b[H" if sys.stdout.isatty() else ""
 
-    def paint(text: str, frame: int) -> None:
-        dashboard = render_dashboard(parse_openmetrics(text))
-        if clear:
-            sys.stdout.write(clear + dashboard)
-        else:
-            if frame:
-                sys.stdout.write("\n")
-            sys.stdout.write(dashboard)
-        sys.stdout.flush()
+    def run(scrape: Callable[[], str]) -> None:
+        """Render one frame per ``scrape()`` exposition, ``--interval``
+        apart, until ``--iterations`` frames or an interrupt."""
+        frames = range(args.iterations) if args.iterations > 0 else count()
+        try:
+            for frame in frames:
+                if frame:
+                    time.sleep(args.interval)
+                dashboard = render_dashboard(parse_openmetrics(scrape()))
+                if clear:
+                    sys.stdout.write(clear + dashboard)
+                else:
+                    if frame:
+                        sys.stdout.write("\n")
+                    sys.stdout.write(dashboard)
+                sys.stdout.flush()
+        except KeyboardInterrupt:
+            pass
 
-    frames = range(args.iterations) if args.iterations > 0 else iter(int, 1)
     if args.url:
         from urllib.request import urlopen
 
-        try:
-            for frame, _ in enumerate(frames):
-                if frame:
-                    time.sleep(args.interval)
-                with urlopen(args.url) as resp:
-                    paint(resp.read().decode("utf-8"), frame)
-        except KeyboardInterrupt:
-            pass
+        def scrape() -> str:
+            with urlopen(args.url) as resp:
+                return resp.read().decode("utf-8")
+
+        run(scrape)
         return 0
 
-    from repro.datasets import generate
     from repro.serve.cluster import ShardRouter
-    from repro.sparse import lower_triangular_system
 
-    systems = [
-        lower_triangular_system(
-            generate(args.domain, args.n_rows, args.seed + i)
-        )
-        for i in range(max(args.matrices, 1))
-    ]
+    err = 0.0
     with ShardRouter(n_workers=max(args.workers, 1)) as router:
-        keys = [
-            router.register(s.L, name=f"top-{i}")
-            for i, s in enumerate(systems)
-        ]
-        try:
-            for frame, _ in enumerate(frames):
-                if frame:
-                    time.sleep(args.interval)
-                futs = [
-                    router.submit(key, s.b, single=True)
-                    for key, s in zip(keys, systems)
-                    for _ in range(max(args.requests, 1))
-                ]
-                for fut in futs:
-                    fut.result(timeout=60.0)
-                router.ping()  # span drain + clock samples
-                paint(router.openmetrics(), frame)
-        except KeyboardInterrupt:
-            pass
-    return 0
+        keys, systems = _cluster_systems(router, args, "top")
+
+        def demo() -> str:
+            nonlocal err
+            futs = _fire(router, keys, systems, max(args.requests, 1), rhs=0)
+            err = max(err, _verify(futs, 60.0)[0])
+            router.ping()  # span drain + clock samples
+            return router.openmetrics()
+
+        run(demo)
+    return 0 if err < 1e-8 else 1
 
 
 def _cmd_check_interleavings(args) -> int:

@@ -99,6 +99,7 @@ from repro.errors import (
     QueueFullError,
     RequestTimeoutError,
     SolverError,
+    UnknownMatrixError,
 )
 from repro.gpu.device import SIM_SMALL, DeviceSpec
 from repro.obs.hostprof import (
@@ -284,9 +285,13 @@ class SolveEngine:
         header, so one id joins router spans, this engine's trace log,
         and the response); by default a fresh id is minted here.
         """
-        entry = self.registry.get(ref)
-        b = np.ascontiguousarray(b, dtype=np.float64)
         trace_id = trace_id or new_trace_id()
+        try:
+            entry = self.registry.get(ref)
+        except UnknownMatrixError:
+            self._reject(trace_id, ref, "unknown-matrix")
+            raise
+        b = np.ascontiguousarray(b, dtype=np.float64)
         self._admit(b, 1, trace_id, entry)
         self._emit(
             "enqueue", trace_id=trace_id, matrix=entry.key, n_rhs=1,
@@ -327,11 +332,15 @@ class SolveEngine:
         rides the same fallback ladder and telemetry as ``solve``.
         ``trace_id`` adopts a caller-minted id (see :meth:`solve`).
         """
-        entry = self.registry.get(ref)
+        trace_id = trace_id or new_trace_id()
+        try:
+            entry = self.registry.get(ref)
+        except UnknownMatrixError:
+            self._reject(trace_id, ref, "unknown-matrix")
+            raise
         B = np.ascontiguousarray(B, dtype=np.float64)
         if B.ndim == 1:
             B = B.reshape(-1, 1)
-        trace_id = trace_id or new_trace_id()
         self._admit(B, 2, trace_id, entry)
         self._emit(
             "enqueue", trace_id=trace_id, matrix=entry.key,

@@ -193,6 +193,12 @@ class ReplayReport:
             f"recorded: {self.recorded}",
             f"replayed: {self.replayed}",
         ]
+        if self.recorded["failed"]:
+            lines.append(
+                f"batches not gated: the recording's "
+                f"{self.recorded['failed']} failed request(s) are served "
+                "on replay, so their blocks add batches it never counted"
+            )
         if self.ok:
             lines.append("replay telemetry matches the recording")
         else:
@@ -218,15 +224,18 @@ def _compare(recorded: dict, replayed: dict, *, batches: bool) -> list[str]:
             f"replay telemetry inconsistent: admitted {replayed['total']} "
             f"but settled {settled}"
         )
-    # every request the recording saw completed must complete on
-    # replay: replay runs without deadlines, so recorded timeouts come
-    # back as completions
-    expect_completed = recorded["completed"] + recorded["timed_out"]
+    # every request the recording admitted must complete on replay:
+    # replay runs without deadlines, so recorded timeouts come back as
+    # completions, and the stand-in matrices never overflow, so
+    # recorded failures do too
+    expect_completed = (
+        recorded["completed"] + recorded["timed_out"] + recorded["failed"]
+    )
     if replayed["completed"] != expect_completed:
         mismatches.append(
             f"completed {replayed['completed']} request(s), recording "
-            f"implies {expect_completed} "
-            "(completed + timed-out, replay runs deadline-free)"
+            f"implies {expect_completed} (completed + timed-out + failed: "
+            "replay runs deadline-free on stand-in matrices)"
         )
     if batches and replayed["batches"] != recorded["batches"]:
         mismatches.append(
@@ -375,10 +384,12 @@ def replay_file(
         virtual=virtual,
         n_matrices=len(keys),
         # a recording without launches (an exemplar export) holds no
-        # batches to compare
+        # batches to compare, and one with failures served blocks the
+        # recording never counted (see ReplayReport.summary)
         mismatches=_compare(
             recorded, replayed,
             batches=virtual
+            and not recorded["failed"]
             and any(e.get("kind") == "launch" for e in events),
         ),
     )

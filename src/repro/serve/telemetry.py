@@ -157,15 +157,19 @@ class ServeTelemetry:
             self.kernel_failures.inc()
             self._tally(self._failures_by_solver, event["solver"])
         elif kind == "fallback":
-            self.fallback_solves.inc()
+            # one event per block: count the requests it served (an
+            # older event without trace_ids counts as one)
+            n = len(event["trace_ids"]) if "trace_ids" in event else 1
+            self.fallback_solves.inc(n)
             self._tally(
                 self._fallback_by_solver,
                 f"{event['fallback_from']}->{event['solver']}",
+                n,
             )
 
-    def _tally(self, by_name: dict, name: str) -> None:
+    def _tally(self, by_name: dict, name: str, n: int = 1) -> None:
         with self._lock:
-            by_name[name] = by_name.get(name, 0) + 1
+            by_name[name] = by_name.get(name, 0) + n
 
     def record_lane(
         self, lane: str, n_rhs: int, *, exec_ms: float = 0.0

@@ -72,9 +72,22 @@ class TestSingleSolve:
             engine = SolveEngine()
             with pytest.raises(UnknownMatrixError):
                 await engine.solve("ghost", np.zeros(3))
+            rejects = engine.trace_log.events(kind="reject")
+            snap = engine.snapshot()
+            with pytest.raises(UnknownMatrixError):
+                await engine.solve_multi("ghost", np.zeros((3, 2)))
+            multi_rejected = engine.snapshot()["requests"]["rejected"]
             await engine.close()
+            return rejects, snap, multi_rejected
 
-        run(main())
+        rejects, snap, multi_rejected = run(main())
+        # rejected before admission: traced and counted, never enqueued
+        (reject,) = rejects
+        assert reject["reason"] == "unknown-matrix"
+        assert reject["matrix"] == "ghost"
+        assert snap["requests"]["rejected"] == 1
+        assert snap["requests"]["total"] == 0
+        assert multi_rejected == 2
 
     def test_bad_rhs_shape(self):
         system = make_system()

@@ -115,6 +115,41 @@ class TestReplayFile:
         assert not report.ok
         assert any("completed" in m for m in report.mismatches)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    def test_recorded_failure_replays_ok(self, tmp_path):
+        from repro.errors import NonFiniteAnswerError
+        from repro.sparse.convert import dense_to_csr
+
+        # a 1e-200 diagonal: b = ones overflows on every lane
+        tiny = dense_to_csr(
+            np.tril(np.full((6, 6), 0.5), -1) + np.eye(6) * 1e-200
+        )
+        system = lower_triangular_system(random_unit_lower(40, 0.05, seed=5))
+        trace = tmp_path / "events.jsonl"
+
+        async def session():
+            engine = SolveEngine(execution="host")
+            engine.register(system.L, name="ok")
+            engine.register(tiny, name="tiny")
+            await asyncio.gather(
+                *[engine.solve("ok", system.b) for _ in range(3)]
+            )
+            with pytest.raises(NonFiniteAnswerError):
+                await engine.solve("tiny", np.ones(6))
+            engine.trace_log.write_jsonl(trace)
+            await engine.close()
+
+        asyncio.run(session())
+        report = replay_file(trace)
+        assert report.recorded["failed"] == 1
+        # the stand-in matrix serves the failed request, and its block
+        # is one more batch than the recording counted
+        assert report.replayed["completed"] == 4
+        assert report.replayed["batches"] == report.recorded["batches"] + 1
+        assert report.ok, report.summary()
+        assert "batches not gated" in report.summary()
+
     def test_empty_trace(self, tmp_path):
         trace = tmp_path / "empty.jsonl"
         trace.write_text("")

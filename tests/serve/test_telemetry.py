@@ -230,3 +230,36 @@ class TestEventFold:
         assert expected["lanes"]["host"]["rhs"] == 8
         assert expected["lanes"]["sim"]["batches"] == 2
         assert expected["sim"]["cycles"] > 0
+
+    def test_fallback_solves_count_requests_not_blocks(self, monkeypatch):
+        import asyncio
+
+        from repro.errors import SolverError
+        from repro.serve import SolveEngine
+        from repro.solvers.compiled import CompiledPlan
+        from repro.sparse.triangular import lower_triangular_system
+
+        from tests.conftest import random_unit_lower
+
+        system = lower_triangular_system(random_unit_lower(50, 0.05, seed=3))
+
+        def host_fails(self, B, **kw):
+            raise SolverError("injected host-lane failure")
+
+        monkeypatch.setattr(CompiledPlan, "solve_many", host_fails)
+
+        async def session():
+            engine = SolveEngine()  # execution="auto": host, then the sim
+            engine.register(system.L, name="m")
+            await asyncio.gather(
+                *[engine.solve("m", system.b) for _ in range(4)]
+            )
+            await engine.close()
+            return engine
+
+        engine = asyncio.run(session())
+        (fallback,) = engine.trace_log.events(kind="fallback")
+        assert len(fallback["trace_ids"]) == 4  # one coalesced block
+        fb = engine.telemetry.snapshot()["fallbacks"]
+        assert fb["solves"] == 4
+        assert sum(fb["by_transition"].values()) == 4

@@ -22,6 +22,45 @@ class TestParser:
         assert args.domain == "circuit"
         assert args.solver == "auto"
 
+    _OUTPUTS = {"json": False, "openmetrics": False, "trace_log": None,
+                "journal_dir": None}
+
+    @pytest.mark.parametrize("argv,expected", [
+        (["solve"], {"domain": "circuit", "n_rows": 2000, "seed": 0,
+                     "device": "SimSmall"}),
+        (["analyze"], {"matrix": None, "domain": None, "n_rows": 10000,
+                       "seed": 0, "json": False}),
+        (["profile"], {"matrix": None, "domain": None, "n_rows": 1000,
+                       "seed": 0, "device": "SimSmall", "json": False}),
+        (["serve-stats"], {"domain": "circuit", "n_rows": 800, "seed": 0,
+                           "device": "SimSmall", "requests": 16, "rhs": 4,
+                           "max_batch": 32, "execution": "auto",
+                           **_OUTPUTS}),
+        (["serve-cluster"], {"workers": 2, "matrices": 3,
+                             "domain": "circuit", "n_rows": 400, "seed": 0,
+                             "requests": 8, "rhs": 4, "max_batch": 32,
+                             "execution": "host", "spans": False,
+                             "slow_ms": None, **_OUTPUTS}),
+        (["serve-top"], {"workers": 2, "matrices": 2, "domain": "circuit",
+                         "n_rows": 250, "seed": 0, "requests": 4}),
+        (["replay", "t.jsonl"], {"execution": "host", "workers": 0,
+                                 "json": False, "journal_dir": None}),
+        (["journal", "report", "d"], {"json": False}),
+        (["check-interleavings"], {"json": False, "seed": 0}),
+    ])
+    def test_shared_option_defaults_per_verb(self, argv, expected):
+        args = vars(build_parser().parse_args(argv))
+        assert {k: args[k] for k in expected} == expected
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--matrix", "m.mtx", "--domain", "lp"],
+        ["profile", "--matrix", "m.mtx", "--domain", "lp"],
+    ])
+    def test_matrix_and_domain_are_exclusive(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+
 
 class TestCommands:
     def test_solve_named_solver(self, capsys):
@@ -527,6 +566,52 @@ class TestServeCluster:
         assert doc["leaked_segments"] == []
         assert doc["max_error"] < 1e-8
         assert doc["snapshot"]["fleet"]["workers"] == 1
+
+    def test_spans_prints_hop_table(self, capsys):
+        rc = main([
+            "serve-cluster", "--spans", "--workers", "2", "--matrices", "2",
+            "--requests", "2", "--n-rows", "150",
+        ])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "hop" in out and "p50 ms" in out and "p99 ms" in out
+        for hop in ("deserialize", "solve", "reply"):
+            assert f"\n{hop} " in out
+        assert "slow threshold: " in out and "(adaptive p95)" in out
+        assert "exemplars     : " in out
+
+    def test_spans_json_document(self, capsys):
+        import json
+
+        rc = main([
+            "serve-cluster", "--spans", "--workers", "2", "--matrices", "2",
+            "--requests", "2", "--n-rows", "150", "--slow-ms", "0",
+            "--json",
+        ])
+        assert rc == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert {"deserialize", "solve", "reply"} <= set(doc["hops"])
+        assert doc["spans"]["slow_threshold_ms"] == 0.0
+        # every request is over a zero threshold: exemplars without
+        # their span trees
+        assert doc["exemplars"]
+        assert all("spans" not in ex for ex in doc["exemplars"])
+        assert doc["max_error"] < 1e-8
+        assert doc["leaked_segments"] == []
+
+    def test_serve_stats_spans_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["serve-stats", "--spans"])
+        assert exc.value.code == 2
+        assert "--spans" in capsys.readouterr().err
+
+    def test_serve_top_demo(self, capsys):
+        rc = main([
+            "serve-top", "--demo", "--iterations", "1", "--interval", "0",
+            "--workers", "1", "--n-rows", "150",
+        ])
+        assert rc == 0
+        assert capsys.readouterr().out
 
     def test_replay_workers_flag(self, tmp_path, capsys):
         trace = tmp_path / "events.jsonl"
