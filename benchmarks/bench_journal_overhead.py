@@ -25,8 +25,6 @@ import json
 import os
 import time
 
-import pytest
-
 from repro.datasets.domains import circuit
 from repro.obs.journal import JournalWriter
 from repro.serve import SolveEngine

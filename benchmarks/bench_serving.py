@@ -463,7 +463,7 @@ def _engine_overhead() -> dict:
 
 
 def test_engine_overhead(benchmark, output_dir):
-    """A warm, idle engine may add at most 1.3x its kernel's time."""
+    """A warm, idle engine's solve takes at most 2.3x its kernel's time."""
     r = run_once(benchmark, _engine_overhead)
     ratio = r["engine_s"] / r["raw_s"]
     doc = {

@@ -420,10 +420,6 @@ def build_parser() -> argparse.ArgumentParser:
     j_report.add_argument("--min-samples", type=int, default=None,
                           help="samples a lane needs per class before "
                           "it can be recommended")
-    j_report.add_argument("--out", metavar="PATH", default=None,
-                          help="write the recommended-lane artifact "
-                          "here (default: DIR/lane_recommendations."
-                          "json)")
 
     p_gen = sub.add_parser("generate", help="write a synthetic matrix to .mtx")
     p_gen.set_defaults(func=_cmd_generate)
@@ -1314,7 +1310,6 @@ def _cmd_journal(args) -> int:
     CI can gate on it the same way it gates on ``regress``.
     """
     import json
-    from pathlib import Path
 
     from repro.errors import JournalError
     from repro.obs.journal import JournalReader
@@ -1358,7 +1353,6 @@ def _cmd_journal(args) -> int:
         DEFAULT_MIN_SAMPLES,
         aggregate,
         healthy,
-        lane_recommendations,
         render_report,
     )
 
@@ -1370,20 +1364,10 @@ def _cmd_journal(args) -> int:
         ),
         skipped=scan["skipped"],
     )
-    out = Path(args.out) if args.out else Path(args.dir) / (
-        "lane_recommendations.json"
-    )
-    out.write_text(json.dumps({
-        "schema": report["schema"],
-        "recommendations": lane_recommendations(report),
-        "min_samples": report["min_samples"],
-        "solves": report["solves"],
-    }, indent=2, sort_keys=True) + "\n")
     if args.json:
         print(json.dumps(report, indent=2, sort_keys=True, default=str))
     else:
         print(render_report(report))
-        print(f"recommendations -> {out}")
     return 0 if healthy(report) else 1
 
 

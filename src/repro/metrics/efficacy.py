@@ -5,15 +5,13 @@ evidence the ROADMAP's adaptive-lane-policy item needs: which way of
 solving actually wins for which *granularity class* of matrix.  Solves
 are binned by *route* — the fast-lane plan's schedule variant
 (``"level"`` or ``"sequential"``, from the record's ``schedule`` field)
-or ``"sim"`` — and the recommendations are the lane-hint values
-(:data:`repro.serve.registry.LANE_HINTS`) the registry caches.  Class
-binning follows the exact thresholds the sequential rule uses — the
-paper's Eq. 1 granularity indicator δ against
+or ``"sim"`` — and each recommendation names the measured-fastest
+route.  Class binning follows the exact thresholds the sequential rule
+uses — the paper's Eq. 1 granularity indicator δ against
 :data:`~repro.analysis.granularity.HIGH_GRANULARITY_THRESHOLD` and the
-level depth against
-:data:`~repro.solvers.compiled.DEEP_LEVEL_COUNT` — so the recommended-
-route table is directly comparable to (and a drop-in replacement for)
-the static rule.  Journals written before the fast lanes were folded
+level depth against :data:`~repro.solvers.compiled.DEEP_LEVEL_COUNT` —
+so the recommended-route table is directly comparable to the static
+rule.  Journals written before the fast lanes were folded
 into one plan still count their ``host`` records, which ran the level
 schedule.  Records of kernels that no longer exist — the ``merged``
 schedule, and the pre-fold ``compiled`` lane that ran it — get no
@@ -52,13 +50,11 @@ __all__ = [
     "granularity_class",
     "route_of",
     "aggregate",
-    "lane_recommendations",
-    "apply_lane_hints",
     "healthy",
     "render_report",
 ]
 
-#: Schema tag of the report document (and the cached artifact file).
+#: Schema tag of the report document.
 EFFICACY_SCHEMA = "efficacy/1"
 
 #: The four bins: level depth × Eq. 1 granularity, thresholds shared
@@ -122,7 +118,7 @@ def _lane_summary(latencies: list) -> dict:
 
 
 def route_of(record: dict) -> Optional[str]:
-    """The lane-hint value one solve record ran on, or ``None``.
+    """The route one solve record ran on, or ``None``.
 
     A host-lane record's route is the schedule variant of the plan
     that served it; a sim-lane record's is ``"sim"``.  A ``host``
@@ -301,30 +297,6 @@ def aggregate(
         },
         "anomalies": anomalies,
     }
-
-
-def lane_recommendations(report: dict) -> dict:
-    """``{granularity class: recommended lane}`` from a report."""
-    return dict(report.get("recommendations", {}))
-
-
-def apply_lane_hints(registry, report: dict) -> int:
-    """Cache per-matrix recommendations on the registry; returns count.
-
-    Each matrix in the report with a decided fastest route gets a
-    ``lane_hint`` artifact next to its plan (``MatrixRegistry.
-    set_lane_hint``) — a schedule variant overrides the sequential
-    rule, closing the ROADMAP's measure → recommend → route loop.  Matrices
-    no longer registered are skipped.
-    """
-    applied = 0
-    for key, info in report.get("matrices", {}).items():
-        lane = info.get("recommended")
-        if lane is None or key not in registry:
-            continue
-        registry.set_lane_hint(key, lane)
-        applied += 1
-    return applied
 
 
 def healthy(report: dict) -> bool:

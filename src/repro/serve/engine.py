@@ -34,13 +34,12 @@ Execution model
     ``solve_many`` over the whole block.  This is the production fast
     path: one SuperLU sweep or a few numpy operations per level,
     instead of thousands of interpreter-stepped simulated cycles.  The
-    plan's schedule variant is the registry's choice, not the caller's
-    (:meth:`~repro.serve.registry.MatrixRegistry.schedule_for`):
+    plan's schedule variant is a property of the matrix, decided once
+    by the registry (:meth:`~repro.serve.registry.MatrixRegistry.plan`):
     ``"sequential"`` for deep, skinny level structures
     (:func:`~repro.solvers.compiled.prefers_compiled`: many levels,
     Eq. 1 granularity at or below the paper's 0.7 threshold), where
-    per-level dispatch would dominate, ``"level"`` otherwise, and a
-    cached efficacy hint overrides the rule.
+    per-level dispatch would dominate, ``"level"`` otherwise.
   - ``"sim"`` — the cycle-level SIMT simulator: batched
     ``capellini_sptrsm`` for width ≥ 2, the granularity-selected solver
     chain for width 1 and multi-RHS fallbacks.  This is the measurement
@@ -182,7 +181,6 @@ class SolveEngine:
         default_timeout: Optional[float] = 30.0,
         max_workers: int = 4,
         candidates: Optional[Iterable[type[SpTRSVSolver]]] = None,
-        telemetry: Optional[ServeTelemetry] = None,
         trace_log: Optional[TraceLog] = None,
         profile: bool = False,
         execution: str = "auto",
@@ -205,7 +203,7 @@ class SolveEngine:
         self.max_batch = max_batch
         self.batch_window = batch_window
         self.default_timeout = default_timeout
-        self.telemetry = telemetry if telemetry is not None else ServeTelemetry()
+        self.telemetry = ServeTelemetry()
         #: bounded structured event log; every request gets a trace id
         #: and an enqueue → launch → publish event trail
         self.trace_log = trace_log if trace_log is not None else TraceLog()

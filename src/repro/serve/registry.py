@@ -30,7 +30,6 @@ from repro.analysis.schedule import ScheduleReport, verify_schedule
 from repro.errors import ServeError, UnknownMatrixError
 from repro.gpu.device import SIM_SMALL, DeviceSpec
 from repro.solvers.compiled import (
-    COMPILED_SCHEDULES,
     CompiledPlan,
     build_compiled_plan,
     pick_schedule,
@@ -43,7 +42,6 @@ from repro.sparse.csr import CSRMatrix
 
 __all__ = [
     "DEFAULT_MEMORY_BUDGET",
-    "LANE_HINTS",
     "matrix_fingerprint",
     "RegisteredMatrix",
     "MatrixRegistry",
@@ -52,11 +50,6 @@ __all__ = [
 #: Default LRU budget: generous for the simulator-scale matrices the
 #: tests and benchmarks use, small enough to be hit in production sizes.
 DEFAULT_MEMORY_BUDGET = 256 * 1024 * 1024
-
-#: Valid values of a cached lane recommendation (see
-#: :meth:`MatrixRegistry.set_lane_hint`): a schedule variant of the
-#: fast lane, or the simulator.
-LANE_HINTS = COMPILED_SCHEDULES + ("sim",)
 
 
 def matrix_fingerprint(L: CSRMatrix) -> str:
@@ -81,8 +74,7 @@ class RegisteredMatrix:
     """
 
     __slots__ = (
-        "key", "name", "matrix", "_features", "_csc", "_verdicts", "_plans",
-        "_schedule", "_lane_hint",
+        "key", "name", "matrix", "_features", "_csc", "_verdicts", "_plan",
     )
 
     def __init__(self, key: str, name: str, matrix: CSRMatrix) -> None:
@@ -92,15 +84,8 @@ class RegisteredMatrix:
         self._features: Optional[MatrixFeatures] = None
         self._csc: Optional[CSCMatrix] = None
         self._verdicts: dict[str, ScheduleReport] = {}
-        # fast-lane plans, keyed by schedule variant ("level" /
-        # "sequential") — distinct artifacts of one matrix
-        self._plans: dict[str, CompiledPlan] = {}
-        # the variant the sequential rule picked
-        self._schedule: Optional[str] = None
-        # measured recommendation from the efficacy analytics
-        # (repro.metrics.efficacy.apply_lane_hints); a schedule variant
-        # here overrides the rule
-        self._lane_hint: Optional[str] = None
+        # the fast-lane plan, in the variant the sequential rule picks
+        self._plan: Optional[CompiledPlan] = None
 
     @property
     def nbytes(self) -> int:
@@ -122,17 +107,9 @@ class RegisteredMatrix:
                 + self._csc.row_idx.nbytes
                 + self._csc.values.nbytes
             )
-        for plan in self._plans.values():
-            total += plan.nbytes
+        if self._plan is not None:
+            total += self._plan.nbytes
         return total
-
-
-def _chosen_schedule(entry: RegisteredMatrix) -> Optional[str]:
-    """The variant already decided for ``entry``: a lane hint naming a
-    variant, else the rule's choice, else ``None`` while undecided."""
-    if entry._lane_hint in COMPILED_SCHEDULES:
-        return entry._lane_hint
-    return entry._schedule
 
 
 class MatrixRegistry:
@@ -259,50 +236,33 @@ class MatrixRegistry:
                 self._hits += 1
             return entry._csc
 
-    def schedule_for(self, ref: str) -> str:
-        """The schedule variant :meth:`plan` serves for this matrix.
-
-        A cached lane hint naming a variant wins; otherwise the
-        sequential rule over cached features
-        (:func:`~repro.solvers.compiled.pick_schedule`), decided once.
-        """
-        with self._lock:
-            entry = self._lookup(ref)
-            schedule = _chosen_schedule(entry)
-            if schedule is None:
-                schedule = entry._schedule = pick_schedule(
-                    self._built_features(entry)
-                )
-            return schedule
-
     def plan(self, ref: str) -> CompiledPlan:
-        """The fast-lane plan (inspector output, cached per variant).
+        """The fast-lane plan (inspector output, one per matrix).
 
-        Always the :meth:`schedule_for` variant — the engine and every
-        cluster worker serve through this one accessor, and a lane hint
-        is the only override.  Built lazily from the *cached* level
-        schedule — the inspector never recomputes levels the
-        :meth:`features` artifact already paid for — and accounted
-        against the LRU byte budget like every other artifact.  One
-        build per (fingerprint, variant): repeated solves of one matrix
-        are pure executor work.
+        The engine and every cluster worker serve through this one
+        accessor.  The first call builds the variant the sequential
+        rule (:func:`~repro.solvers.compiled.pick_schedule`) names for
+        the matrix's cached features — the inspector never recomputes
+        levels the :meth:`features` artifact already paid for — and
+        accounts it against the LRU byte budget like every other
+        artifact.  Every later call is a hit: repeated solves of one
+        matrix are pure executor work.
         """
         with self._lock:
             entry = self._lookup(ref, count_miss=True)
-            schedule = self.schedule_for(entry.key)
-            plan = entry._plans.get(schedule)
-            if plan is None:
-                base = self._built_features(entry).schedule
-                self._misses += 1
-                self._artifact_builds += 1
-                plan = build_compiled_plan(
-                    entry.matrix, schedule=schedule, base=base
-                )
-                entry._plans[schedule] = plan
-                self._enforce_budget(keep=entry.key)
-            else:
+            if entry._plan is not None:
                 self._hits += 1
-            return plan
+                return entry._plan
+            features = self._built_features(entry)
+            self._misses += 1
+            self._artifact_builds += 1
+            entry._plan = build_compiled_plan(
+                entry.matrix,
+                schedule=pick_schedule(features),
+                base=features.schedule,
+            )
+            self._enforce_budget(keep=entry.key)
+            return entry._plan
 
     # Kept for perfbench/layers.py, which wraps this name.
     compiled_plan = plan
@@ -317,34 +277,7 @@ class MatrixRegistry:
         """
         with self._lock:
             entry = self._entries.get(self._names.get(ref, ref))
-            return entry is not None and (
-                _chosen_schedule(entry) in entry._plans
-            )
-
-    def set_lane_hint(self, ref: str, lane: Optional[str]) -> None:
-        """Cache a measured-lane recommendation next to the plan.
-
-        ``lane`` is one of :data:`LANE_HINTS` (or ``None`` to clear).
-        This is the registry artifact the efficacy analytics
-        (:func:`repro.metrics.efficacy.apply_lane_hints`) write after a
-        ``journal report`` run: a schedule variant overrides the
-        sequential rule in :meth:`schedule_for`; ``"sim"`` leaves the
-        rule in charge.  Like every artifact, the hint lives and dies with its
-        LRU entry.
-        """
-        if lane is not None and lane not in LANE_HINTS:
-            raise ServeError(
-                f"lane hint must be one of {LANE_HINTS} or None, "
-                f"got {lane!r}"
-            )
-        with self._lock:
-            entry = self._lookup(ref)
-            entry._lane_hint = lane
-
-    def lane_hint(self, ref: str) -> Optional[str]:
-        """The cached lane recommendation, or ``None`` (no hint)."""
-        with self._lock:
-            return self._lookup(ref)._lane_hint
+            return entry is not None and entry._plan is not None
 
     def verdict(self, ref: str, solver: str = "capellini") -> ScheduleReport:
         """Static schedule-verifier report for one solver family."""
@@ -388,11 +321,6 @@ class MatrixRegistry:
                 "registrations": self._registrations,
                 "dedup_hits": self._dedup_hits,
                 "artifact_builds": self._artifact_builds,
-                "lane_hints": sum(
-                    1
-                    for e in self._entries.values()
-                    if e._lane_hint is not None
-                ),
             }
             if self.shard_id is not None:
                 stats["shard"] = self.shard_id

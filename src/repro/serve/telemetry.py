@@ -19,7 +19,6 @@ folded into the snapshot under ``"slo"``.
 from __future__ import annotations
 
 import threading
-from typing import Optional
 
 from repro.metrics.telemetry import Counter, Gauge, Histogram
 from repro.serve.slo import SLOTracker
@@ -30,7 +29,7 @@ __all__ = ["ServeTelemetry"]
 class ServeTelemetry:
     """Counters and distributions for one :class:`SolveEngine`."""
 
-    def __init__(self, *, slo: Optional[SLOTracker] = None) -> None:
+    def __init__(self) -> None:
         self.requests_total = Counter(
             "requests_total", help="Requests admitted to the engine."
         )
@@ -108,7 +107,7 @@ class ServeTelemetry:
             help="Right-hand sides served, by execution lane.",
             labels={"lane": "sim"},
         )
-        self.slo = slo if slo is not None else SLOTracker()
+        self.slo = SLOTracker()
         self._lock = threading.Lock()
         self._fallback_by_solver: dict[str, int] = {}
         self._failures_by_solver: dict[str, int] = {}

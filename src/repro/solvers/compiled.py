@@ -92,8 +92,8 @@ def prefers_compiled(features) -> bool:
 def pick_schedule(features) -> str:
     """The schedule variant the rule picks for one matrix:
     ``"sequential"`` when :func:`prefers_compiled` holds, else
-    ``"level"``.  The serve tier lets a cached efficacy hint override
-    it (:meth:`repro.serve.registry.MatrixRegistry.schedule_for`)."""
+    ``"level"``.  The serve tier's registry applies it once per matrix
+    (:meth:`repro.serve.registry.MatrixRegistry.plan`)."""
     return "sequential" if prefers_compiled(features) else "level"
 
 

@@ -8,7 +8,7 @@ from repro.analysis.dag import critical_path, dependency_dag, dependency_edge_co
 from repro.analysis.levels import compute_levels
 from repro.datasets.synthetic import chain, diagonal
 
-from tests.conftest import fig1_matrix, random_unit_lower
+from tests.conftest import random_unit_lower
 
 
 class TestDag:

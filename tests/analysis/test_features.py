@@ -7,8 +7,6 @@ from repro.analysis.features import extract_features
 from repro.analysis.levels import compute_levels
 from repro.datasets.synthetic import banded, chain
 
-from tests.conftest import fig1_matrix
-
 
 class TestExtractFeatures:
     def test_fig1_features(self, fig1):

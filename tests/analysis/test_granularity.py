@@ -13,8 +13,6 @@ from repro.analysis.granularity import (
 )
 from repro.datasets.synthetic import chain, diagonal
 
-from tests.conftest import fig1_matrix
-
 
 class TestEquation1:
     def test_default_formula_value(self):

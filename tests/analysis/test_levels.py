@@ -9,7 +9,7 @@ from repro.datasets.synthetic import banded, chain, diagonal
 from repro.errors import NotTriangularError
 from repro.sparse.convert import dense_to_csr
 
-from tests.conftest import build_csr, fig1_matrix, random_unit_lower
+from tests.conftest import build_csr, random_unit_lower
 
 
 class TestFig1:

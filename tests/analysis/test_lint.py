@@ -2,8 +2,6 @@
 
 import textwrap
 
-import pytest
-
 from repro.analysis.lint import (
     lint_paths,
     lint_source,

@@ -15,7 +15,7 @@ from repro.solvers.reference import serial_sptrsv
 from repro.sparse.convert import csr_to_dense, dense_to_csr
 from repro.sparse.triangular import is_lower_triangular
 
-from tests.conftest import fig1_matrix, random_unit_lower
+from tests.conftest import random_unit_lower
 
 
 class TestPermuteSymmetric:

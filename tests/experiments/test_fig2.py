@@ -1,7 +1,5 @@
 """Figure 2 walkthrough test."""
 
-import numpy as np
-
 from repro.analysis.levels import compute_levels
 from repro.experiments import fig2
 

@@ -1,7 +1,5 @@
 """Rendering helper tests."""
 
-import numpy as np
-
 from repro.experiments.report import render_series, render_table, sparkline
 
 

@@ -1,7 +1,6 @@
 """Engine edge cases: multi-launch, counters across launches, tiny grids."""
 
 import numpy as np
-import pytest
 
 from repro.gpu.device import DeviceSpec
 from repro.gpu.kernel import ALU

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.errors import DeadlockError, LaunchConfigError, SimulationError
-from repro.gpu.device import DeviceSpec, SIM_SMALL
+from repro.gpu.device import DeviceSpec
 from repro.gpu.kernel import ALU, WARP_SYNC, Poll, SpinWait
 from repro.gpu.simt import SIMTEngine
 

@@ -1,16 +1,12 @@
 """Tracer and timeline-rendering tests."""
 
 import numpy as np
-import pytest
 
 from repro.gpu import SIM_TINY, SIMTEngine, Tracer, render_timeline
 from repro.gpu.kernel import ALU, Poll, SpinWait
 from repro.gpu.trace import TraceEvent
 from repro.solvers import SyncFreeSolver, WritingFirstCapelliniSolver
 from repro.solvers._sim import tracing
-from repro.sparse.triangular import lower_triangular_system
-
-from tests.conftest import fig1_matrix
 
 
 class TestTracer:

@@ -7,18 +7,14 @@ fastest route (schedule variant or simulator) for every granularity
 class, same journal in -> same report out.
 """
 
-import pytest
-
 from repro.analysis.granularity import HIGH_GRANULARITY_THRESHOLD
 from repro.metrics.efficacy import (
     DEFAULT_MIN_SAMPLES,
     EFFICACY_SCHEMA,
     GRANULARITY_CLASSES,
     aggregate,
-    apply_lane_hints,
     granularity_class,
     healthy,
-    lane_recommendations,
     render_report,
     route_of,
 )
@@ -77,7 +73,6 @@ class TestAggregate:
             "deep-fine": "sequential",
             "shallow-coarse": "level",
         }
-        assert lane_recommendations(report) == report["recommendations"]
         assert report["classes"]["deep-fine"]["win_rates"] == {
             "sequential": 1.0, "level": 0.0,
         }
@@ -108,9 +103,12 @@ class TestAggregate:
             records.append(solve("a", "level", 2.0, ts=i))
             records.append(solve("b", "sequential", 2.0, ts=i))
             records.append(solve("b", "level", 1.0, ts=i))
-        cls = aggregate(records)["classes"]["deep-fine"]
+        report = aggregate(records)
+        cls = report["classes"]["deep-fine"]
         assert cls["matrices"] == 2
         assert cls["win_rates"] == {"sequential": 0.5, "level": 0.5}
+        assert report["matrices"]["a"]["recommended"] == "sequential"
+        assert report["matrices"]["b"]["recommended"] == "level"
 
     def test_unusable_records_counted_not_crashed(self):
         records = [
@@ -152,39 +150,6 @@ class TestAnomalies:
         # a different lane at 50 ms is its own fresh series, not a spike
         records.append(solve("m", "sim", 50.0, ts=9))
         assert aggregate(records)["anomalies"] == []
-
-
-class TestLaneHints:
-    def test_apply_hints_feeds_auto_routing(self):
-        from repro.serve.registry import MatrixRegistry
-        from tests.conftest import random_unit_lower
-
-        registry = MatrixRegistry()
-        key = registry.register(random_unit_lower(40, 0.05, seed=1))
-        records = [solve(key, "sim", 1.0, ts=i) for i in range(3)]
-        records += [solve(key, "level", 5.0, ts=i) for i in range(3)]
-        records += [solve("gone", "level", 1.0, ts=i) for i in range(3)]
-        report = aggregate(records)
-        assert apply_lane_hints(registry, report) == 1  # "gone" skipped
-        assert registry.lane_hint(key) == "sim"
-        assert registry.stats()["lane_hints"] == 1
-
-    def test_bad_hint_rejected(self):
-        from repro.errors import ServeError
-        from repro.serve.registry import MatrixRegistry
-        from tests.conftest import random_unit_lower
-
-        registry = MatrixRegistry()
-        key = registry.register(random_unit_lower(30, 0.05, seed=2))
-        # "merged" names a schedule that no longer exists: a stale
-        # hint from an old report is refused like any other bad value
-        for bad in ("warp", "compiled", "host", "merged"):
-            with pytest.raises(ServeError):
-                registry.set_lane_hint(key, bad)
-        registry.set_lane_hint(key, "sequential")
-        assert registry.schedule_for(key) == "sequential"
-        registry.set_lane_hint(key, None)  # clearable
-        assert registry.lane_hint(key) is None
 
 
 class TestLegacyJournals:
@@ -229,18 +194,4 @@ class TestLegacyJournals:
         assert report["recommendations"] == {"deep-fine": "level"}
         assert set(report["matrices"]["d"]["lanes"]) == {"level", "sim"}
         assert report["matrices"]["d"]["lanes"]["level"]["count"] == 6
-
-    def test_old_report_hints_apply(self):
-        from repro.serve.registry import MatrixRegistry
-        from tests.conftest import random_unit_lower
-
-        registry = MatrixRegistry()
-        key = registry.register(random_unit_lower(40, 0.05, seed=3))
-        records = [
-            self.legacy(key, lane, lat, schedule=sched, ts=i)
-            for i in range(3)
-            for lane, lat, sched in (("compiled", 9.0, "merged"),
-                                     ("host", 1.0, "level"))
-        ]
-        assert apply_lane_hints(registry, aggregate(records)) == 1
-        assert registry.lane_hint(key) == "level"
+        assert report["matrices"]["d"]["recommended"] == "level"

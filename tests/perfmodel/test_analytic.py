@@ -6,12 +6,11 @@ regime is known by construction, and check ranking agreement against the
 cycle simulator.
 """
 
-import numpy as np
 import pytest
 
 from repro.analysis.features import extract_features
 from repro.datasets.domains import circuit, linear_programming
-from repro.datasets.synthetic import banded, chain
+from repro.datasets.synthetic import banded
 from repro.errors import SolverError
 from repro.gpu.device import PASCAL_GTX1080, PLATFORMS, SIM_SMALL
 from repro.perfmodel.analytic import AlgorithmProfile, AnalyticModel

@@ -14,6 +14,7 @@ from repro.serve.arena import (
     leaked_segments,
 )
 from repro.serve.registry import MatrixRegistry, matrix_fingerprint
+from repro.solvers.compiled import build_compiled_plan
 from repro.sparse.triangular import lower_triangular_system
 
 from tests.conftest import random_unit_lower
@@ -26,12 +27,12 @@ def published_matrix(n=60, seed=1):
 
 
 def worker_plan(matrix, schedule=None):
-    """The plan a shard worker builds from an attached matrix."""
-    reg = MatrixRegistry()
-    key = reg.register(matrix)
+    """The plan a shard worker builds from an attached matrix, or the
+    named schedule variant of it."""
     if schedule is not None:
-        reg.set_lane_hint(key, schedule)
-    return reg.plan(key)
+        return build_compiled_plan(matrix, schedule=schedule)
+    reg = MatrixRegistry()
+    return reg.plan(reg.register(matrix))
 
 
 class TestPublishAttach:
@@ -63,7 +64,7 @@ class TestPublishAttach:
         L = generate("chain", 300, seed=2)
         reg = MatrixRegistry()
         key = reg.register(L)
-        assert reg.schedule_for(key) == "sequential"  # deep and skinny
+        assert reg.plan(key).schedule == "sequential"  # deep and skinny
         B = np.random.default_rng(2).standard_normal((L.n_rows, 3))
         for schedule in ("sequential", "level"):
             plan = worker_plan(L, schedule)

@@ -12,7 +12,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.metrics.efficacy import aggregate, apply_lane_hints
+from repro.metrics.efficacy import aggregate
 from repro.obs.journal import JournalReader, JournalWriter
 from repro.serve import SolveEngine
 from repro.sparse.triangular import lower_triangular_system
@@ -138,79 +138,28 @@ class TestEngineJournaling:
         assert solves[0]["schedule"] is None
 
 
-async def solve_schedule(engine, name, b):
-    """One solve, plus the schedule variant of the plan that served it."""
-    resp = await engine.solve(name, b)
-    return resp, engine.trace_log.events(kind="launch")[-1]["schedule"]
-
-
-class TestLaneHintRouting:
-    def test_hint_overrides_static_rule(self, tmp_path):
-        deep = deep_system()  # the rule picks the sequential schedule
-
-        async def main():
-            engine = SolveEngine()
-            key = engine.register(deep.L, name="m")
-            r_auto = await solve_schedule(engine, "m", deep.b)
-            engine.registry.set_lane_hint(key, "level")
-            r_hint = await solve_schedule(engine, "m", deep.b)
-            engine.registry.set_lane_hint(key, "sim")  # rule stays
-            r_sim = await solve_schedule(engine, "m", deep.b)
-            engine.registry.set_lane_hint(key, None)
-            r_back = await solve_schedule(engine, "m", deep.b)
-            await engine.close()
-            return r_auto, r_hint, r_sim, r_back
-
-        r_auto, r_hint, r_sim, r_back = run(main())
-        assert r_auto[1] == "sequential"
-        assert r_hint[1] == "level"
-        assert r_sim[1] == "sequential"
-        assert r_back[1] == "sequential"
-        assert {r.lane for r, _ in (r_auto, r_hint, r_sim, r_back)} == {
-            "host"
-        }
-        np.testing.assert_allclose(r_hint[0].x, deep.x_true, rtol=1e-9)
-
-    def test_hint_promotes_shallow_matrix_to_compiled(self):
-        system = make_system(n=120, seed=31)  # the rule keeps "level"
-
-        async def main():
-            engine = SolveEngine()
-            key = engine.register(system.L, name="m")
-            engine.registry.set_lane_hint(key, "sequential")
-            result = await solve_schedule(engine, "m", system.b)
-            await engine.close()
-            return result
-
-        resp, schedule = run(main())
-        assert resp.lane == "host"
-        assert schedule == "sequential"
-        np.testing.assert_allclose(resp.x, system.x_true, rtol=1e-9)
-
-
 class TestEndToEndEfficacy:
     def test_report_recommends_measured_fastest_per_class(self, tmp_path):
         """Acceptance: deep + shallow mix -> measured-fastest lane."""
         deep = deep_system(n=200)
         shallow = make_system(n=120, seed=7)
 
-        async def serve(execution, system, name, solves, hint=None):
+        async def serve(execution, system, name, solves):
             journal = JournalWriter(
-                tmp_path, shard=f"lane-{execution}-{hint}"
+                tmp_path, shard=f"lane-{execution}-{name}"
             )
             engine = SolveEngine(execution=execution, journal=journal)
-            key = engine.register(system.L, name=name)
-            engine.registry.set_lane_hint(key, hint)
+            engine.register(system.L, name=name)
             for _ in range(solves):
                 await engine.solve(name, system.b)
             await engine.close()
             journal.close()
 
         async def main():
-            # the same deep matrix on both schedule variants, and the
-            # same shallow matrix on the level plan and the simulator
-            await serve("host", deep, "deep", 4, hint="sequential")
-            await serve("host", deep, "deep", 4, hint="level")
+            # each matrix on its rule variant of the fast lane and on
+            # the simulator
+            await serve("host", deep, "deep", 4)
+            await serve("sim", deep, "deep", 4)
             await serve("host", shallow, "shal", 4)
             await serve("sim", shallow, "shal", 4)
 
@@ -239,40 +188,11 @@ class TestEndToEndEfficacy:
         ]
         assert deep_cls and shal_cls
         assert set(report["classes"][deep_cls[0]]["lanes"]) == {
-            "level", "sequential",
+            "sequential", "sim",
         }
         assert set(report["classes"][shal_cls[0]]["lanes"]) == {
             "level", "sim",
         }
-
-    def test_hints_close_the_loop(self, tmp_path):
-        """journal -> report -> apply_lane_hints -> auto routing."""
-        deep = deep_system(n=200)
-
-        async def main():
-            journal = JournalWriter(tmp_path)
-            engine = SolveEngine(journal=journal)
-            key = engine.register(deep.L, name="m")
-            for _ in range(3):
-                await engine.solve("m", deep.b)
-            await engine.close()
-            journal.close()
-            return key
-
-        key = run(main())
-        report = aggregate(JournalReader(tmp_path).scan()["records"])
-
-        async def again():
-            engine = SolveEngine()
-            engine.register(deep.L, name="m")
-            applied = apply_lane_hints(engine.registry, report)
-            result = await solve_schedule(engine, "m", deep.b)
-            await engine.close()
-            return applied, result
-
-        applied, (resp, schedule) = run(again())
-        assert applied == 1
-        assert schedule == report["matrices"][key]["recommended"]
 
 
 class TestClusterJournaling:

@@ -1,6 +1,5 @@
 """Capellini-specific behaviour (Algorithms 4 and 5)."""
 
-import numpy as np
 import pytest
 
 from repro.gpu.device import DeviceSpec, SIM_SMALL, SIM_TINY
@@ -12,7 +11,6 @@ from repro.solvers import (
 from repro.sparse.triangular import lower_triangular_system
 from repro.datasets.synthetic import chain
 
-from tests.conftest import fig1_matrix, random_unit_lower
 from tests.solvers.conftest import assert_solves_exactly
 
 

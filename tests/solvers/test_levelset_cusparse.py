@@ -1,8 +1,5 @@
 """LevelSet and cuSPARSE-proxy specific behaviour."""
 
-import numpy as np
-import pytest
-
 from repro.gpu.device import SIM_SMALL
 from repro.solvers import CuSparseProxySolver, LevelSetSolver
 from repro.perfmodel.calibration import Calibration

@@ -1,6 +1,5 @@
 """The naive thread-level kernel: Challenge 1 deadlock demonstration."""
 
-import numpy as np
 import pytest
 
 from repro.datasets.synthetic import chain, diagonal

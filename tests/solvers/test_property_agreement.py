@@ -144,6 +144,7 @@ def test_plans_agree_with_scipy_or_engine_rejects(n, structure, scale, seed):
     reference or the error bound overflows too, which a unit-scale
     factor never does."""
     import asyncio
+    from unittest import mock
 
     from scipy.sparse.linalg import spsolve_triangular
 
@@ -157,20 +158,22 @@ def test_plans_agree_with_scipy_or_engine_rejects(n, structure, scale, seed):
         ref = spsolve_triangular(csr_to_scipy(L), b, lower=True)
         bound = _condition_scaled_error(L, ref, b)
 
-    async def serve(lane):
-        execution = "sim" if lane == "sim" else "host"
+    async def serve(execution):
         async with SolveEngine(execution=execution) as engine:
             key = engine.register(L)
-            if execution == "host":
-                engine.registry.set_lane_hint(key, lane)
             try:
                 return (await engine.solve(key, b)).x
             except NonFiniteAnswerError:
                 return None  # typed rejection of an overflowing solve
 
     for lane in ("level", "sequential", "sim"):
-        with np.errstate(all="ignore"):
-            x = asyncio.run(serve(lane))
+        # the registry serves the variant its rule names: substitute
+        # the rule so both variants run through the engine (the sim
+        # lane builds no plan)
+        with mock.patch(
+            "repro.serve.registry.pick_schedule", lambda features: lane
+        ), np.errstate(all="ignore"):
+            x = asyncio.run(serve("sim" if lane == "sim" else "host"))
         if x is None:
             assert scale != "unit", (lane, "rejected a unit-scale solve")
             assert not np.isfinite(bound).all(), (lane, "unjustified")

@@ -14,7 +14,7 @@ from repro.solvers.reference import (
 )
 from repro.sparse.triangular import lower_triangular_system
 
-from tests.conftest import build_csr, fig1_matrix, random_unit_lower
+from tests.conftest import build_csr, random_unit_lower
 from tests.solvers.conftest import assert_solves_exactly
 
 

@@ -4,7 +4,6 @@ The central guarantee: every kernel, on every structure, on devices with
 different warp sizes, reproduces the manufactured exact solution.
 """
 
-import numpy as np
 import pytest
 
 from repro.gpu.device import SIM_SMALL, SIM_TINY

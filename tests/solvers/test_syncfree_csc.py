@@ -1,7 +1,6 @@
 """CSC-native SyncFree (Liu et al. formulation) tests."""
 
 import numpy as np
-import pytest
 
 from repro.gpu.device import SIM_SMALL, SIM_TINY
 from repro.solvers import (

@@ -15,7 +15,7 @@ from repro.sparse.triangular import (
     strict_lower_part,
 )
 
-from tests.conftest import build_csr, fig1_matrix, random_unit_lower
+from tests.conftest import build_csr, random_unit_lower
 
 
 class TestPredicates:

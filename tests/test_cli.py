@@ -681,19 +681,20 @@ class TestJournalCLI:
         assert rc == 0
         assert captured.out.strip() == ""
 
-    def test_report_healthy_exit_zero_and_artifact(self, tmp_path, capsys):
+    def test_report_healthy_exit_zero_writes_nothing(self, tmp_path, capsys):
         import json
 
         self.fill(tmp_path, capsys)
+        before = sorted(tmp_path.rglob("*"))
         rc = main(["journal", "report", str(tmp_path)])
         out = capsys.readouterr().out
         assert rc == 0
         assert "recommended lane: level" in out
-        artifact = json.loads(
-            (tmp_path / "lane_recommendations.json").read_text()
-        )
-        assert artifact["schema"] == "efficacy/1"
-        assert artifact["recommendations"] == {"shallow-fine": "level"}
+        # the report only reads the journal
+        assert sorted(tmp_path.rglob("*")) == before
+        rc = main(["journal", "report", str(tmp_path), "--json"])
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["recommendations"] == {"shallow-fine": "level"}
 
     def test_report_json_document(self, tmp_path, capsys):
         import json
@@ -712,8 +713,6 @@ class TestJournalCLI:
         assert "journal:" in captured.err
 
     def test_report_anomaly_exits_one(self, tmp_path, capsys):
-        import json
-
         from repro.obs.journal import JournalWriter
 
         with JournalWriter(tmp_path) as w:

@@ -6,7 +6,6 @@ immediately.
 """
 
 import numpy as np
-import pytest
 
 from repro.gpu.device import SIM_TINY
 from repro.solvers import WritingFirstCapelliniSolver

@@ -1,9 +1,6 @@
 """Cross-module integration tests: the full pipeline on one matrix."""
 
-import io
-
 import numpy as np
-import pytest
 
 from repro.analysis import compute_levels, extract_features
 from repro.datasets import generate
