@@ -7,17 +7,24 @@ This module provides the controlled half of the static/dynamic pair
 whose static half is :mod:`repro.analysis.asynclint` (the simsched
 approach, applied to our engine):
 
-* :class:`VirtualClock` — virtual time.  ``sleep``/``wait_for`` park
-  waiters on a deadline list instead of the loop's timer wheel; firing
-  a waiter is an explicit, schedulable event.  In ``auto`` mode the
-  clock pumps itself in earliest-deadline order (deterministic
-  fast-forward, used by trace replay); under a scheduler, *which* due
-  waiter fires next is the exploration decision.
+* The clock protocol the engine codes against: ``now()``, ``await
+  sleep(delay)`` and ``call_later(delay, callback, *args, label=...)``
+  returning a handle with ``cancel()``.  :class:`AsyncioClock` is real
+  time over ``loop.call_later``; :class:`VirtualClock` is virtual time,
+  where ``sleep`` and ``call_later`` park labelled waiters on a
+  deadline list instead of the loop's timer wheel and firing a waiter
+  is an explicit, schedulable event.  In ``auto`` mode the clock pumps
+  itself in earliest-deadline order (deterministic fast-forward, used
+  by trace replay); under a scheduler, *which* due waiter fires next is
+  the exploration decision.
 * :class:`DeferredExecutor` — an ``Executor`` whose submissions
   complete at a scheduled virtual instant (``cost`` seconds after
   submission) instead of on a real worker thread, so "the worker
   finished before/after the deadline" becomes a schedulable ordering,
-  not a race against the wall clock.
+  not a race against the wall clock.  Built with ``inline=True`` it
+  also lets the engine run a block inline on the loop
+  (:meth:`DeferredExecutor.run_inline`), a non-yielding step that holds
+  virtual time for ``cost`` seconds.
 * :class:`InterleaveScheduler` — runs one scenario coroutine over a
   real event loop, but every time the loop quiesces it picks which due
   virtual event fires next: seeded-random, or dictated by an explicit
@@ -41,6 +48,7 @@ from __future__ import annotations
 
 import asyncio
 import concurrent.futures
+import contextvars
 import itertools
 import random
 import time
@@ -91,7 +99,7 @@ class InvariantViolation(AssertionError):
 
 
 class AsyncioClock:
-    """The engine's default clock: real time, stock asyncio waits."""
+    """The engine's default clock: real time, stock asyncio timers."""
 
     def now(self) -> float:
         return time.monotonic()
@@ -99,13 +107,22 @@ class AsyncioClock:
     async def sleep(self, delay: float) -> None:
         await asyncio.sleep(delay)
 
-    async def wait_for(self, awaitable: Awaitable, timeout: float) -> Any:
-        return await asyncio.wait_for(awaitable, timeout)
+    def call_later(
+        self, delay: float, callback: Callable, *args, label: str = ""
+    ) -> "asyncio.Handle":
+        """Run ``callback(*args)`` on the loop after ``delay`` seconds
+        (on the next loop turn when ``delay <= 0``); the handle's
+        ``cancel()`` withdraws it.  ``label`` names the timer in a
+        virtual clock's schedule trace; real time ignores it."""
+        loop = asyncio.get_running_loop()
+        if delay <= 0:
+            return loop.call_soon(callback, *args)
+        return loop.call_later(delay, callback, *args)
 
 
 @dataclass
 class _Waiter:
-    """One parked virtual event."""
+    """One parked virtual event; ``cancel()`` withdraws it."""
 
     deadline: float
     seq: int
@@ -113,10 +130,16 @@ class _Waiter:
     action: Callable[[], None]
     #: the future a ``sleep`` resolves; None for posted actions
     future: Optional["asyncio.Future"] = None
+    cancelled: bool = False
 
     @property
     def live(self) -> bool:
-        return self.future is None or not self.future.done()
+        return not self.cancelled and (
+            self.future is None or not self.future.done()
+        )
+
+    def cancel(self) -> None:
+        self.cancelled = True
 
 
 class VirtualClock:
@@ -127,10 +150,10 @@ class VirtualClock:
     ``settle_hops`` event-loop rounds, giving a deterministic
     fast-forward through virtual time.  The settle delay between fires
     lets the chain of wakeups from one event run to quiescence — in
-    particular, a satisfied ``wait_for`` must get to cancel its
-    deadline sleeper before the pump would fire it.  ``auto=False``
-    leaves firing to an :class:`InterleaveScheduler`, which picks
-    *which* due waiter fires — the exploration decision.
+    particular, a served request must get to cancel its deadline timer
+    before the pump would fire it.  ``auto=False`` leaves firing to an
+    :class:`InterleaveScheduler`, which picks *which* due waiter fires
+    — the exploration decision.
     """
 
     def __init__(
@@ -163,37 +186,31 @@ class VirtualClock:
             action=lambda: (None if fut.done() else fut.set_result(None)),
             future=fut,
         )
-        self._waiters.append(waiter)
-        if self._auto:
-            self._schedule_pump(loop)
+        self._park(waiter)
         try:
             await fut
         except asyncio.CancelledError:
             self._discard(waiter)
             raise
 
-    async def wait_for(self, awaitable: Awaitable, timeout: float) -> Any:
-        """Virtual-deadline analogue of :func:`asyncio.wait_for`."""
-        if timeout is None:
-            return await awaitable
-        fut = asyncio.ensure_future(awaitable)
-        seq = next(self._seq)
-        sleeper = asyncio.ensure_future(
-            self.sleep(timeout, label=f"deadline#{seq}")
-        )
-        try:
-            done, _pending = await asyncio.wait(
-                {fut, sleeper}, return_when=asyncio.FIRST_COMPLETED
-            )
-            if fut in done:
-                return fut.result()
-            fut.cancel()
-            await asyncio.gather(fut, return_exceptions=True)
-            raise asyncio.TimeoutError()
-        finally:
-            sleeper.cancel()
+    def call_later(
+        self, delay: float, callback: Callable, *args, label: str = "timer"
+    ) -> _Waiter:
+        """A labelled waiter that runs ``callback(*args)`` when fired,
+        in the context current at this call (as asyncio's handles do);
+        its ``cancel()`` withdraws it."""
+        ctx = contextvars.copy_context()
+        waiter = self.post(label, delay, lambda: ctx.run(callback, *args))
+        waiter.label = f"{label}#{waiter.seq}"
+        return waiter
 
     # -- event posting (DeferredExecutor, schedulers) ------------------
+    def advance(self, delay: float) -> None:
+        """Move virtual time forward by ``delay`` without firing
+        anything: a step that holds the loop (an inline block) for that
+        long.  Waiters it overruns fire, late, when next chosen."""
+        self._now += max(float(delay), 0.0)
+
     def post(
         self, label: str, delay: float, action: Callable[[], None]
     ) -> _Waiter:
@@ -204,10 +221,13 @@ class VirtualClock:
             label=label,
             action=action,
         )
+        self._park(waiter)
+        return waiter
+
+    def _park(self, waiter: _Waiter) -> None:
         self._waiters.append(waiter)
         if self._auto:
             self._schedule_pump(asyncio.get_running_loop())
-        return waiter
 
     # -- firing --------------------------------------------------------
     def due(self) -> list[_Waiter]:
@@ -265,12 +285,26 @@ class DeferredExecutor:
     scheduler fires its completion event, ``cost`` virtual seconds
     after submission — so "worker finished before/after the request
     deadline" is an explored ordering, not a thread race.
+
+    ``inline=True`` offers the engine its inline path as well: a
+    ``SolveEngine`` runs an idle engine's warm host block through
+    :meth:`run_inline` instead of submitting it, so the explorer
+    reaches inline dispatch and its late-result deadline rule.
     """
 
-    def __init__(self, clock: VirtualClock, *, cost: float = 0.0) -> None:
+    def __init__(
+        self, clock: VirtualClock, *, cost: float = 0.0, inline: bool = False
+    ) -> None:
         self.clock = clock
         self.cost = cost
+        self.inline = inline
         self._seq = itertools.count()
+
+    def run_inline(self, fn, *args):
+        """Run ``fn(*args)`` now, as a block that holds the loop for
+        ``cost`` virtual seconds: no other event fires meanwhile."""
+        self.clock.advance(self.cost)
+        return fn(*args)
 
     def submit(self, fn, *args, **kwargs) -> "concurrent.futures.Future":
         cf: concurrent.futures.Future = concurrent.futures.Future()
@@ -322,9 +356,12 @@ class InterleaveScheduler:
         self.decisions: list[tuple[int, int]] = []
         self._trace_lines: list[str] = []
 
-    def executor(self, *, cost: float = 0.0) -> DeferredExecutor:
-        """A worker lane under this scheduler's clock."""
-        return DeferredExecutor(self.clock, cost=cost)
+    def executor(
+        self, *, cost: float = 0.0, inline: bool = False
+    ) -> DeferredExecutor:
+        """A worker lane under this scheduler's clock (``inline``: see
+        :class:`DeferredExecutor`)."""
+        return DeferredExecutor(self.clock, cost=cost, inline=inline)
 
     # ------------------------------------------------------------------
     def trace_text(self) -> str:

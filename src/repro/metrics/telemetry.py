@@ -32,7 +32,14 @@ Number = Union[int, float]
 
 
 class Counter:
-    """A monotonically increasing counter."""
+    """A monotonically increasing counter.
+
+    ``value`` is a plain attribute: reading it is atomic.  Counters
+    built with one shared ``lock`` let their owner fold several facts
+    under a single acquisition, adding to ``value`` directly while it
+    holds that lock (``ServeTelemetry.count`` does); ``inc`` takes the
+    lock itself.
+    """
 
     def __init__(
         self,
@@ -40,23 +47,19 @@ class Counter:
         *,
         help: str = "",
         labels: Optional[Mapping[str, str]] = None,
+        lock: Optional[threading.Lock] = None,
     ) -> None:
         self.name = name
         self.help = help
         self.labels = dict(labels or {})
-        self._lock = threading.Lock()
-        self._value = 0
+        self._lock = lock if lock is not None else threading.Lock()
+        self.value: Number = 0
 
     def inc(self, amount: Number = 1) -> None:
         if amount < 0:
             raise ValueError("counters only increase; use a Gauge")
         with self._lock:
-            self._value += amount
-
-    @property
-    def value(self) -> Number:
-        with self._lock:
-            return self._value
+            self.value += amount
 
     def __repr__(self) -> str:
         return f"Counter(name={self.name!r}, value={self.value!r})"
@@ -162,8 +165,10 @@ class Histogram:
         with self._lock:
             self._count += 1
             self._sum += v
-            self._min = min(self._min, v)
-            self._max = max(self._max, v)
+            if v < self._min:
+                self._min = v
+            if v > self._max:
+                self._max = v
             self._samples.append(v)
 
     @property

@@ -16,7 +16,7 @@ Three lenses over one solve pipeline:
 * **Exporters** — :func:`write_chrome_trace` (Perfetto/chrome://tracing),
   :func:`render_flame` (terminal), :func:`profile_json` /
   :func:`phase_digest` (machine-readable, shared with ``analyze --json``).
-* **Request tracing** — :class:`TraceLog` + :func:`new_trace_id`, the
+* **Request tracing** — :class:`TraceLog` + :func:`new_id`, the
   bounded structured event log the serving layer threads trace ids
   through (see :mod:`repro.serve.engine`).
 
@@ -60,14 +60,13 @@ from repro.obs.chrome import (
 )
 from repro.obs.flame import phase_bar, render_flame
 from repro.obs.report import phase_digest, profile_json
-from repro.obs.tracelog import TRACELOG_SCHEMA, TraceLog, new_trace_id
+from repro.obs.tracelog import TRACELOG_SCHEMA, TraceLog, new_id
 from repro.obs.disttrace import (
     ClockAligner,
     Span,
     SpanContext,
     SpanRecorder,
     TraceCollector,
-    new_span_id,
 )
 from repro.obs.journal import (
     JOURNAL_SCHEMA,
@@ -109,13 +108,12 @@ __all__ = [
     "phase_digest",
     "TraceLog",
     "TRACELOG_SCHEMA",
-    "new_trace_id",
+    "new_id",
     "SpanContext",
     "Span",
     "SpanRecorder",
     "ClockAligner",
     "TraceCollector",
-    "new_span_id",
     "JOURNAL_SCHEMA",
     "JournalWriter",
     "JournalReader",

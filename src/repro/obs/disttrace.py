@@ -39,12 +39,11 @@ from __future__ import annotations
 
 import threading
 import time
-import uuid
 from collections import OrderedDict, deque
 from contextlib import contextmanager
 from typing import IO, Callable, Iterable, Optional, Union
 
-from repro.obs.tracelog import TraceLog, new_trace_id, write_tracelog
+from repro.obs.tracelog import TraceLog, new_id, write_tracelog
 
 __all__ = [
     "SPAN_CONTEXT_VERSION",
@@ -53,18 +52,12 @@ __all__ = [
     "SpanRecorder",
     "ClockAligner",
     "TraceCollector",
-    "new_span_id",
     "span_event",
 ]
 
 #: Version stamped into the wire form of a span context.  Receivers
 #: ignore contexts from a future major version instead of guessing.
 SPAN_CONTEXT_VERSION = 1
-
-
-def new_span_id() -> str:
-    """A fresh span id (12 hex chars, same shape as trace ids)."""
-    return uuid.uuid4().hex[:12]
 
 
 class SpanContext:
@@ -222,8 +215,8 @@ class SpanRecorder:
             self._started += 1
         return Span(
             name,
-            trace_id=trace_id or new_trace_id(),
-            span_id=new_span_id(),
+            trace_id=trace_id or new_id(),
+            span_id=new_id(),
             parent_id=parent_id,
             process=self.process,
             start=self.clock(),

@@ -64,7 +64,7 @@ from repro.obs.disttrace import (
     TraceCollector,
     span_event,
 )
-from repro.obs.tracelog import new_trace_id, write_tracelog
+from repro.obs.tracelog import new_id, write_tracelog
 from repro.serve.arena import PlanArena, PlanHandle, SegmentCache, Slab, SlabPool
 from repro.serve.engine import EXECUTION_MODES
 from repro.serve.registry import MatrixRegistry
@@ -647,7 +647,7 @@ class ShardRouter:
         if self._recorder is not None:
             root = self._recorder.start(
                 "request",
-                trace_id=new_trace_id(),
+                trace_id=new_id(),
                 attrs={
                     "matrix": entry.key[:12],
                     "n_rhs": int(B.shape[1]),

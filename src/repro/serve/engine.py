@@ -10,8 +10,10 @@ coalesced into one batched launch.
 Execution model
 ---------------
 * The asyncio front enqueues requests per matrix.  The first request of
-  a group arms a flush after ``batch_window`` seconds (one event-loop
-  tick when 0); a group reaching ``max_batch`` flushes immediately.
+  a group arms a flush timer on the engine clock, ``batch_window``
+  seconds out (the next event-loop turn when 0); a group reaching
+  ``max_batch`` flushes immediately, and a ``solve_multi`` block is
+  dispatched as it is admitted.
 * Each flushed batch (and each ``solve_multi`` block) runs either
   **inline** on the event loop or on a thread-pool worker.  It runs
   inline only when nothing else could run beside it and nothing slow
@@ -20,7 +22,9 @@ Execution model
   host lane would serve it (``execution != "sim"``, no sim-forcing
   instrumentation, the host lane not quarantined for the matrix), the
   registry already holds the matrix's plan, and the engine owns its
-  executor (an injected ``executor=`` receives every block).  That
+  executor (an injected ``executor=`` receives every block, unless it
+  offers ``run_inline`` with a true ``inline`` flag, as the
+  interleaving explorer's ``DeferredExecutor(inline=True)`` does).  That
   skips the thread hand-off, which at fine granularity costs as much
   as the kernel.  Only the host step runs inline: if it fails, the
   failure is quarantined as below and the rest of the ladder runs on
@@ -69,11 +73,14 @@ Execution model
   (``RequestTimeoutError``) keep the engine shedding load instead of
   buffering it; a right-hand side of the wrong shape or with NaN or Inf
   entries is refused at admission (``InvalidRequestError``).
-* Deadlines: a block cannot be interrupted, and one running inline
-  holds the loop, so the deadline timer cannot fire while it runs.  On
-  both paths a result that reaches its request after the deadline (read
-  on the engine clock) therefore counts as a timeout: the request
-  raises ``RequestTimeoutError`` and no answer is served.
+* Deadlines: each request arms one timer on the engine clock whose
+  callback fails the request's own future with ``RequestTimeoutError``
+  (one ``timeout`` event); the block's outcome, when it lands, finds
+  the future done and adds no second terminal event.  A block cannot
+  be interrupted, and one running inline holds the loop, so the timer
+  cannot fire while it runs: a result that reaches its request after
+  the deadline (read on the engine clock) counts as a timeout all the
+  same, and no answer is served.
 """
 
 from __future__ import annotations
@@ -108,7 +115,7 @@ from repro.obs.hostprof import (
 )
 from repro.obs.profiler import Profiler, profiling
 from repro.obs.report import phase_digest
-from repro.obs.tracelog import TraceLog, new_trace_id
+from repro.obs.tracelog import TraceLog, new_id
 from repro.serve.registry import MatrixRegistry, RegisteredMatrix
 from repro.serve.requests import (
     BlockOutcome,
@@ -161,10 +168,10 @@ def _check_finite(solver_name: str, X: np.ndarray) -> None:
         )
 
 
-def _discard_outcome(future: "asyncio.Future") -> None:
-    """Swallow the result/exception of an abandoned request's future."""
-    if not future.cancelled():
-        future.exception()
+def _call(fn, *args):
+    """Run an inline block directly: the engine's own executor has no
+    inline hook."""
+    return fn(*args)
 
 
 class SolveEngine:
@@ -228,12 +235,21 @@ class SolveEngine:
         #: overhead budget)
         self._journal_features: dict[str, dict] = {}
         self._candidates = tuple(candidates) if candidates is not None else None
-        #: time source for batch windows and request deadlines.  The
-        #: default is real time; the deterministic interleaving harness
+        #: time source and timers for batch windows and request
+        #: deadlines (``now``/``sleep``/``call_later``).  The default is
+        #: real time; the deterministic interleaving harness
         #: (:mod:`repro.analysis.interleave`) injects a virtual clock so
-        #: every wait becomes an explicitly scheduled event.
+        #: every timer becomes an explicitly scheduled event.
         self._clock = clock if clock is not None else AsyncioClock()
         self._owns_executor = executor is None
+        #: runs an inline block on the loop thread, or None when every
+        #: block goes to the executor (see :meth:`_serves_inline`)
+        if executor is None:
+            self._run_inline = _call
+        elif getattr(executor, "inline", False):
+            self._run_inline = executor.run_inline
+        else:
+            self._run_inline = None
         self._executor = (
             executor
             if executor is not None
@@ -246,9 +262,9 @@ class SolveEngine:
         #: blocks currently running on the worker pool; an inline block
         #: needs this at zero (see :meth:`_serves_inline`)
         self._pool_blocks = 0
-        #: background flush/dispatch tasks.  The event loop keeps only
-        #: weak references to tasks (serve-lint SL005), so the engine
-        #: retains every handle until the task completes.
+        #: pool-dispatch tasks.  The event loop keeps only weak
+        #: references to tasks (serve-lint SL005), so the engine retains
+        #: every handle until the task completes.
         self._tasks: set["asyncio.Task"] = set()
         self._quarantine_lock = threading.Lock()
         self._quarantined: dict[str, set[str]] = {}
@@ -283,7 +299,7 @@ class SolveEngine:
         header, so one id joins router spans, this engine's trace log,
         and the response); by default a fresh id is minted here.
         """
-        trace_id = trace_id or new_trace_id()
+        trace_id = trace_id or new_id()
         try:
             entry = self.registry.get(ref)
         except UnknownMatrixError:
@@ -295,21 +311,17 @@ class SolveEngine:
             "enqueue", trace_id=trace_id, matrix=entry.key, n_rhs=1,
             queue_depth=self._depth,
         )
-        req = PendingSolve(
-            b=b,
-            future=asyncio.get_running_loop().create_future(),
-            submitted_at=time.perf_counter(),
-            trace_id=trace_id,
-        )
+        req, timer = self._pending_solve(b, trace_id, timeout)
         group = self._pending.setdefault(entry.key, [])
         group.append(req)
         if len(group) >= self.max_batch:
-            batch = self._pending.pop(entry.key)
-            self._spawn(self._dispatch(entry, batch))
+            self._dispatch_batch(entry, self._pending.pop(entry.key))
         elif len(group) == 1:
-            self._spawn(self._flush_after_window(entry))
+            self._clock.call_later(
+                self.batch_window, self._flush, entry, group, label="flush"
+            )
         try:
-            outcome, col = await self._await_request(req, timeout)
+            outcome, col = await self._settled(req, timer)
         finally:
             self._depth -= 1
             self.telemetry.queue_depth.set(self._depth)
@@ -330,7 +342,7 @@ class SolveEngine:
         rides the same fallback ladder and telemetry as ``solve``.
         ``trace_id`` adopts a caller-minted id (see :meth:`solve`).
         """
-        trace_id = trace_id or new_trace_id()
+        trace_id = trace_id or new_id()
         try:
             entry = self.registry.get(ref)
         except UnknownMatrixError:
@@ -344,29 +356,10 @@ class SolveEngine:
             "enqueue", trace_id=trace_id, matrix=entry.key,
             n_rhs=B.shape[1], queue_depth=self._depth,
         )
-        req = PendingSolve(
-            b=B,
-            future=asyncio.get_running_loop().create_future(),
-            submitted_at=time.perf_counter(),
-            trace_id=trace_id,
-        )
-
-        async def run() -> None:
-            try:
-                outcome = await self._run_block(
-                    entry, B, False, trace_id, (trace_id,)
-                )
-            except BaseException as exc:  # noqa: BLE001 - forwarded to caller
-                if not req.future.done():
-                    req.future.set_exception(exc)
-                    self._failed(entry, req, exc)
-            else:
-                if not req.future.done():
-                    req.future.set_result((outcome, slice(None)))
-
-        self._spawn(run())
+        req, timer = self._pending_solve(B, trace_id, timeout)
+        self._dispatch(entry, B, False, trace_id, (req,), (slice(None),))
         try:
-            outcome, _ = await self._await_request(req, timeout)
+            outcome, _ = await self._settled(req, timer)
         finally:
             self._depth -= 1
             self.telemetry.queue_depth.set(self._depth)
@@ -481,90 +474,103 @@ class SolveEngine:
         """The one exit of a lifecycle fact: traced, then counted."""
         self.telemetry.count(self.trace_log.emit(kind, **fields))
 
-    def _failed(
-        self, entry: RegisteredMatrix, req: PendingSolve, exc: BaseException
-    ) -> None:
-        """A raised block's ``fail`` event for ``req``, unless a
-        ``timeout`` already ended its trail."""
-        if not req.abandoned:
-            self._emit(
-                "fail", trace_id=req.trace_id, matrix=entry.key,
-                error=type(exc).__name__,
-            )
+    def _pending_solve(
+        self, B: np.ndarray, trace_id: str, timeout: Optional[float]
+    ) -> tuple:
+        """An admitted request's :class:`PendingSolve` and its armed
+        deadline timer (``None`` without a deadline)."""
+        timeout_s = self.default_timeout if timeout is None else timeout
+        req = PendingSolve(
+            b=B,
+            future=asyncio.get_running_loop().create_future(),
+            submitted_at=time.perf_counter(),
+            trace_id=trace_id,
+            timeout_s=timeout_s,
+        )
+        if timeout_s is None:
+            return req, None
+        req.deadline = self._clock.now() + timeout_s
+        return req, self._clock.call_later(
+            timeout_s, self._expire, req, label="deadline"
+        )
 
-    async def _await_request(
-        self, req: PendingSolve, timeout: Optional[float]
-    ):
-        deadline = self.default_timeout if timeout is None else timeout
-        if deadline is None:
-            return await req.future
-        req.deadline = self._clock.now() + deadline
+    def _expire(self, req: PendingSolve) -> None:
+        """Deadline timer: fail the request's own future, unless its
+        block's outcome already settled it (then the awaiting request
+        applies the late-result rule in :meth:`_settled`)."""
+        if not req.future.done():
+            req.future.set_exception(self._timed_out(req))
+
+    async def _settled(self, req: PendingSolve, timer):
+        """Await the request's ``(outcome, col)``; withdraw its timer."""
         try:
-            result = await self._clock.wait_for(
-                asyncio.shield(req.future), deadline
-            )
-        except asyncio.TimeoutError:
-            raise self._timed_out(req, deadline) from None
-        # an inline block holds the loop, so the timer above cannot fire
-        # while it runs: a result that lands late is a timeout all the same
-        if self._clock.now() > req.deadline:
-            raise self._timed_out(req, deadline)
+            result = await req.future
+        finally:
+            if timer is not None:
+                timer.cancel()
+        # an inline block holds the loop, so the timer cannot fire while
+        # it runs: a result that lands late is a timeout all the same
+        if req.deadline is not None and self._clock.now() > req.deadline:
+            raise self._timed_out(req)
         return result
 
-    def _timed_out(
-        self, req: PendingSolve, deadline: float
-    ) -> RequestTimeoutError:
-        self._emit("timeout", trace_id=req.trace_id, deadline_s=deadline)
-        # the worker may still resolve the future; mark the request
-        # abandoned so a late failure adds no second terminal event,
-        # and consume its outcome so an eventual failure is not "never
-        # retrieved"
-        req.abandoned = True
-        req.future.add_done_callback(_discard_outcome)
+    def _timed_out(self, req: PendingSolve) -> RequestTimeoutError:
+        """The request's one ``timeout`` event and error.  The future is
+        settled by now (by the timer, or by a late outcome), so the
+        block's eventual outcome adds no second terminal event."""
+        self._emit("timeout", trace_id=req.trace_id, deadline_s=req.timeout_s)
         return RequestTimeoutError(
-            f"solve did not complete within {deadline} s "
+            f"solve did not complete within {req.timeout_s} s "
             "(worker continues; result discarded)"
         )
 
-    async def _flush_after_window(self, entry: RegisteredMatrix) -> None:
-        if self.batch_window > 0:
-            await self._clock.sleep(self.batch_window)
-        else:
-            # one full event-loop tick: everything already scheduled
-            # (e.g. the rest of an asyncio.gather) gets to enqueue first
-            await self._clock.sleep(0)
-        batch = self._pending.pop(entry.key, [])
-        if batch:
-            await self._dispatch(entry, batch)
+    def _flush(
+        self, entry: RegisteredMatrix, group: list[PendingSolve]
+    ) -> None:
+        """Flush timer: dispatch ``group`` if it is still the matrix's
+        pending group; one that reached ``max_batch`` went already, and
+        the group after it keeps its own window."""
+        if self._pending.get(entry.key) is group:
+            del self._pending[entry.key]
+            self._dispatch_batch(entry, group)
         # a batch of fully timed-out requests drops depth to zero while
-        # its group is still pending; the pop above is then the last
+        # its group is still pending; the flush above is then the last
         # step of the drain
         self._notify_if_drained()
 
-    async def _dispatch(
+    def _dispatch_batch(
         self, entry: RegisteredMatrix, batch: list[PendingSolve]
     ) -> None:
+        """One coalesced block: column ``i`` is request ``i``'s answer."""
         width = len(batch)
-        batch_id = new_trace_id()
-        trace_ids = tuple(r.trace_id for r in batch)
         B = (
             batch[0].b.reshape(-1, 1)
             if width == 1
             else np.stack([r.b for r in batch], axis=1)
         )
-        try:
-            outcome = await self._run_block(
-                entry, B, width > 1, batch_id, trace_ids
-            )
-        except BaseException as exc:  # noqa: BLE001 - forwarded to callers
-            for req in batch:
-                if not req.future.done():
-                    req.future.set_exception(exc)
-                    self._failed(entry, req, exc)
-            return
-        for col, req in enumerate(batch):
+        self._dispatch(entry, B, width > 1, new_id(), batch, range(width))
+
+    def _settle(
+        self,
+        entry: RegisteredMatrix,
+        reqs,
+        cols,
+        outcome: Optional[BlockOutcome] = None,
+        exc: Optional[BaseException] = None,
+    ) -> None:
+        """Resolve each request's future with ``(outcome, col)``, or
+        fail it with ``exc`` (one ``fail`` event each).  A request whose
+        deadline already settled its future is skipped."""
+        for req, col in zip(reqs, cols):
             if not req.future.done():
-                req.future.set_result((outcome, col))
+                if exc is None:
+                    req.future.set_result((outcome, col))
+                else:
+                    req.future.set_exception(exc)
+                    self._emit(
+                        "fail", trace_id=req.trace_id, matrix=entry.key,
+                        error=type(exc).__name__,
+                    )
 
     def _response(
         self,
@@ -704,66 +710,94 @@ class SolveEngine:
         self._emit("launch", **fields)
         return outcome
 
-    async def _run_block(
+    def _dispatch(
         self,
         entry: RegisteredMatrix,
         B: np.ndarray,
         coalesced: bool,
         batch_id: str,
-        trace_ids: tuple,
-    ) -> BlockOutcome:
-        """Serve one block inline on the event loop or on the pool.
+        reqs,
+        cols,
+    ) -> None:
+        """Serve one block inline on the event loop or on the pool, and
+        settle each of ``reqs`` with its column in ``cols``.
 
         The one dispatch point of the engine.  An idle engine runs a
-        warm host-lane block right here (:meth:`_serves_inline`); every
-        other block runs ``_execute_block`` on the worker pool inside a
-        copy of this task's context — ambient instrumentation
-        (tracer/sanitizer/profiler ContextVars) would otherwise be
-        invisible on the worker thread, and the lane policy must see it
-        to force the simulator.
+        warm host-lane block right here (:meth:`_serves_inline`), before
+        returning; every other block goes to :meth:`_on_pool`.
         """
         block_at = time.perf_counter()
-        ladder_at = outcome = None
+        trace_ids = tuple(r.trace_id for r in reqs)
+        ladder_at = None
         suspects: dict = {}
-        if self._serves_inline(entry, len(trace_ids)):
+        if self._serves_inline(entry, len(reqs)):
             # only the host step runs here: after a failure, the one
             # failure handler quarantines it and the pool runs the rest
             # of the ladder, where the skipped step is ``fallback_from``
             ladder_at = time.perf_counter()
             try:
-                outcome = self._run_plan(
-                    entry, B, coalesced, batch_id, trace_ids,
-                    dispatch="inline",
+                outcome = self._run_inline(
+                    self._run_plan, entry, B, coalesced, batch_id,
+                    trace_ids, "inline",
                 )
-                outcome.done_at = time.perf_counter()
             except FALLBACK_ERRORS as exc:
                 if self.execution == "host":
-                    raise  # forced host lane: failures propagate
+                    # forced host lane: failures propagate
+                    self._settle(entry, reqs, cols, exc=exc)
+                    return
                 if isinstance(exc, NonFiniteAnswerError):
                     suspects = {HOST_LANE: ("host", exc)}
                 else:
                     self._kernel_failed(
                         entry, HOST_LANE, "host", exc, batch_id, trace_ids
                     )
-        if outcome is None:
-            ctx = contextvars.copy_context()
-            self._pool_blocks += 1
-            try:
-                outcome = await asyncio.get_running_loop().run_in_executor(
-                    self._executor,
-                    lambda: ctx.run(
-                        self._execute_block, entry, B, coalesced, batch_id,
-                        trace_ids, suspects,
-                    ),
-                )
-            finally:
-                self._pool_blocks -= 1
+            except Exception as exc:  # noqa: BLE001 - forwarded to callers
+                self._settle(entry, reqs, cols, exc=exc)
+                return
+            else:
+                outcome.block_at, outcome.ladder_at = block_at, ladder_at
+                outcome.done_at = time.perf_counter()
+                self._settle(entry, reqs, cols, outcome)
+                return
+        # counted now, not when the task starts, so a flush later in
+        # this loop turn sees the block and stays off the loop
+        self._pool_blocks += 1
+        self._spawn(
+            self._on_pool(
+                entry, B, coalesced, batch_id, trace_ids, reqs, cols,
+                suspects, block_at, ladder_at,
+            )
+        )
+
+    async def _on_pool(
+        self, entry, B, coalesced, batch_id, trace_ids, reqs, cols,
+        suspects, block_at, ladder_at,
+    ) -> None:
+        """Run ``_execute_block`` on the worker pool inside a copy of
+        this task's context — ambient instrumentation (tracer/sanitizer/
+        profiler ContextVars) would otherwise be invisible on the worker
+        thread, and the lane policy must see it to force the simulator.
+        Ends the block's ``_pool_blocks`` count that ``_dispatch`` began."""
+        ctx = contextvars.copy_context()
+        try:
+            outcome = await asyncio.get_running_loop().run_in_executor(
+                self._executor,
+                lambda: ctx.run(
+                    self._execute_block, entry, B, coalesced, batch_id,
+                    trace_ids, suspects,
+                ),
+            )
+        except BaseException as exc:  # noqa: BLE001 - forwarded to callers
+            self._settle(entry, reqs, cols, exc=exc)
+            return
+        finally:
+            self._pool_blocks -= 1
         if ladder_at is not None:
-            # the ladder walk began with the inline host step, even one
-            # that failed over to the pool
+            # the ladder walk began with the inline host step that
+            # failed over to the pool
             outcome.ladder_at = ladder_at
         outcome.block_at = block_at
-        return outcome
+        self._settle(entry, reqs, cols, outcome)
 
     def _serves_inline(self, entry: RegisteredMatrix, n_requests: int) -> bool:
         """Whether a block of ``n_requests`` runs on the event loop.
@@ -772,10 +806,11 @@ class SolveEngine:
         rides this block, no group is pending, no block is on the pool —
         and the host lane would serve it from a plan that is already
         built, so neither a simulation nor a plan build ever holds the
-        loop.  An injected executor receives every block.
+        loop.  An injected executor receives every block unless it
+        offers ``run_inline`` (``self._run_inline``).
         """
         return (
-            self._owns_executor
+            self._run_inline is not None
             and self._depth == n_requests
             and not self._pending
             and not self._pool_blocks

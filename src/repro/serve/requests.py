@@ -89,13 +89,10 @@ class PendingSolve:
     future: "asyncio.Future"
     submitted_at: float
     trace_id: str = ""
-    #: absolute deadline on the engine clock, stamped before the
-    #: request's await; ``None`` when the request has no deadline
+    #: the request's deadline in seconds, and as an absolute time on
+    #: the engine clock; both ``None`` when the request has none
+    timeout_s: Optional[float] = None
     deadline: Optional[float] = None
-    #: set when the caller gave up (deadline) but the worker is still
-    #: running; late publishes to an abandoned request must not count
-    #: it failed/completed a second time after ``requests_timed_out``
-    abandoned: bool = False
 
 
 @dataclass

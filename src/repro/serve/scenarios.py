@@ -5,7 +5,10 @@ it receives the fresh :class:`~repro.analysis.interleave.InterleaveScheduler`
 of one schedule, builds a :class:`~repro.serve.engine.SolveEngine` on
 the scheduler's virtual clock and deferred executor, drives a small
 traffic pattern, and returns ``{"engine": ..., "results": [...]}`` for
-the invariant checks in :func:`engine_invariants`.
+the invariant checks in :func:`engine_invariants`.  The ``inline-*``
+scenarios build their executor with ``inline=True``, so an idle engine
+serves a warm block inline on the loop: a non-yielding step that holds
+virtual time for the executor's ``cost``.
 
 These are the fixtures behind ``repro-sptrsv check-interleavings`` and
 the CI interleaving smoke; the concurrency-bug regression tests in
@@ -33,6 +36,8 @@ __all__ = [
     "close_drain_scenario",
     "coalesce_scenario",
     "engine_invariants",
+    "inline_arrival_scenario",
+    "inline_deadline_scenario",
     "late_failure_scenario",
     "scenario_matrix",
     "timeout_scenario",
@@ -186,12 +191,84 @@ async def late_failure_scenario(sched) -> dict:
     return {"engine": engine, "results": results, "n_requests": 3}
 
 
+def _inline_engine(sched, name: str):
+    """An engine whose warm blocks run inline for 1.0 virtual second,
+    with the scenario matrix registered and its plan built."""
+    engine = SolveEngine(
+        batch_window=0.0,
+        execution="host",
+        clock=sched.clock,
+        executor=sched.executor(cost=1.0, inline=True),
+    )
+    key = engine.register(scenario_matrix(), name=name)
+    engine.registry.plan(key)  # warm: an idle engine serves it inline
+    return engine, key
+
+
+def _expect_inline(engine) -> None:
+    dispatch = [e["dispatch"] for e in engine.trace_log.events(kind="launch")]
+    if not dispatch or set(dispatch) != {"inline"}:
+        raise AssertionError(f"expected only inline launches, got {dispatch}")
+
+
+async def inline_deadline_scenario(sched) -> dict:
+    """An inline block overruns its request's deadline: the timer cannot
+    fire while the block holds the loop, so the late result is a
+    timeout, never a publish; a later request with time to spare is
+    served."""
+    engine, key = _inline_engine(sched, "interleave-inline-deadline")
+    n = engine.registry.get(key).matrix.n_rows
+    results: list = []
+    try:
+        await engine.solve(key, _rhs(n, 0), timeout=0.5)
+        raise AssertionError("a late inline result was served")
+    except RequestTimeoutError as exc:
+        results.append(exc)
+    if engine.trace_log.events(kind="publish"):
+        raise AssertionError("the timed-out request was published")
+    second = await engine.solve(key, _rhs(n, 1), timeout=30.0)
+    results.append(second)
+    if not np.allclose(scenario_matrix().matvec(second.x), _rhs(n, 1)):
+        raise AssertionError("post-timeout request returned a wrong solution")
+    _expect_inline(engine)
+    await engine.close()
+    return {"engine": engine, "results": results, "n_requests": 2}
+
+
+async def inline_arrival_scenario(sched) -> dict:
+    """Requests arrive while an inline block holds the loop: one at the
+    first request's flush instant (the explorer orders the two), one
+    halfway through the block.  Every request is served, correctly."""
+    engine, key = _inline_engine(sched, "interleave-inline-arrival")
+    matrix = scenario_matrix()
+    n = matrix.n_rows
+
+    async def arrive(i: int, at: float) -> SolveResponse:
+        await sched.clock.sleep(at, label=f"arrival-{i}")
+        return await engine.solve(key, _rhs(n, i))
+
+    results = await asyncio.gather(
+        engine.solve(key, _rhs(n, 0)), arrive(1, 0.0), arrive(2, 0.5),
+        return_exceptions=True,
+    )
+    for i, res in enumerate(results):
+        if not isinstance(res, SolveResponse):
+            raise AssertionError(f"request {i} failed: {res!r}")
+        if not np.allclose(matrix.matvec(res.x), _rhs(n, i)):
+            raise AssertionError(f"request {i} returned a wrong solution")
+    _expect_inline(engine)
+    await engine.close()
+    return {"engine": engine, "results": list(results), "n_requests": 3}
+
+
 #: name → scenario factory, as exposed by ``check-interleavings``.
 SCENARIOS = {
     "coalesce": coalesce_scenario,
     "timeout": timeout_scenario,
     "close-drain": close_drain_scenario,
     "late-failure": late_failure_scenario,
+    "inline-deadline": inline_deadline_scenario,
+    "inline-arrival": inline_arrival_scenario,
 }
 
 

@@ -18,6 +18,7 @@ folded into the snapshot under ``"slo"``.
 
 from __future__ import annotations
 
+import functools
 import threading
 
 from repro.metrics.telemetry import Counter, Gauge, Histogram
@@ -30,23 +31,27 @@ class ServeTelemetry:
     """Counters and distributions for one :class:`SolveEngine`."""
 
     def __init__(self) -> None:
-        self.requests_total = Counter(
+        #: the one lock of every counter below and of the per-solver
+        #: tallies: :meth:`count` folds an event under one acquisition
+        self._lock = threading.Lock()
+        counter = functools.partial(Counter, lock=self._lock)
+        self.requests_total = counter(
             "requests_total", help="Requests admitted to the engine."
         )
-        self.requests_completed = Counter(
+        self.requests_completed = counter(
             "requests_completed", help="Requests that returned a solution."
         )
-        self.requests_failed = Counter(
+        self.requests_failed = counter(
             "requests_failed", help="Requests that raised after admission."
         )
-        self.requests_timed_out = Counter(
+        self.requests_timed_out = counter(
             "requests_timed_out", help="Requests that hit their deadline."
         )
-        self.requests_rejected = Counter(
+        self.requests_rejected = counter(
             "requests_rejected",
             help="Requests refused at admission (queue full / unknown matrix).",
         )
-        self.batches_total = Counter(
+        self.batches_total = counter(
             "batches_total", help="Coalesced batches flushed to a solver."
         )
         self.batch_width = Histogram(
@@ -60,20 +65,20 @@ class ServeTelemetry:
         self.queue_depth = Gauge(
             "queue_depth", help="Requests waiting in the batching queue."
         )
-        self.fallback_solves = Counter(
+        self.fallback_solves = counter(
             "fallback_solves",
             help="Requests served by a fallback solver instead of their "
             "primary.",
         )
-        self.kernel_failures = Counter(
+        self.kernel_failures = counter(
             "kernel_failures",
             help="Kernel launches that raised (solver quarantined for the "
             "matrix).",
         )
-        self.sim_cycles = Counter(
+        self.sim_cycles = counter(
             "sim_cycles", help="Modeled SIMT cycles across simulator launches."
         )
-        self.sim_exec_ms = Counter(
+        self.sim_exec_ms = counter(
             "sim_exec_ms",
             help="Host wall-clock spent inside simulator launches "
             "(milliseconds).",
@@ -81,34 +86,40 @@ class ServeTelemetry:
         # execution lanes: which path served each flushed block.  The
         # per-lane counters share family names and differ by label, so
         # the exposition renders them as one labelled series each.
-        self.host_lane_batches = Counter(
+        self.host_lane_batches = counter(
             "lane_batches",
             help="Flushed blocks served, by execution lane.",
             labels={"lane": "host"},
         )
-        self.host_lane_rhs = Counter(
+        self.host_lane_rhs = counter(
             "lane_rhs",
             help="Right-hand sides served, by execution lane.",
             labels={"lane": "host"},
         )
-        self.host_exec_ms = Counter(
+        self.host_exec_ms = counter(
             "lane_exec_ms",
             help="Host wall-clock spent executing, by lane (milliseconds; "
             "the sim lane's modeled cost is sim_cycles/sim_exec_ms).",
             labels={"lane": "host"},
         )
-        self.sim_lane_batches = Counter(
+        self.sim_lane_batches = counter(
             "lane_batches",
             help="Flushed blocks served, by execution lane.",
             labels={"lane": "sim"},
         )
-        self.sim_lane_rhs = Counter(
+        self.sim_lane_rhs = counter(
             "lane_rhs",
             help="Right-hand sides served, by execution lane.",
             labels={"lane": "sim"},
         )
         self.slo = SLOTracker()
-        self._lock = threading.Lock()
+        #: kinds that count one request each
+        self._request_counters = {
+            "enqueue": self.requests_total,
+            "reject": self.requests_rejected,
+            "timeout": self.requests_timed_out,
+            "fail": self.requests_failed,
+        }
         self._fallback_by_solver: dict[str, int] = {}
         self._failures_by_solver: dict[str, int] = {}
 
@@ -119,69 +130,81 @@ class ServeTelemetry:
         """Fold one lifecycle event (a TraceLog record) into the counters.
 
         The engine counts only what it traces (``SolveEngine._emit``) and
-        replay folds a recording the same way.  Kinds that count nothing
-        (``span``, older recordings' ``batch``) are skipped; fields older
-        recordings lack read as defaults.
+        replay folds a recording the same way.  Each event takes the
+        counters' one lock once and adds to their values directly; the
+        launch and publish folds go through the :meth:`record_lane` and
+        :meth:`record_lane_latency` sinks, and histograms observe under
+        their own locks.  Kinds that count nothing (``span``, older
+        recordings' ``batch``) are skipped; fields older recordings lack
+        read as defaults.
         """
         kind = event.get("kind")
-        if kind == "enqueue":
-            self.requests_total.inc()
+        counter = self._request_counters.get(kind)
+        if counter is not None:
+            with self._lock:
+                counter.value += 1
         elif kind == "launch":
-            lane = event.get("lane", "sim")
             trace_ids = event.get("trace_ids", ())
-            exec_ms = event.get("exec_ms", 0.0)
             self.record_lane(
-                lane, event.get("n_rhs", len(trace_ids)), exec_ms=exec_ms
+                event.get("lane", "sim"),
+                event.get("n_rhs", len(trace_ids)),
+                exec_ms=event.get("exec_ms", 0.0),
+                cycles=event.get("cycles", 0),
+                # a solve_multi block launches under its own trace id
+                # and is not a flushed batch
+                batch_width=0
+                if event.get("batch_id") in trace_ids
+                else len(trace_ids),
             )
-            if lane == "sim":
-                self.sim_cycles.inc(event.get("cycles", 0))
-                self.sim_exec_ms.inc(exec_ms)
-            # a solve_multi block launches under its own trace id
-            if event.get("batch_id") not in trace_ids:
-                self.batches_total.inc()
-                self.batch_width.observe(len(trace_ids))
         elif kind == "publish":
-            self.requests_completed.inc()
-            self.latency_ms.observe(event["latency_ms"])
-            self.record_lane_latency(
-                event.get("lane", "sim"), event["latency_ms"]
-            )
-        elif kind == "reject":
-            self.requests_rejected.inc()
-        elif kind == "timeout":
-            self.requests_timed_out.inc()
-        elif kind == "fail":
-            self.requests_failed.inc()
+            latency = event["latency_ms"]
+            with self._lock:
+                self.requests_completed.value += 1
+            self.latency_ms.observe(latency)
+            self.record_lane_latency(event.get("lane", "sim"), latency)
         elif kind == "kernel-failure":
-            self.kernel_failures.inc()
-            self._tally(self._failures_by_solver, event["solver"])
+            solver = event["solver"]
+            with self._lock:
+                self.kernel_failures.value += 1
+                by_name = self._failures_by_solver
+                by_name[solver] = by_name.get(solver, 0) + 1
         elif kind == "fallback":
             # one event per block: count the requests it served (an
             # older event without trace_ids counts as one)
             n = len(event["trace_ids"]) if "trace_ids" in event else 1
-            self.fallback_solves.inc(n)
-            self._tally(
-                self._fallback_by_solver,
-                f"{event['fallback_from']}->{event['solver']}",
-                n,
-            )
-
-    def _tally(self, by_name: dict, name: str, n: int = 1) -> None:
-        with self._lock:
-            by_name[name] = by_name.get(name, 0) + n
+            transition = f"{event['fallback_from']}->{event['solver']}"
+            with self._lock:
+                self.fallback_solves.value += n
+                by_name = self._fallback_by_solver
+                by_name[transition] = by_name.get(transition, 0) + n
 
     def record_lane(
-        self, lane: str, n_rhs: int, *, exec_ms: float = 0.0
+        self,
+        lane: str,
+        n_rhs: int,
+        *,
+        exec_ms: float = 0.0,
+        cycles: int = 0,
+        batch_width: int = 0,
     ) -> None:
-        """One block served by ``lane`` (``"host"`` or ``"sim"``);
-        ``exec_ms`` (host wall-clock) counts only on the host lane."""
-        if lane == "host":
-            self.host_lane_batches.inc()
-            self.host_lane_rhs.inc(n_rhs)
-            self.host_exec_ms.inc(exec_ms)
-        else:
-            self.sim_lane_batches.inc()
-            self.sim_lane_rhs.inc(n_rhs)
+        """One block of ``n_rhs`` columns served by ``lane`` (``"host"``
+        or ``"sim"``), taking ``exec_ms`` of host wall-clock and, on the
+        sim lane, ``cycles`` modeled cycles.  ``batch_width`` > 0 marks
+        a flushed batch of that many requests."""
+        with self._lock:
+            if lane == "host":
+                self.host_lane_batches.value += 1
+                self.host_lane_rhs.value += n_rhs
+                self.host_exec_ms.value += exec_ms
+            else:
+                self.sim_lane_batches.value += 1
+                self.sim_lane_rhs.value += n_rhs
+                self.sim_cycles.value += cycles
+                self.sim_exec_ms.value += exec_ms
+            if batch_width:
+                self.batches_total.value += 1
+        if batch_width:
+            self.batch_width.observe(batch_width)
 
     def record_lane_latency(self, lane: str, latency_ms: float) -> None:
         """One completed request's end-to-end latency, attributed to the

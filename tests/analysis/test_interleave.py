@@ -38,28 +38,56 @@ class TestVirtualClock:
         order = run(main())
         assert order == [("early", 1.0), ("mid", 2.5), ("late", 5.0)]
 
-    def test_wait_for_times_out_at_virtual_deadline(self):
+    def test_call_later_fires_at_virtual_deadline(self):
         async def main():
             clock = VirtualClock()
-            fut = asyncio.get_running_loop().create_future()
-            with pytest.raises(asyncio.TimeoutError):
-                await clock.wait_for(asyncio.shield(fut), 0.5)
+            fired = asyncio.get_running_loop().create_future()
+            clock.call_later(0.5, fired.set_result, "late", label="deadline")
+            assert await fired == "late"
             assert clock.now() == 0.5
-            fut.cancel()
 
         run(main())
 
-    def test_wait_for_returns_result_before_deadline(self):
+    def test_cancelled_call_later_never_fires(self):
         async def main():
             clock = VirtualClock()
+            fired = []
+            timer = clock.call_later(10.0, fired.append, "deadline")
+            await clock.sleep(0.1)
+            timer.cancel()
+            await clock.sleep(20.0)
+            assert fired == []
+            assert clock.now() == pytest.approx(20.1)
 
-            async def work():
-                await clock.sleep(0.1)
-                return 42
+        run(main())
 
-            value = await clock.wait_for(work(), 10.0)
-            assert value == 42
-            assert clock.now() == pytest.approx(0.1)
+    def test_call_later_is_a_labelled_schedulable_waiter(self):
+        async def main():
+            clock = VirtualClock(auto=False)
+            fired = []
+            timer = clock.call_later(0.0, fired.append, 1, label="flush")
+            (due,) = clock.due()
+            assert due is timer and timer.label.startswith("flush#")
+            clock.fire(due)
+            assert fired == [1]
+            clock.call_later(0.0, fired.append, 2).cancel()
+            assert clock.due() == []
+
+        run(main())
+
+    def test_call_later_runs_in_the_callers_context(self):
+        import contextvars
+
+        var = contextvars.ContextVar("var", default="unset")
+
+        async def main():
+            clock = VirtualClock(auto=False)
+            seen = []
+            var.set("caller")
+            clock.call_later(0.0, lambda: seen.append(var.get()))
+            var.set("scheduler")
+            clock.fire(clock.due()[0])
+            assert seen == ["caller"]
 
         run(main())
 

@@ -18,9 +18,8 @@ from repro.obs.disttrace import (
     SpanContext,
     SpanRecorder,
     TraceCollector,
-    new_span_id,
 )
-from repro.obs.tracelog import TraceLog
+from repro.obs.tracelog import TraceLog, new_id
 from repro.serve.replay import load_events, replay_file
 
 
@@ -44,7 +43,7 @@ def make_span(name, trace, *, span_id=None, parent=None, process="router",
     return {
         "name": name,
         "trace_id": trace,
-        "span_id": span_id or new_span_id(),
+        "span_id": span_id or new_id(),
         "parent_id": parent,
         "process": process,
         "start": start,

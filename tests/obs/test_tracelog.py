@@ -4,20 +4,74 @@ from __future__ import annotations
 
 import io
 import json
+import multiprocessing
+import re
 import threading
 
 import pytest
 
-from repro.obs import TRACELOG_SCHEMA, TraceLog, new_trace_id
+from repro.obs import TRACELOG_SCHEMA, TraceLog, new_id
 from repro.obs.tracelog import write_tracelog
+
+ID_FORMAT = re.compile(r"[0-9a-f]{12}")
+
+
+def mint(n):
+    """``n`` fresh ids."""
+    return [new_id() for _ in range(n)]
+
+
+def _mint_into(conn, n):
+    conn.send(mint(n))
+    conn.close()
+
+
+def start_minting(method, n):
+    """Start a ``method`` child process minting ``n`` ids; returns a
+    function that collects them."""
+    ctx = multiprocessing.get_context(method)
+    parent_end, child_end = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_mint_into, args=(child_end, n))
+    child.start()
+
+    def collect():
+        assert parent_end.poll(60), f"the {method} child sent no ids"
+        ids = parent_end.recv()
+        child.join(timeout=30)
+        assert not child.is_alive() and child.exitcode == 0
+        return ids
+
+    return collect
 
 
 class TestTraceIds:
     def test_shape_and_uniqueness(self):
-        ids = {new_trace_id() for _ in range(256)}
+        ids = {new_id() for _ in range(256)}
         assert len(ids) == 256
-        assert all(len(t) == 12 for t in ids)
-        assert all(int(t, 16) >= 0 for t in ids)  # hex
+        assert all(ID_FORMAT.fullmatch(t) for t in ids)
+
+    def test_hundred_thousand_ids_are_unique(self):
+        ids = mint(100_000)
+        assert len(set(ids)) == len(ids)
+        assert all(ID_FORMAT.fullmatch(t) for t in ids[::997])
+
+    def test_spawned_processes_do_not_collide(self):
+        first, second = (start_minting("spawn", 2_000) for _ in range(2))
+        a, b = first(), second()
+        assert all(ID_FORMAT.fullmatch(t) for t in a + b)
+        assert not set(a) & set(b)
+        assert not set(a + b) & set(mint(2_000))
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="needs fork",
+    )
+    def test_forked_child_reseeds(self):
+        """Without the at-fork reseed the child would mint exactly the
+        ids its parent mints next."""
+        child_ids = start_minting("fork", 500)()
+        assert all(ID_FORMAT.fullmatch(t) for t in child_ids)
+        assert not set(child_ids) & set(mint(500))
 
 
 class TestRing:
@@ -49,7 +103,7 @@ class TestRing:
 class TestQueries:
     def test_filter_by_kind_and_trace_id(self):
         log = TraceLog()
-        t1, t2 = new_trace_id(), new_trace_id()
+        t1, t2 = new_id(), new_id()
         log.emit("enqueue", trace_id=t1)
         log.emit("enqueue", trace_id=t2)
         log.emit("publish", trace_id=t1)
@@ -60,7 +114,7 @@ class TestQueries:
 
     def test_request_timeline_includes_batch_events(self):
         log = TraceLog()
-        t1, t2 = new_trace_id(), new_trace_id()
+        t1, t2 = new_id(), new_id()
         log.emit("enqueue", trace_id=t1)
         log.emit("enqueue", trace_id=t2)
         log.emit("launch", batch_id="b1", width=2, trace_ids=[t1, t2])

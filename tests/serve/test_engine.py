@@ -1201,3 +1201,75 @@ class TestInlineDispatch:
         assert snap["requests"]["completed"] == 1  # the warm-up only
         assert len(timeouts) == 1
         np.testing.assert_allclose(ok.x, system.x_true, rtol=1e-9)
+
+
+class TestRequestTimers:
+    """Each request arms one deadline timer on the loop; a flush is a
+    loop callback, not a task."""
+
+    def test_served_solves_leave_no_task_or_timer(self):
+        s1, s2 = make_system(n=40, seed=70), make_system(n=45, seed=71)
+
+        async def main():
+            loop = asyncio.get_running_loop()
+            async with SolveEngine() as engine:
+                engine.register(s1.L, name="a")
+                engine.register(s2.L, name="b")
+                # inline: one warm request at a time
+                for _ in range(9000):
+                    await engine.solve("a", s1.b)
+                # pool: concurrent requests on two matrices
+                for _ in range(500):
+                    await asyncio.gather(
+                        engine.solve("a", s1.b), engine.solve("b", s2.b)
+                    )
+                await asyncio.sleep(0)  # let finished tasks detach
+                tasks = set(engine._tasks)
+                timers = [h for h in loop._scheduled if not h.cancelled()]
+                snap = engine.snapshot()
+                pool_blocks = engine._pool_blocks
+            return tasks, timers, snap, pool_blocks
+
+        tasks, timers, snap, pool_blocks = run(main())
+        assert snap["requests"]["completed"] == 10_000
+        assert tasks == set()
+        assert timers == []
+        assert pool_blocks == 0
+
+    @pytest.mark.parametrize("path", ["inline", "pool"])
+    def test_timed_out_request_ends_once_without_publish(
+        self, path, monkeypatch
+    ):
+        from repro.solvers.compiled import CompiledPlan
+
+        system = make_system(n=60, seed=72)
+        original = CompiledPlan.solve_many
+
+        def stalled(self, B, **kw):
+            time.sleep(0.1)
+            return original(self, B, **kw)
+
+        async def main():
+            executor = None if path == "inline" else ThreadPoolExecutor(1)
+            async with SolveEngine(executor=executor) as engine:
+                key = engine.register(system.L, name="m")
+                engine.registry.plan(key)  # warm
+                monkeypatch.setattr(CompiledPlan, "solve_many", stalled)
+                with pytest.raises(RequestTimeoutError):
+                    await engine.solve("m", system.b, timeout=0.02)
+                await asyncio.sleep(0.2)  # a pool block lands late
+                events = engine.trace_log.events()
+                snap = engine.snapshot()
+            if executor is not None:
+                executor.shutdown(wait=True)
+            return events, snap
+
+        events, snap = run(main())
+        (launch,) = [e for e in events if e["kind"] == "launch"]
+        assert launch["dispatch"] == path
+        (trace_id,) = launch["trace_ids"]
+        trail = [e["kind"] for e in events if e.get("trace_id") == trace_id]
+        assert trail == ["enqueue", "timeout"]
+        assert snap["requests"]["timed_out"] == 1
+        assert snap["requests"]["completed"] == 0
+        assert snap["requests"]["failed"] == 0

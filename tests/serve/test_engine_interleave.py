@@ -227,3 +227,79 @@ class TestScenarioSuite:
         log.emit("fail", trace_id="t3")
         with pytest.raises(AssertionError, match="t3"):
             trail_ends_once(None, value)
+
+
+class TestTimersAreScheduledEvents:
+    def test_deadline_and_flush_are_labelled_waiters(self):
+        result = run_schedule(SCENARIOS["timeout"], seed=0)
+        assert not result.failed, result.error
+        fired = [
+            line.split("fire=")[1].split()[0]
+            for line in result.trace.splitlines()
+        ]
+        assert any(label.startswith("flush#") for label in fired)
+        assert any(label.startswith("deadline#") for label in fired)
+
+    def test_served_request_leaves_no_live_waiter(self):
+        matrix = scenario_matrix()
+        seen = {}
+
+        def scenario_factory(sched):
+            async def scenario():
+                engine = SolveEngine(
+                    execution="host",
+                    clock=sched.clock,
+                    executor=sched.executor(cost=0.1),
+                )
+                key = engine.register(matrix, name="m")
+                await engine.solve(key, np.ones(matrix.n_rows), timeout=5.0)
+                seen["due"] = sched.clock.due()
+                await engine.close()
+
+            return scenario()
+
+        result = run_schedule(scenario_factory, seed=0)
+        assert not result.failed, result.error
+        # the flush and the worker fired; the deadline was withdrawn
+        assert [ln.split("fire=")[1].split()[0].split("#")[0]
+                for ln in result.trace.splitlines()] == ["flush", "worker"]
+        assert seen["due"] == []
+
+    def test_full_group_timer_leaves_the_next_group_its_window(self):
+        """A group that reached ``max_batch`` was dispatched without its
+        flush timer; when that timer fires it must not flush the group
+        that formed after it, whose own window ends later."""
+        matrix = scenario_matrix()
+
+        def scenario_factory(sched):
+            async def scenario():
+                engine = SolveEngine(
+                    batch_window=1.0,
+                    max_batch=2,
+                    execution="host",
+                    clock=sched.clock,
+                    executor=sched.executor(cost=0.0),
+                )
+                key = engine.register(matrix, name="m")
+                b = np.ones(matrix.n_rows)
+
+                async def third():
+                    await sched.clock.sleep(0.5)
+                    resp = await engine.solve(key, b)
+                    return sched.clock.now(), resp.batch_width
+
+                *_, late = await asyncio.gather(
+                    engine.solve(key, b), engine.solve(key, b), third()
+                )
+                await engine.close()
+                return late
+
+            return scenario()
+
+        async def main():
+            from repro.analysis.interleave import InterleaveScheduler
+
+            sched = InterleaveScheduler(seed=None)
+            return await sched.run(lambda: scenario_factory(sched))
+
+        assert asyncio.run(main()) == (1.5, 1)
