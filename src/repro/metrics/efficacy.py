@@ -58,7 +58,7 @@ __all__ = [
 EFFICACY_SCHEMA = "efficacy/1"
 
 #: The four bins: level depth × Eq. 1 granularity, thresholds shared
-#: with the sequential rule (``prefers_compiled`` picks the sequential
+#: with the sequential rule (``pick_schedule`` picks the sequential
 #: schedule for exactly the ``deep-fine`` class today).
 GRANULARITY_CLASSES = (
     "deep-fine", "deep-coarse", "shallow-fine", "shallow-coarse",
@@ -87,7 +87,7 @@ def granularity_class(n_levels: int, granularity: float) -> str:
 
     ``deep`` means ``n_levels >= DEEP_LEVEL_COUNT`` and ``fine`` means
     ``granularity <= HIGH_GRANULARITY_THRESHOLD`` — the same predicate
-    pair :func:`repro.solvers.compiled.prefers_compiled` evaluates, so
+    pair :func:`repro.solvers.compiled.pick_schedule` evaluates, so
     class ``deep-fine`` is precisely the sequential schedule's
     population.
     """

@@ -9,8 +9,7 @@ that segment and wraps zero-copy views in a fresh
 ship a small JSON handle (segment name + array layout) over the pipe
 instead of pickling the matrix.  Each worker builds its own fast-lane
 plan from those views through its registry, as an in-process engine
-does: a plan's SuperLU factor is a native object that cannot live in
-shared memory, and building one costs a few milliseconds.
+does: a plan build costs a few milliseconds, once per registration.
 
 Three pieces:
 

@@ -41,7 +41,7 @@ Execution model
     plan's schedule variant is a property of the matrix, decided once
     by the registry (:meth:`~repro.serve.registry.MatrixRegistry.plan`):
     ``"sequential"`` for deep, skinny level structures
-    (:func:`~repro.solvers.compiled.prefers_compiled`: many levels,
+    (:func:`~repro.solvers.compiled.pick_schedule`: many levels,
     Eq. 1 granularity at or below the paper's 0.7 threshold), where
     per-level dispatch would dominate, ``"level"`` otherwise.
   - ``"sim"`` — the cycle-level SIMT simulator: batched

@@ -45,7 +45,6 @@ from repro.solvers.compiled import (
     CompiledPlan,
     build_compiled_plan,
     pick_schedule,
-    prefers_compiled,
 )
 from repro.solvers.multirhs import (
     MultiRHSResult,
@@ -78,7 +77,6 @@ __all__ = [
     "CompiledPlan",
     "build_compiled_plan",
     "pick_schedule",
-    "prefers_compiled",
     "MultiRHSResult",
     "capellini_sptrsm",
     "serial_sptrsm",

@@ -1,9 +1,9 @@
 """The fast lane: one plan type, two kernels.
 
 Every wall-clock solve in the serve tier runs a :class:`CompiledPlan`,
-in one of two schedule variants that :func:`pick_schedule` chooses per
-matrix from its features (the Eq. 1 rule :func:`prefers_compiled`);
-callers in the serve tier never set it.
+in one of two schedule variants that :func:`pick_schedule` (the Eq. 1
+sequential rule) chooses per matrix from its features; callers in the
+serve tier never set it.
 
 * ``"level"`` — the level-scheduled numpy executor.  Every plan row is
   rewritten as a pure linear functional with the diagonal division
@@ -13,19 +13,19 @@ callers in the serve tier never set it.
   one scatter per level.  Wide, shallow levels amortize that per-level
   dispatch over many rows, so shallow matrices keep this kernel.
 
-* ``"sequential"`` — one SciPy SuperLU ``gstrs`` sweep over a
-  natural-order factor of ``L`` (``splu`` with ``permc_spec="NATURAL"``
-  and no pivoting threshold).  On a lower-triangular matrix that factor
-  is ``L`` itself, rescaled by its diagonal, with no fill.  The solve
-  has no level barriers and no per-level interpreter dispatch: the host
-  form of the paper's argument that at fine granularity synchronization
-  decides SpTRSV speed, and the fused sequential sweep Li
-  (arXiv:1710.04985) prefers for small triangular solves.  Deep, skinny
-  matrices, which would pay per-level dispatch thousands of times per
-  solve, take it.  The builder checks the factor's shape — natural row
-  and column order, zero fill — and raises :class:`SolverError` when
-  either fails, so the serve tier's fallback ladder quarantines the
-  host step instead of serving a permuted solve.
+* ``"sequential"`` — one SciPy SuperLU ``gstrs`` forward sweep over
+  plan-owned arrays (``L`` in canonical CSC scaled to a unit diagonal,
+  an empty ``U``), then ``X * inv_diag``: what
+  :func:`scipy.sparse.linalg.spsolve_triangular` does, bit for bit.
+  The solve has no level barriers and no per-level interpreter
+  dispatch: the host form of the paper's argument that at fine
+  granularity synchronization decides SpTRSV speed, and the fused
+  sequential sweep Li (arXiv:1710.04985) prefers for small triangular
+  solves.  Deep, skinny matrices, which would pay per-level dispatch
+  thousands of times per solve, take it.  An ``L`` too large for int32
+  indices, or a sweep ``gstrs`` reports as failed, raises
+  :class:`SolverError`, so the serve tier's fallback ladder
+  quarantines the host step.
 
 An ambient :class:`~repro.obs.hostprof.HostProfiler` gets one launch
 profile per solve.  The level variant attributes each level's time to
@@ -39,12 +39,10 @@ from __future__ import annotations
 
 import time
 from collections import OrderedDict
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csr_array
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg._dsolve._superlu import gstrs
 
 from repro.analysis.granularity import HIGH_GRANULARITY_THRESHOLD
 from repro.analysis.levels import LevelSchedule, compute_levels
@@ -52,6 +50,7 @@ from repro.errors import SolverError
 from repro.gpu.device import DeviceSpec
 from repro.obs.hostprof import HostLaunchProfile, active_host_profiler
 from repro.solvers.base import PreprocessInfo, SolveResult, SpTRSVSolver
+from repro.sparse.convert import csr_to_csc
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.triangular import check_solvable
 
@@ -62,7 +61,6 @@ __all__ = [
     "CompiledFusedSolver",
     "build_compiled_plan",
     "pick_schedule",
-    "prefers_compiled",
 ]
 
 #: The plan's schedule variants.
@@ -72,66 +70,84 @@ COMPILED_SCHEDULES = ("level", "sequential")
 #: overhead is already negligible and the level kernel keeps the matrix.
 DEEP_LEVEL_COUNT = 64
 
+#: Largest index SuperLU's C ``int`` arrays hold; the sequential
+#: variant's column pointers run up to ``nnz(L)``.
+SUPERLU_INDEX_MAX = int(np.iinfo(np.intc).max)
 
-def prefers_compiled(features) -> bool:
-    """The sequential rule: deep *and* skinny.
-
-    True when the level structure is deep (``n_levels`` at or beyond
-    :data:`DEEP_LEVEL_COUNT`) and the Eq. 1 granularity indicator is at
-    or below the paper's 0.7 threshold — the regime where per-level
-    dispatch overhead dominates and level widths are too small to
-    amortize it.  Wide-shallow matrices keep the level schedule, whose
-    big per-level numpy operations are already near-optimal there.
-    """
-    return (
-        features.n_levels >= DEEP_LEVEL_COUNT
-        and features.granularity <= HIGH_GRANULARITY_THRESHOLD
-    )
+#: The other variant's array fields, and the sweep's empty ``U``:
+#: empty and read-only.
+_NO_ARRAY = np.empty(0)
+_NO_INDEX = np.empty(0, dtype=np.intc)
+_NO_ARRAY.flags.writeable = _NO_INDEX.flags.writeable = False
 
 
 def pick_schedule(features) -> str:
-    """The schedule variant the rule picks for one matrix:
-    ``"sequential"`` when :func:`prefers_compiled` holds, else
-    ``"level"``.  The serve tier's registry applies it once per matrix
-    (:meth:`repro.serve.registry.MatrixRegistry.plan`)."""
-    return "sequential" if prefers_compiled(features) else "level"
+    """The sequential rule: ``"sequential"`` for deep *and* skinny
+    matrices, ``"level"`` for the rest.
+
+    Deep means ``n_levels`` at or beyond :data:`DEEP_LEVEL_COUNT`;
+    skinny means the Eq. 1 granularity indicator is at or below the
+    paper's 0.7 threshold.  That is the regime where per-level dispatch
+    overhead dominates and level widths are too small to amortize it.
+    Wide-shallow matrices keep the level schedule, whose big per-level
+    numpy operations are already near-optimal there.  The serve tier's
+    registry applies the rule once per matrix
+    (:meth:`repro.serve.registry.MatrixRegistry.plan`).
+    """
+    deep_and_skinny = (
+        features.n_levels >= DEEP_LEVEL_COUNT
+        and features.granularity <= HIGH_GRANULARITY_THRESHOLD
+    )
+    return "sequential" if deep_and_skinny else "level"
 
 
 @dataclass(frozen=True)
 class CompiledPlan:
-    """The fast lane's inspector output.
+    """The fast lane's inspector output: plain numpy arrays, each
+    variant's own fields filled and the other variant's empty.
 
     Attributes
     ----------
     schedule:
         The schedule variant, ``"level"`` (one executed step per level)
-        or ``"sequential"`` (one SuperLU sweep).
+        or ``"sequential"`` (one SuperLU ``gstrs`` sweep).
     base_levels:
         Levels of the matrix's level schedule.
-    rows, row_ptr, idx, vals, level_ptr, inv_diag:
-        The level variant's scaled functional form (``None`` in the
-        sequential variant).  ``rows`` maps plan rows to original rows
-        (level order); plan row ``p`` owns ``idx[row_ptr[p]:
-        row_ptr[p+1]]`` / ``vals[...]``, its already-solved ``x``
-        inputs and pre-scaled coefficients, and the span is empty
-        exactly when the row has no dependencies (all such rows sit in
-        level 0).  ``level_ptr`` holds the plan-row spans per level and
-        ``inv_diag`` is ``1 / L[i, i]`` by original row, the start
-        scale (``X = B * inv_diag``).
-    factor:
-        The sequential variant's natural-order SuperLU factor of ``L``
-        (``None`` in the level variant).
+    inv_diag:
+        ``1 / L[i, i]`` by original row, in both variants: the level
+        variant's start scale (``X = B * inv_diag``) and the sequential
+        variant's final scale.
+    rows, row_ptr, idx, vals, level_ptr:
+        The level variant's scaled functional form.  ``rows`` maps plan
+        rows to original rows (level order); plan row ``p`` owns
+        ``idx[row_ptr[p]:row_ptr[p+1]]`` / ``vals[...]``, its
+        already-solved ``x`` inputs and pre-scaled coefficients, and
+        the span is empty exactly when the row has no dependencies (all
+        such rows sit in level 0).  ``level_ptr`` holds the plan-row
+        spans per level.
+    col_ptr, row_idx, unit_vals:
+        The sequential variant's canonical CSC of ``L`` with int32
+        indices: column ``j`` owns ``row_idx[col_ptr[j]:col_ptr[j+1]]``
+        in strictly increasing order, diagonal first, and
+        ``unit_vals[...]`` holds ``L[i, j] * inv_diag[j]``, so the
+        diagonal is one.
     """
 
     schedule: str
     base_levels: int
-    rows: Optional[np.ndarray] = None
-    row_ptr: Optional[np.ndarray] = None
-    idx: Optional[np.ndarray] = None
-    vals: Optional[np.ndarray] = None
-    level_ptr: Optional[np.ndarray] = None
-    inv_diag: Optional[np.ndarray] = None
-    factor: Optional[object] = None
+    inv_diag: np.ndarray
+    rows: np.ndarray = field(default_factory=_NO_ARRAY.view)
+    row_ptr: np.ndarray = field(default_factory=_NO_ARRAY.view)
+    idx: np.ndarray = field(default_factory=_NO_ARRAY.view)
+    vals: np.ndarray = field(default_factory=_NO_ARRAY.view)
+    level_ptr: np.ndarray = field(default_factory=_NO_ARRAY.view)
+    col_ptr: np.ndarray = field(default_factory=_NO_ARRAY.view)
+    row_idx: np.ndarray = field(default_factory=_NO_ARRAY.view)
+    unit_vals: np.ndarray = field(default_factory=_NO_ARRAY.view)
+
+    # derived arrays, set by __post_init__ for the variant that uses them
+    _rel = _NO_ARRAY
+    _u_ptr = _NO_ARRAY
 
     def __post_init__(self) -> None:
         if self.schedule not in COMPILED_SCHEDULES:
@@ -139,21 +155,11 @@ class CompiledPlan:
                 f"schedule must be one of {COMPILED_SCHEDULES}, "
                 f"got {self.schedule!r}"
             )
-        if (self.factor is None) != (self.schedule == "level"):
-            raise ValueError(
-                "the sequential variant carries a factor, the level one "
-                "does not"
-            )
-        if self.factor is not None:
-            # scipy builds L and U afresh on each access: read them once
-            L, U = self.factor.L, self.factor.U
+        if self.schedule == "sequential":
+            # gstrs takes U in CSC as well: the sweep's U is empty
             object.__setattr__(
-                self, "_coeff_nnz", L.nnz + U.nnz - self.factor.shape[0]
+                self, "_u_ptr", np.zeros(self.n_rows + 1, dtype=np.intc)
             )
-            object.__setattr__(self, "_nbytes", sum(
-                a.nbytes for m in (L, U)
-                for a in (m.data, m.indices, m.indptr)
-            ))
             return
         ptr = self.row_ptr
         widths = np.diff(self.level_ptr)
@@ -183,24 +189,22 @@ class CompiledPlan:
 
     @property
     def n_rows(self) -> int:
-        if self.factor is not None:
-            return self.factor.shape[0]
-        return len(self.rows)
+        return len(self.inv_diag)
 
     @property
     def n_levels(self) -> int:
         """Executed steps: one per level, or the one sequential sweep."""
-        if self.factor is not None:
+        if self.schedule == "sequential":
             return 1
         return len(self.level_ptr) - 1
 
     @property
     def coeff_nnz(self) -> int:
         """Coefficients per solve: ``nnz(L)`` in both variants (the
-        level variant's diagonal lives in ``inv_diag``, the sequential
-        factor's in ``U``)."""
-        if self.factor is not None:
-            return self._coeff_nnz
+        level variant keeps its diagonal in ``inv_diag``, the sequential
+        one a unit diagonal in ``unit_vals``)."""
+        if self.schedule == "sequential":
+            return len(self.unit_vals)
         return len(self.idx) + self.n_rows
 
     @property
@@ -211,14 +215,12 @@ class CompiledPlan:
 
     @property
     def nbytes(self) -> int:
-        """Resident bytes of the plan-owned arrays (registry budget):
-        the factor's ``L`` and ``U`` in the sequential variant."""
-        if self.factor is not None:
-            return self._nbytes
+        """Resident bytes of the plan-owned arrays (registry budget)."""
         return sum(
             a.nbytes
-            for a in (self.rows, self.row_ptr, self.idx, self.vals,
-                      self.level_ptr, self._rel, self.inv_diag)
+            for a in (self.inv_diag, self.rows, self.row_ptr, self.idx,
+                      self.vals, self.level_ptr, self._rel, self.col_ptr,
+                      self.row_idx, self.unit_vals, self._u_ptr)
         )
 
     # ------------------------------------------------------------------
@@ -253,7 +255,7 @@ class CompiledPlan:
         profiler = active_host_profiler()
         if profiler is not None:
             return self._execute_profiled(B, profiler)
-        if self.factor is not None:
+        if self.schedule == "sequential":
             return self._sweep(B)
         X = self._start(B)
         if X.ndim == 2:
@@ -267,14 +269,20 @@ class CompiledPlan:
         return X.reshape(self.n_rows, -1)
 
     def _sweep(self, B: np.ndarray) -> np.ndarray:
-        """The sequential variant: one SuperLU solve of the block.
+        """The sequential variant: one ``gstrs`` forward sweep of the
+        block over the unit-diagonal CSC, then the diagonal scale.
 
-        A single right-hand side goes in as a vector; SuperLU returns a
-        block in Fortran order, which is copied to C order.
+        ``gstrs`` solves a copy of ``B`` and returns it in Fortran
+        order; the scale writes the fresh C-ordered answer.
         """
-        if B.shape[1] == 1:
-            return self.factor.solve(B[:, 0]).reshape(-1, 1)
-        return np.ascontiguousarray(self.factor.solve(B))
+        n = self.n_rows
+        X, info = gstrs(
+            "N", n, len(self.unit_vals), self.unit_vals, self.row_idx,
+            self.col_ptr, n, 0, _NO_ARRAY, _NO_INDEX, self._u_ptr, B,
+        )
+        if info:
+            raise SolverError(f"SuperLU gstrs failed with info={info}")
+        return np.multiply(X, self.inv_diag[:, None], order="C")
 
     def _start(self, B: np.ndarray) -> np.ndarray:
         """The level variant's C-ordered workspace ``X = B * inv_diag``.
@@ -340,7 +348,7 @@ class CompiledPlan:
         clock = time.perf_counter
         raw: list[tuple] = []
         t_launch = clock()
-        if self.factor is not None:
+        if self.schedule == "sequential":
             X = self._sweep(B)
             raw.append((self.n_rows, self.coeff_nnz, 0.0,
                         clock() - t_launch, 0.0))
@@ -391,9 +399,9 @@ def build_compiled_plan(
 
     The level variant rewrites every row into the scaled functional
     form (coefficients pre-divided by the diagonal) plus ``inv_diag``;
-    the sequential variant factors ``L`` with SuperLU in natural order
-    and raises :class:`SolverError` if the factor is permuted or has
-    fill.  ``base`` may be supplied when the caller already
+    the sequential variant copies ``L`` into a unit-diagonal CSC with
+    int32 indices and raises :class:`SolverError` when ``nnz(L)`` does
+    not fit them.  ``base`` may be supplied when the caller already
     level-scheduled the matrix (the registry reuses its cached schedule
     artifact).
     """
@@ -404,17 +412,32 @@ def build_compiled_plan(
     check_solvable(L)
     if base is None:
         base = compute_levels(L)
+    diag_pos = L.row_ptr[1:] - 1
+    inv_diag = 1.0 / L.values[diag_pos]
     if schedule == "sequential":
-        return _sequential_plan(L, base)
+        if L.nnz > SUPERLU_INDEX_MAX:
+            raise SolverError(
+                f"L has {L.nnz} stored elements; SuperLU's int32 indices "
+                f"hold at most {SUPERLU_INDEX_MAX}"
+            )
+        # scale the data array itself: a sparse product's CSC may leave
+        # row indices unsorted, and gstrs then answers wrongly, info 0
+        csc = csr_to_csc(L)
+        return CompiledPlan(
+            schedule="sequential",
+            base_levels=base.n_levels,
+            col_ptr=csc.col_ptr.astype(np.intc),
+            row_idx=csc.row_idx.astype(np.intc),
+            unit_vals=csc.values * np.repeat(inv_diag, csc.col_lengths()),
+            inv_diag=inv_diag,
+        )
     n = L.n_rows
     order = base.order
 
     # scaled dependency lists, fully vectorized: plan row p holds its
     # off-diagonal dependencies, pre-divided by the diagonal
     off_lo = L.row_ptr[:-1]
-    diag_pos = L.row_ptr[1:] - 1
     dep_counts = (diag_pos - off_lo).astype(np.int64)[order]
-    inv_diag = 1.0 / L.values[diag_pos]
 
     dep_ptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(dep_counts, out=dep_ptr[1:])
@@ -432,35 +455,6 @@ def build_compiled_plan(
         level_ptr=base.level_ptr.copy(),
         inv_diag=inv_diag,
     )
-
-
-def _sequential_plan(L: CSRMatrix, base: LevelSchedule) -> CompiledPlan:
-    """The sequential variant: ``L``'s natural-order SuperLU factor."""
-    n = L.n_rows
-    A = csr_array((L.values, L.col_idx, L.row_ptr), shape=(n, n)).tocsc()
-    try:
-        factor = splu(
-            A, permc_spec="NATURAL", diag_pivot_thresh=0.0,
-            options={"SymmetricMode": True},
-        )
-    except RuntimeError as exc:  # SuperLU reports singularity this way
-        raise SolverError(f"SuperLU could not factor L: {exc}") from exc
-    natural = np.arange(n)
-    if not (
-        np.array_equal(factor.perm_r, natural)
-        and np.array_equal(factor.perm_c, natural)
-    ):
-        raise SolverError("SuperLU permuted L; the sequential variant "
-                          "needs its natural order")
-    plan = CompiledPlan(
-        schedule="sequential", base_levels=base.n_levels, factor=factor
-    )
-    if plan.coeff_nnz != L.nnz:
-        raise SolverError(
-            f"SuperLU factor of L has fill: {plan.coeff_nnz} "
-            f"coefficients for {L.nnz} stored elements"
-        )
-    return plan
 
 
 class CompiledFusedSolver(SpTRSVSolver):
@@ -526,7 +520,7 @@ class CompiledFusedSolver(SpTRSVSolver):
             exec_ms=dt * 1e3,
             preprocess=PreprocessInfo(
                 description="inspector: scaled functional rewrite (level) "
-                "or natural-order SuperLU factor (sequential), cached "
+                "or unit-diagonal CSC copy of L (sequential), cached "
                 "across solves of the same matrix",
                 host_seconds=prep,
             ),

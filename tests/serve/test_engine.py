@@ -627,8 +627,8 @@ class TestCompiledLane:
             rng=np.random.default_rng(seed),
         )
 
-    def test_auto_prefers_compiled_for_deep_matrices(self):
-        # the sequential rule (prefers_compiled) picks the SuperLU sweep
+    def test_auto_picks_sequential_for_deep_matrices(self):
+        # the sequential rule (pick_schedule) picks the SuperLU sweep
         system = self.deep_system()
 
         async def main():
@@ -646,6 +646,32 @@ class TestCompiledLane:
         assert resp.fallback_from is None
         assert launches[0]["schedule"] == "sequential"
         assert set(snap["lanes"]) == {"host", "sim"}
+
+    def test_failed_sweep_is_quarantined(self, monkeypatch):
+        # gstrs reporting info != 0 raises SolverError: the ladder
+        # quarantines the host step and the simulator serves
+        import repro.solvers.compiled as compiled
+
+        system = self.deep_system()
+        monkeypatch.setattr(
+            compiled, "gstrs", lambda *a: (np.zeros_like(a[-1]), 1)
+        )
+
+        async def main():
+            engine = SolveEngine()
+            engine.register(system.L, name="deep")
+            resp = await engine.solve("deep", system.b)
+            quarantined = engine.quarantined("deep")
+            failures = engine.trace_log.events(kind="kernel-failure")
+            await engine.close()
+            return resp, quarantined, failures
+
+        resp, quarantined, failures = run(main())
+        np.testing.assert_allclose(resp.x, system.x_true, rtol=1e-9)
+        assert resp.lane == "sim"
+        assert resp.fallback_from == "CompiledFused"
+        assert quarantined == {"CompiledFused"}
+        assert [f["error"] for f in failures] == ["SolverError"]
 
     def test_auto_keeps_host_for_shallow_matrices(self):
         system = make_system(n=120, seed=31)  # well under 64 levels

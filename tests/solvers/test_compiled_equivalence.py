@@ -5,7 +5,8 @@ Mirror of ``test_host_equivalence.py`` for the
 agree with the cycle-level simulator on every synthetic domain, both
 triangular orientations, and every right-hand-side layout — under both
 the level-scheduled numpy executor (``schedule="level"``) and the
-SuperLU sweep (``schedule="sequential"``).
+SuperLU ``gstrs`` sweep (``schedule="sequential"``), which must also
+equal :func:`scipy.sparse.linalg.spsolve_triangular` bit for bit.
 
 Matrices are kept small (n = 80) because each comparison runs the SIMT
 simulator — the point is agreement, not throughput.
@@ -13,6 +14,8 @@ simulator — the point is agreement, not throughput.
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.linalg import spsolve_triangular
 
 from repro.datasets import DOMAINS, generate
 from repro.gpu.device import SIM_SMALL
@@ -23,7 +26,6 @@ from repro.solvers.compiled import (
     CompiledFusedSolver,
     build_compiled_plan,
     pick_schedule,
-    prefers_compiled,
 )
 from repro.solvers.multirhs import capellini_sptrsm
 from repro.solvers.upper import reverse_matrix, solve_upper
@@ -221,51 +223,82 @@ class TestSequentialVariant:
         assert solver.plan_for(L1).schedule == "sequential"
 
 
-class TestFallback:
-    """What the serve tier's fallback ladder relies on: a factor the
-    sequential kernel cannot serve in natural order without fill is
-    refused with :class:`SolverError` (the error the ladder absorbs),
-    and the solver interface reports the variant it ran."""
+class TestSequentialArrays:
+    """The sequential variant owns plain arrays and answers exactly as
+    :func:`scipy.sparse.linalg.spsolve_triangular`, which runs the same
+    ``gstrs`` sweep."""
 
     @staticmethod
-    def _patch_splu(monkeypatch, doctor):
+    def _scipy_csc(L):
+        return sp.csr_array(
+            (L.values, L.col_idx, L.row_ptr), shape=L.shape
+        ).tocsc()
+
+    @pytest.mark.parametrize("k", [1, 8])
+    @pytest.mark.parametrize("layout", ["1d", "C", "F", "float32"])
+    def test_bit_identical_to_spsolve_triangular(
+        self, domain_system, k, layout
+    ):
+        L = domain_system.L
+        plan = build_compiled_plan(L, schedule="sequential")
+        B = TestColumnIndependence._block(domain_system, k)
+        if layout == "1d":
+            B = B[:, 0]
+        elif layout == "F":
+            B = np.asfortranarray(B)
+        elif layout == "float32":
+            B = B.astype(np.float32)
+        ref = spsolve_triangular(self._scipy_csc(L), B)
+        X = plan.solve_many(B)
+        assert X.dtype == np.float64 and X.flags["C_CONTIGUOUS"]
+        np.testing.assert_array_equal(X, ref.reshape(L.n_rows, -1))
+
+    def test_csc_is_canonical(self, domain_system):
+        L = domain_system.L
+        plan = build_compiled_plan(L, schedule="sequential")
+        ptr, rows = plan.col_ptr, plan.row_idx
+        assert ptr.dtype == rows.dtype == np.int32
+        assert ptr[0] == 0 and ptr[-1] == L.nnz
+        col_of = np.repeat(np.arange(L.n_rows), np.diff(ptr))
+        # strictly increasing inside each column
+        same_col = col_of[1:] == col_of[:-1]
+        assert np.all(rows[1:][same_col] > rows[:-1][same_col])
+        # the diagonal comes first, scaled to one
+        np.testing.assert_array_equal(rows[ptr[:-1]], np.arange(L.n_rows))
+        np.testing.assert_array_equal(plan.unit_vals[ptr[:-1]], 1.0)
+
+    def test_nbytes_and_coeff_nnz_come_from_arrays(
+        self, domain_system, schedule
+    ):
+        from dataclasses import fields
+
+        L = domain_system.L
+        plan = build_compiled_plan(L, schedule=schedule)
+        values = [getattr(plan, f.name) for f in fields(plan)]
+        assert all(isinstance(v, (np.ndarray, int, str)) for v in values)
+        arrays = [v for v in values if isinstance(v, np.ndarray)]
+        arrays += [plan._rel, plan._u_ptr]  # derived in __post_init__
+        assert plan.nbytes == sum(a.nbytes for a in arrays)
+        assert plan.coeff_nnz == L.nnz
+        assert plan.n_rows == L.n_rows
+
+
+class TestFallback:
+    """What the serve tier's fallback ladder relies on: an ``L`` the
+    sequential kernel cannot index is refused with :class:`SolverError`
+    (the error the ladder absorbs; a failed sweep is
+    ``test_engine.py::TestCompiledLane::test_failed_sweep_is_quarantined``),
+    and the solver interface reports the variant it ran."""
+
+    def test_nnz_beyond_int32_indices_is_refused(self, monkeypatch):
         import repro.solvers.compiled as compiled
-        from types import SimpleNamespace
 
-        real = compiled.splu
-
-        def fake(A, **kw):
-            f = real(A, **kw)
-            fields = dict(
-                perm_r=f.perm_r, perm_c=f.perm_c, L=f.L, U=f.U,
-                shape=f.shape, solve=f.solve,
-            )
-            doctor(fields)
-            return SimpleNamespace(**fields)
-
-        monkeypatch.setattr(compiled, "splu", fake)
-
-    def test_permuted_factor_is_refused(self, monkeypatch):
-        self._patch_splu(
-            monkeypatch,
-            lambda f: f.update(perm_r=f["perm_r"][::-1].copy()),
-        )
-        with pytest.raises(SolverError, match="natural order"):
-            build_compiled_plan(generate("chain", N, seed=13))
-
-    def test_factor_with_fill_is_refused(self, monkeypatch):
-        def add_fill(f):
-            U = f["U"].tolil()
-            U[0, N - 1] = 1.0
-            f["U"] = U.tocsc()
-
-        self._patch_splu(monkeypatch, add_fill)
-        with pytest.raises(SolverError, match="fill"):
-            build_compiled_plan(generate("chain", N, seed=13))
-        # the level variant needs no factor
-        assert build_compiled_plan(
-            generate("chain", N, seed=13), schedule="level"
-        ).schedule == "level"
+        L = generate("chain", N, seed=13)
+        monkeypatch.setattr(compiled, "SUPERLU_INDEX_MAX", L.nnz - 1)
+        with pytest.raises(SolverError, match="int32"):
+            build_compiled_plan(L)
+        # the level variant takes no SuperLU indices
+        assert build_compiled_plan(L, schedule="level").schedule == "level"
 
     def test_solver_extra_reports_schedule(self, domain_system, schedule):
         system = domain_system
@@ -277,13 +310,11 @@ class TestFallback:
 
 
 class TestLaneSelection:
-    def test_prefers_compiled_needs_deep_and_fine(self):
+    def test_pick_schedule_needs_deep_and_fine(self):
         from repro.analysis import extract_features
 
         deep = extract_features(generate("chain", 200, seed=0))
         wide = extract_features(generate("graph", 400, seed=0))
-        assert prefers_compiled(deep)
         assert deep.n_levels >= 64
-        assert not prefers_compiled(wide)
         assert pick_schedule(deep) == "sequential"
         assert pick_schedule(wide) == "level"
