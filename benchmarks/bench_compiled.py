@@ -1,9 +1,9 @@
 """Bench: sequential vs level schedule of the fast-lane plan on deep matrices.
 
-The sequential schedule — one SuperLU sweep, no level barriers — exists
-for structures where per-level dispatch dominates: thousands of skinny
-levels, each a handful of rows.  This bench builds the two deep cases
-it targets —
+The sequential schedule — one in-place ``csr_matvec`` sweep, no level
+barriers — exists for structures where per-level dispatch dominates:
+thousands of skinny levels, each a handful of rows.  This bench builds
+the two deep cases it targets —
 
 * ``circuit-deep`` — a rail-dominated circuit factor
   (``rail_prob=0.02, local_window=2, rail_count=4``), ~2.5k levels at

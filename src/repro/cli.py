@@ -156,7 +156,7 @@ _OPTIONS: dict[str, dict] = {
                         help="widest coalesced batch an engine launches"),
     "--execution": dict(choices=["auto", "host", "sim"],
                         help="execution lane: 'host' runs the registry's "
-                        "plan (one SuperLU sweep for deep-and-skinny "
+                        "plan (one csr_matvec sweep for deep-and-skinny "
                         "matrices, per-level otherwise), 'sim' the "
                         "cycle-level simulator, 'auto' the host lane with "
                         "a simulator fallback (default: %(default)s)"),

@@ -16,9 +16,9 @@ registers the zero-copy matrix with its own registry, and builds the
 fast-lane plan right there, through the same
 :meth:`~repro.serve.registry.MatrixRegistry.plan` accessor an
 in-process engine uses, so its first solve is already warm.  A plan
-build costs milliseconds (a unit-diagonal CSC copy of ``L`` for deep
-matrices, a vectorized rewrite for shallow ones), and the router
-builds no plan at all.  Request and response payloads above an inline
+build costs milliseconds (one vectorized rewrite of ``L``'s rows, in
+natural order for deep matrices and level order for shallow ones), and
+the router builds no plan at all.  Request and response payloads above an inline
 threshold travel through pooled :class:`~repro.serve.arena.SlabPool`
 segments; the solution is written
 back into the request's slab (the shapes match), so a large solve moves

@@ -36,10 +36,11 @@ Execution model
   - ``"host"`` — the registry's cached
     :class:`~repro.solvers.compiled.CompiledPlan`, solved with
     ``solve_many`` over the whole block.  This is the production fast
-    path: one SuperLU sweep or a few numpy operations per level,
-    instead of thousands of interpreter-stepped simulated cycles.  The
-    plan's schedule variant is a property of the matrix, decided once
-    by the registry (:meth:`~repro.serve.registry.MatrixRegistry.plan`):
+    path: one native ``csr_matvec`` sweep or a few numpy operations per
+    level, instead of thousands of interpreter-stepped simulated
+    cycles.  The plan's schedule variant is a property of the matrix,
+    decided once by the registry
+    (:meth:`~repro.serve.registry.MatrixRegistry.plan`):
     ``"sequential"`` for deep, skinny level structures
     (:func:`~repro.solvers.compiled.pick_schedule`: many levels,
     Eq. 1 granularity at or below the paper's 0.7 threshold), where

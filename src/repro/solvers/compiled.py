@@ -5,27 +5,28 @@ in one of two schedule variants that :func:`pick_schedule` (the Eq. 1
 sequential rule) chooses per matrix from its features; callers in the
 serve tier never set it.
 
-* ``"level"`` — the level-scheduled numpy executor.  Every plan row is
-  rewritten as a pure linear functional with the diagonal division
-  folded into the coefficients (off-diagonal dependency ``j``
-  contributes ``-L[i,j]/L[i,i]`` on ``x_j``), so a solve starts from
-  ``X = B * inv_diag`` and runs one gather, one ``np.add.reduceat`` and
-  one scatter per level.  Wide, shallow levels amortize that per-level
-  dispatch over many rows, so shallow matrices keep this kernel.
+Both variants hold the same scaled functional form of ``L``: every row
+keeps its off-diagonal dependencies with the diagonal division folded
+into the coefficients (dependency ``j`` contributes ``-L[i,j]/L[i,i]``
+on ``x_j``), so a solve starts from ``X = B * inv_diag``.  They differ
+only in the row order and in how the rows run.
 
-* ``"sequential"`` — one SciPy SuperLU ``gstrs`` forward sweep over
-  plan-owned arrays (``L`` in canonical CSC scaled to a unit diagonal,
-  an empty ``U``), then ``X * inv_diag``: what
-  :func:`scipy.sparse.linalg.spsolve_triangular` does, bit for bit.
-  The solve has no level barriers and no per-level interpreter
-  dispatch: the host form of the paper's argument that at fine
-  granularity synchronization decides SpTRSV speed, and the fused
+* ``"level"`` — rows in level order, run by a numpy executor: one
+  gather, one ``np.add.reduceat`` and one scatter per level.  Wide,
+  shallow levels amortize that per-level dispatch over many rows, so
+  shallow matrices keep this kernel.
+
+* ``"sequential"`` — rows in natural order, run by one native SciPy
+  ``csr_matvec`` (``csr_matvecs`` for a block) whose input and output
+  are both ``X``.  It visits rows in increasing order and each row reads
+  only ``x_j`` with ``j < i``, already final, so the one call is a
+  complete forward substitution: each row is solved as soon as its own
+  dependencies are, with no level barrier and no per-level interpreter
+  dispatch.  That is the host form of the paper's argument that at
+  fine granularity synchronization decides SpTRSV speed, and the fused
   sequential sweep Li (arXiv:1710.04985) prefers for small triangular
   solves.  Deep, skinny matrices, which would pay per-level dispatch
-  thousands of times per solve, take it.  An ``L`` too large for int32
-  indices, or a sweep ``gstrs`` reports as failed, raises
-  :class:`SolverError`, so the serve tier's fallback ladder
-  quarantines the host step.
+  thousands of times per solve, take it.
 
 An ambient :class:`~repro.obs.hostprof.HostProfiler` gets one launch
 profile per solve.  The level variant attributes each level's time to
@@ -42,7 +43,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse.linalg._dsolve._superlu import gstrs
+from scipy.sparse._sparsetools import csr_matvec, csr_matvecs
 
 from repro.analysis.granularity import HIGH_GRANULARITY_THRESHOLD
 from repro.analysis.levels import LevelSchedule, compute_levels
@@ -50,7 +51,6 @@ from repro.errors import SolverError
 from repro.gpu.device import DeviceSpec
 from repro.obs.hostprof import HostLaunchProfile, active_host_profiler
 from repro.solvers.base import PreprocessInfo, SolveResult, SpTRSVSolver
-from repro.sparse.convert import csr_to_csc
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.triangular import check_solvable
 
@@ -70,15 +70,10 @@ COMPILED_SCHEDULES = ("level", "sequential")
 #: overhead is already negligible and the level kernel keeps the matrix.
 DEEP_LEVEL_COUNT = 64
 
-#: Largest index SuperLU's C ``int`` arrays hold; the sequential
-#: variant's column pointers run up to ``nnz(L)``.
-SUPERLU_INDEX_MAX = int(np.iinfo(np.intc).max)
-
-#: The other variant's array fields, and the sweep's empty ``U``:
-#: empty and read-only.
+#: The level-only array fields of a sequential plan: empty and
+#: read-only.
 _NO_ARRAY = np.empty(0)
-_NO_INDEX = np.empty(0, dtype=np.intc)
-_NO_ARRAY.flags.writeable = _NO_INDEX.flags.writeable = False
+_NO_ARRAY.flags.writeable = False
 
 
 def pick_schedule(features) -> str:
@@ -103,51 +98,46 @@ def pick_schedule(features) -> str:
 
 @dataclass(frozen=True)
 class CompiledPlan:
-    """The fast lane's inspector output: plain numpy arrays, each
-    variant's own fields filled and the other variant's empty.
+    """The fast lane's inspector output: plain numpy arrays, the scaled
+    functional form of ``L`` in the variant's row order.
 
     Attributes
     ----------
     schedule:
         The schedule variant, ``"level"`` (one executed step per level)
-        or ``"sequential"`` (one SuperLU ``gstrs`` sweep).
+        or ``"sequential"`` (one ``csr_matvec`` sweep).
     base_levels:
         Levels of the matrix's level schedule.
     inv_diag:
-        ``1 / L[i, i]`` by original row, in both variants: the level
-        variant's start scale (``X = B * inv_diag``) and the sequential
-        variant's final scale.
-    rows, row_ptr, idx, vals, level_ptr:
-        The level variant's scaled functional form.  ``rows`` maps plan
-        rows to original rows (level order); plan row ``p`` owns
+        ``1 / L[i, i]`` by original row: the start scale
+        ``X = B * inv_diag`` of both variants.
+    row_ptr, idx, vals:
+        The scaled rows, in both variants: plan row ``p`` owns
         ``idx[row_ptr[p]:row_ptr[p+1]]`` / ``vals[...]``, its
-        already-solved ``x`` inputs and pre-scaled coefficients, and
-        the span is empty exactly when the row has no dependencies (all
-        such rows sit in level 0).  ``level_ptr`` holds the plan-row
-        spans per level.
-    col_ptr, row_idx, unit_vals:
-        The sequential variant's canonical CSC of ``L`` with int32
-        indices: column ``j`` owns ``row_idx[col_ptr[j]:col_ptr[j+1]]``
-        in strictly increasing order, diagonal first, and
-        ``unit_vals[...]`` holds ``L[i, j] * inv_diag[j]``, so the
-        diagonal is one.
+        off-diagonal ``x`` inputs (every one below the row's own
+        original index) and their coefficients ``-L[i, j] / L[i, i]``.
+        The span is empty exactly when the row has no dependencies.
+        ``row_ptr`` and ``idx`` share one integer dtype, as
+        ``csr_matvec`` requires.  Sequential plan row ``p`` is original
+        row ``p``.
+    rows, level_ptr:
+        The level variant's order, empty in the sequential one.
+        ``rows`` maps plan rows to original rows (level order; rows
+        without dependencies all sit in level 0) and ``level_ptr``
+        holds the plan-row spans per level.
     """
 
     schedule: str
     base_levels: int
     inv_diag: np.ndarray
+    row_ptr: np.ndarray
+    idx: np.ndarray
+    vals: np.ndarray
     rows: np.ndarray = field(default_factory=_NO_ARRAY.view)
-    row_ptr: np.ndarray = field(default_factory=_NO_ARRAY.view)
-    idx: np.ndarray = field(default_factory=_NO_ARRAY.view)
-    vals: np.ndarray = field(default_factory=_NO_ARRAY.view)
     level_ptr: np.ndarray = field(default_factory=_NO_ARRAY.view)
-    col_ptr: np.ndarray = field(default_factory=_NO_ARRAY.view)
-    row_idx: np.ndarray = field(default_factory=_NO_ARRAY.view)
-    unit_vals: np.ndarray = field(default_factory=_NO_ARRAY.view)
 
-    # derived arrays, set by __post_init__ for the variant that uses them
+    # derived array, set by __post_init__ for the level variant
     _rel = _NO_ARRAY
-    _u_ptr = _NO_ARRAY
 
     def __post_init__(self) -> None:
         if self.schedule not in COMPILED_SCHEDULES:
@@ -156,10 +146,6 @@ class CompiledPlan:
                 f"got {self.schedule!r}"
             )
         if self.schedule == "sequential":
-            # gstrs takes U in CSC as well: the sweep's U is empty
-            object.__setattr__(
-                self, "_u_ptr", np.zeros(self.n_rows + 1, dtype=np.intc)
-            )
             return
         ptr = self.row_ptr
         widths = np.diff(self.level_ptr)
@@ -200,11 +186,8 @@ class CompiledPlan:
 
     @property
     def coeff_nnz(self) -> int:
-        """Coefficients per solve: ``nnz(L)`` in both variants (the
-        level variant keeps its diagonal in ``inv_diag``, the sequential
-        one a unit diagonal in ``unit_vals``)."""
-        if self.schedule == "sequential":
-            return len(self.unit_vals)
+        """Coefficients per solve: ``nnz(L)``, the off-diagonal ones in
+        ``vals`` and the diagonal in ``inv_diag``."""
         return len(self.idx) + self.n_rows
 
     @property
@@ -219,8 +202,7 @@ class CompiledPlan:
         return sum(
             a.nbytes
             for a in (self.inv_diag, self.rows, self.row_ptr, self.idx,
-                      self.vals, self.level_ptr, self._rel, self.col_ptr,
-                      self.row_idx, self.unit_vals, self._u_ptr)
+                      self.vals, self.level_ptr, self._rel)
         )
 
     # ------------------------------------------------------------------
@@ -269,20 +251,25 @@ class CompiledPlan:
         return X.reshape(self.n_rows, -1)
 
     def _sweep(self, B: np.ndarray) -> np.ndarray:
-        """The sequential variant: one ``gstrs`` forward sweep of the
-        block over the unit-diagonal CSC, then the diagonal scale.
+        """The sequential variant: ``X = B * inv_diag``, fresh and
+        C-ordered, then one native sweep with ``X`` as both input and
+        output.
 
-        ``gstrs`` solves a copy of ``B`` and returns it in Fortran
-        order; the scale writes the fresh C-ordered answer.
+        ``csr_matvec`` runs ``sum = y[i]; sum += vals[e] * x[idx[e]];
+        y[i] = sum`` for rows in increasing order (``csr_matvecs`` the
+        same per column of the flat ``(n, k)`` block).  Every ``idx`` of
+        row ``i`` is below ``i``, so with ``y`` aliased to ``x`` each row
+        reads only finished entries and the call is a complete forward
+        substitution.
         """
-        n = self.n_rows
-        X, info = gstrs(
-            "N", n, len(self.unit_vals), self.unit_vals, self.row_idx,
-            self.col_ptr, n, 0, _NO_ARRAY, _NO_INDEX, self._u_ptr, B,
-        )
-        if info:
-            raise SolverError(f"SuperLU gstrs failed with info={info}")
-        return np.multiply(X, self.inv_diag[:, None], order="C")
+        n, k = B.shape
+        X = np.multiply(B, self.inv_diag[:, None], order="C")
+        x = X.reshape(-1)
+        if k == 1:
+            csr_matvec(n, n, self.row_ptr, self.idx, self.vals, x, x)
+        else:
+            csr_matvecs(n, n, k, self.row_ptr, self.idx, self.vals, x, x)
+        return X
 
     def _start(self, B: np.ndarray) -> np.ndarray:
         """The level variant's C-ordered workspace ``X = B * inv_diag``.
@@ -397,13 +384,11 @@ def build_compiled_plan(
 ) -> CompiledPlan:
     """Inspector for the fast lane.
 
-    The level variant rewrites every row into the scaled functional
-    form (coefficients pre-divided by the diagonal) plus ``inv_diag``;
-    the sequential variant copies ``L`` into a unit-diagonal CSC with
-    int32 indices and raises :class:`SolverError` when ``nnz(L)`` does
-    not fit them.  ``base`` may be supplied when the caller already
-    level-scheduled the matrix (the registry reuses its cached schedule
-    artifact).
+    Rewrites every row into the scaled functional form (coefficients
+    pre-divided by the diagonal) plus ``inv_diag``: in level order for
+    the level variant, in natural order for the sequential one.
+    ``base`` may be supplied when the caller already level-scheduled
+    the matrix (the registry reuses its cached schedule artifact).
     """
     if schedule not in COMPILED_SCHEDULES:
         raise ValueError(
@@ -412,27 +397,17 @@ def build_compiled_plan(
     check_solvable(L)
     if base is None:
         base = compute_levels(L)
+    n = L.n_rows
     diag_pos = L.row_ptr[1:] - 1
     inv_diag = 1.0 / L.values[diag_pos]
-    if schedule == "sequential":
-        if L.nnz > SUPERLU_INDEX_MAX:
-            raise SolverError(
-                f"L has {L.nnz} stored elements; SuperLU's int32 indices "
-                f"hold at most {SUPERLU_INDEX_MAX}"
-            )
-        # scale the data array itself: a sparse product's CSC may leave
-        # row indices unsorted, and gstrs then answers wrongly, info 0
-        csc = csr_to_csc(L)
-        return CompiledPlan(
-            schedule="sequential",
-            base_levels=base.n_levels,
-            col_ptr=csc.col_ptr.astype(np.intc),
-            row_idx=csc.row_idx.astype(np.intc),
-            unit_vals=csc.values * np.repeat(inv_diag, csc.col_lengths()),
-            inv_diag=inv_diag,
-        )
-    n = L.n_rows
-    order = base.order
+    if schedule == "level":
+        order = base.order
+        level_fields = {
+            "rows": order.copy(), "level_ptr": base.level_ptr.copy()
+        }
+    else:
+        order = np.arange(n)
+        level_fields = {}
 
     # scaled dependency lists, fully vectorized: plan row p holds its
     # off-diagonal dependencies, pre-divided by the diagonal
@@ -446,14 +421,13 @@ def build_compiled_plan(
         total_dep, dtype=np.int64
     )
     return CompiledPlan(
-        schedule="level",
+        schedule=schedule,
         base_levels=base.n_levels,
-        rows=order.copy(),
+        inv_diag=inv_diag,
         row_ptr=dep_ptr,
         idx=L.col_idx[src].astype(np.int64),
         vals=-L.values[src] * np.repeat(inv_diag[order], dep_counts),
-        level_ptr=base.level_ptr.copy(),
-        inv_diag=inv_diag,
+        **level_fields,
     )
 
 
@@ -519,9 +493,9 @@ class CompiledFusedSolver(SpTRSVSolver):
             solver_name=self.name,
             exec_ms=dt * 1e3,
             preprocess=PreprocessInfo(
-                description="inspector: scaled functional rewrite (level) "
-                "or unit-diagonal CSC copy of L (sequential), cached "
-                "across solves of the same matrix",
+                description="inspector: scaled functional rewrite of L "
+                "in level order (level) or natural order (sequential), "
+                "cached across solves of the same matrix",
                 host_seconds=prep,
             ),
             extra={

@@ -18,7 +18,7 @@ from repro.metrics.efficacy import (
     render_report,
     route_of,
 )
-from repro.solvers.compiled import DEEP_LEVEL_COUNT
+from repro.solvers.compiled import DEEP_LEVEL_COUNT, pick_schedule
 
 
 def solve(matrix, route, latency, *, n_levels=100, granularity=0.3, ts=0.0):
@@ -43,6 +43,23 @@ class TestBinning:
         assert granularity_class(deep - 1, fine) == "shallow-fine"
         assert granularity_class(deep, fine + 0.01) == "deep-coarse"
         assert granularity_class(deep - 1, fine + 0.01) == "shallow-coarse"
+
+    def test_deep_fine_is_exactly_the_sequential_rule(self):
+        # the class repeats pick_schedule's predicate; pin the two
+        # together on a grid around both thresholds
+        from math import nextafter
+        from types import SimpleNamespace
+
+        fine = HIGH_GRANULARITY_THRESHOLD
+        grains = (0.0, nextafter(fine, 0.0), fine, nextafter(fine, 1.0),
+                  fine + 0.01, 1.0, 5.0)
+        for n_levels in (1, DEEP_LEVEL_COUNT - 1, DEEP_LEVEL_COUNT,
+                         DEEP_LEVEL_COUNT + 1, 10 * DEEP_LEVEL_COUNT):
+            for g in grains:
+                features = SimpleNamespace(n_levels=n_levels, granularity=g)
+                assert (granularity_class(n_levels, g) == "deep-fine") == (
+                    pick_schedule(features) == "sequential"
+                ), (n_levels, g)
 
     def test_all_classes_enumerated(self):
         assert set(GRANULARITY_CLASSES) == {

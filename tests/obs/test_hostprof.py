@@ -53,7 +53,7 @@ class TestHostProfilerRecording:
     def test_profiled_solve_is_bit_identical(self):
         # the profiled executor runs the unprofiled one's operations,
         # on both variants and at every width; a sequential solve is
-        # one SuperLU call, recorded as one launch of one step
+        # one csr_matvec call, recorded as one launch of one step
         system, _ = make_plan(n=300, seed=9)
         for schedule in COMPILED_SCHEDULES:
             plan = build_compiled_plan(system.L, schedule=schedule)

@@ -391,3 +391,27 @@ class TestOnePlanType:
             before = worker_hits(router)
             router.solve(key, system.b)
             assert worker_hits(router) - before == expected
+
+
+class TestBootImports:
+    def test_cluster_import_leaves_scipy_sparse_linalg_unloaded(self):
+        # every worker boots by importing this module; the fast lane's
+        # kernel comes from scipy.sparse._sparsetools, and pulling in
+        # the sparse linalg stack would add to each boot's import time
+        import os
+        import subprocess
+        import sys
+
+        import repro
+
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        code = (
+            "import sys, repro.serve.cluster; print(sorted(m for m in "
+            "sys.modules if m.startswith('scipy.sparse.linalg')))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, check=True,
+        )
+        assert out.stdout.strip() == "[]"

@@ -628,7 +628,7 @@ class TestCompiledLane:
         )
 
     def test_auto_picks_sequential_for_deep_matrices(self):
-        # the sequential rule (pick_schedule) picks the SuperLU sweep
+        # the sequential rule (pick_schedule) picks the csr_matvec sweep
         system = self.deep_system()
 
         async def main():
@@ -648,14 +648,15 @@ class TestCompiledLane:
         assert set(snap["lanes"]) == {"host", "sim"}
 
     def test_failed_sweep_is_quarantined(self, monkeypatch):
-        # gstrs reporting info != 0 raises SolverError: the ladder
-        # quarantines the host step and the simulator serves
+        # the native sweep raising SolverError: the ladder quarantines
+        # the host step and the simulator serves
         import repro.solvers.compiled as compiled
 
+        def broken_sweep(*args):
+            raise SolverError("sweep failed")
+
         system = self.deep_system()
-        monkeypatch.setattr(
-            compiled, "gstrs", lambda *a: (np.zeros_like(a[-1]), 1)
-        )
+        monkeypatch.setattr(compiled, "csr_matvec", broken_sweep)
 
         async def main():
             engine = SolveEngine()
