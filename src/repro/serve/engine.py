@@ -74,14 +74,16 @@ Execution model
   (``RequestTimeoutError``) keep the engine shedding load instead of
   buffering it; a right-hand side of the wrong shape or with NaN or Inf
   entries is refused at admission (``InvalidRequestError``).
-* Deadlines: each request arms one timer on the engine clock whose
-  callback fails the request's own future with ``RequestTimeoutError``
-  (one ``timeout`` event); the block's outcome, when it lands, finds
-  the future done and adds no second terminal event.  A block cannot
-  be interrupted, and one running inline holds the loop, so the timer
-  cannot fire while it runs: a result that reaches its request after
-  the deadline (read on the engine clock) counts as a timeout all the
-  same, and no answer is served.
+* Deadlines: a result that reaches its request after the deadline
+  (read on the engine clock) counts as a timeout (one ``timeout``
+  event), and no answer is served.  Where the wait can outlast the
+  deadline, a timer on the engine clock fails the request's own future
+  on time: it is armed at admission when ``batch_window > 0``, and at
+  dispatch, for the time left, when a block goes to the pool (the pool
+  leg after a failed inline host step included).  The block's outcome
+  then finds the future done and adds no second terminal event.  An
+  inline block holds the loop, so no timer could fire before its
+  result is checked: an inline request arms none.
 """
 
 from __future__ import annotations
@@ -312,7 +314,9 @@ class SolveEngine:
             "enqueue", trace_id=trace_id, matrix=entry.key, n_rhs=1,
             queue_depth=self._depth,
         )
-        req, timer = self._pending_solve(b, trace_id, timeout)
+        req = self._pending_solve(b, trace_id, timeout)
+        if self.batch_window > 0:
+            self._arm(req)  # the deadline can pass while its group waits
         group = self._pending.setdefault(entry.key, [])
         group.append(req)
         if len(group) >= self.max_batch:
@@ -321,13 +325,7 @@ class SolveEngine:
             self._clock.call_later(
                 self.batch_window, self._flush, entry, group, label="flush"
             )
-        try:
-            outcome, col = await self._settled(req, timer)
-        finally:
-            self._depth -= 1
-            self.telemetry.queue_depth.set(self._depth)
-            self._notify_if_drained()
-        return self._response(entry, req, outcome, col, n_rhs=1)
+        return await self._settled(entry, req, 1)
 
     async def solve_multi(
         self,
@@ -357,17 +355,9 @@ class SolveEngine:
             "enqueue", trace_id=trace_id, matrix=entry.key,
             n_rhs=B.shape[1], queue_depth=self._depth,
         )
-        req, timer = self._pending_solve(B, trace_id, timeout)
+        req = self._pending_solve(B, trace_id, timeout)
         self._dispatch(entry, B, False, trace_id, (req,), (slice(None),))
-        try:
-            outcome, _ = await self._settled(req, timer)
-        finally:
-            self._depth -= 1
-            self.telemetry.queue_depth.set(self._depth)
-            self._notify_if_drained()
-        return self._response(
-            entry, req, outcome, slice(None), n_rhs=B.shape[1]
-        )
+        return await self._settled(entry, req, B.shape[1])
 
     def quarantined(self, ref: str) -> frozenset[str]:
         """Solver names that have failed on this matrix (never retried)."""
@@ -477,9 +467,9 @@ class SolveEngine:
 
     def _pending_solve(
         self, B: np.ndarray, trace_id: str, timeout: Optional[float]
-    ) -> tuple:
-        """An admitted request's :class:`PendingSolve` and its armed
-        deadline timer (``None`` without a deadline)."""
+    ) -> PendingSolve:
+        """An admitted request's :class:`PendingSolve`, its deadline set
+        but no timer armed yet (see :meth:`_arm`)."""
         timeout_s = self.default_timeout if timeout is None else timeout
         req = PendingSolve(
             b=B,
@@ -488,11 +478,20 @@ class SolveEngine:
             trace_id=trace_id,
             timeout_s=timeout_s,
         )
-        if timeout_s is None:
-            return req, None
-        req.deadline = self._clock.now() + timeout_s
-        return req, self._clock.call_later(
-            timeout_s, self._expire, req, label="deadline"
+        if timeout_s is not None:
+            req.deadline = self._clock.now() + timeout_s
+        return req
+
+    def _arm(self, req: PendingSolve) -> None:
+        """Arm ``req``'s deadline timer for the time it has left, where
+        it can fire before :meth:`_settled`'s late-result check: in a
+        batch window or on the pool.  None without a deadline, twice,
+        or once the request is settled."""
+        if req.deadline is None or req.timer is not None or req.future.done():
+            return
+        req.timer = self._clock.call_later(
+            max(req.deadline - self._clock.now(), 0.0), self._expire, req,
+            label="deadline",
         )
 
     def _expire(self, req: PendingSolve) -> None:
@@ -502,18 +501,24 @@ class SolveEngine:
         if not req.future.done():
             req.future.set_exception(self._timed_out(req))
 
-    async def _settled(self, req: PendingSolve, timer):
-        """Await the request's ``(outcome, col)``; withdraw its timer."""
+    async def _settled(
+        self, entry: RegisteredMatrix, req: PendingSolve, n_rhs: int
+    ) -> SolveResponse:
+        """Await the request's ``(outcome, col)``, withdraw its timer if
+        one was armed, release its queue slot and build its response."""
         try:
-            result = await req.future
+            outcome, col = await req.future
+            # an inline block holds the loop and arms no timer: a result
+            # that lands after the deadline is a timeout all the same
+            if req.deadline is not None and self._clock.now() > req.deadline:
+                raise self._timed_out(req)
         finally:
-            if timer is not None:
-                timer.cancel()
-        # an inline block holds the loop, so the timer cannot fire while
-        # it runs: a result that lands late is a timeout all the same
-        if req.deadline is not None and self._clock.now() > req.deadline:
-            raise self._timed_out(req)
-        return result
+            if req.timer is not None:
+                req.timer.cancel()
+            self._depth -= 1
+            self.telemetry.queue_depth.set(self._depth)
+            self._notify_if_drained()
+        return self._response(entry, req, outcome, col, n_rhs=n_rhs)
 
     def _timed_out(self, req: PendingSolve) -> RequestTimeoutError:
         """The request's one ``timeout`` event and error.  The future is
@@ -725,7 +730,9 @@ class SolveEngine:
 
         The one dispatch point of the engine.  An idle engine runs a
         warm host-lane block right here (:meth:`_serves_inline`), before
-        returning; every other block goes to :meth:`_on_pool`.
+        returning; every other block goes to :meth:`_on_pool`, and
+        each of its requests gets its deadline timer (:meth:`_arm`)
+        here, as it is handed over.
         """
         block_at = time.perf_counter()
         trace_ids = tuple(r.trace_id for r in reqs)
@@ -760,6 +767,9 @@ class SolveEngine:
                 outcome.done_at = time.perf_counter()
                 self._settle(entry, reqs, cols, outcome)
                 return
+        # a pool block can outlast its requests' deadlines
+        for req in reqs:
+            self._arm(req)
         # counted now, not when the task starts, so a flush later in
         # this loop turn sees the block and stays off the loop
         self._pool_blocks += 1

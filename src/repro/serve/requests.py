@@ -93,6 +93,8 @@ class PendingSolve:
     #: the engine clock; both ``None`` when the request has none
     timeout_s: Optional[float] = None
     deadline: Optional[float] = None
+    #: the armed deadline timer, if any (``SolveEngine._arm``)
+    timer: Optional[object] = None
 
 
 @dataclass

@@ -1066,6 +1066,31 @@ class TestInlineDispatch:
             np.testing.assert_allclose(r.x, system.x_true, rtol=1e-9)
             assert r.lane == "host"
 
+    def test_inline_request_arms_no_loop_timer(self, monkeypatch):
+        """A warm idle request runs inline, where its deadline timer
+        could not fire before the late-result check: none is armed."""
+        system = make_system(n=60, seed=49)
+        scheduled = []
+
+        async def main():
+            loop = asyncio.get_running_loop()
+
+            def live_timers():
+                scheduled.append(
+                    [h for h in loop._scheduled if not h.cancelled()]
+                )
+
+            async with SolveEngine() as engine:
+                engine.register(system.L, name="m")
+                await engine.solve("m", system.b)  # warm the plan
+                self.plan_threads(monkeypatch, before=live_timers)
+                return await engine.solve("m", system.b, timeout=30.0)
+
+        resp = run(main())
+        assert resp.dispatch == "inline"
+        assert scheduled == [[]]
+        np.testing.assert_allclose(resp.x, system.x_true, rtol=1e-9)
+
     def test_coalesced_pair_runs_inline(self, monkeypatch):
         system = make_system(n=100, seed=41)
         seen = self.plan_threads(monkeypatch)
@@ -1231,8 +1256,8 @@ class TestInlineDispatch:
 
 
 class TestRequestTimers:
-    """Each request arms one deadline timer on the loop; a flush is a
-    loop callback, not a task."""
+    """A request arms at most one deadline timer on the loop; a flush is
+    a loop callback, not a task."""
 
     def test_served_solves_leave_no_task_or_timer(self):
         s1, s2 = make_system(n=40, seed=70), make_system(n=45, seed=71)

@@ -13,7 +13,7 @@ import pytest
 
 from repro.analysis.hazards import RACE, Hazard
 from repro.analysis.interleave import explore, run_schedule
-from repro.errors import HazardError, RequestTimeoutError
+from repro.errors import HazardError, RequestTimeoutError, SolverError
 from repro.serve import SolveEngine
 from repro.serve.scenarios import (
     SCENARIOS,
@@ -229,6 +229,29 @@ class TestScenarioSuite:
             trail_ends_once(None, value)
 
 
+def run_armed(scenario_factory):
+    """Run ``scenario_factory`` on the default schedule; return its
+    value, the labels of the fired waiters and the labels of every
+    timer armed on the virtual clock, in order."""
+    from repro.analysis.interleave import InterleaveScheduler
+
+    sched = InterleaveScheduler(seed=None)
+    armed = []
+    arm = sched.clock.call_later
+
+    def recording(delay, callback, *args, label="timer"):
+        armed.append(label)
+        return arm(delay, callback, *args, label=label)
+
+    sched.clock.call_later = recording
+    value = asyncio.run(sched.run(lambda: scenario_factory(sched)))
+    fired = [
+        line.split("fire=")[1].split("#")[0]
+        for line in sched.trace_text().splitlines()
+    ]
+    return value, fired, armed
+
+
 class TestTimersAreScheduledEvents:
     def test_deadline_and_flush_are_labelled_waiters(self):
         result = run_schedule(SCENARIOS["timeout"], seed=0)
@@ -264,6 +287,105 @@ class TestTimersAreScheduledEvents:
         assert [ln.split("fire=")[1].split()[0].split("#")[0]
                 for ln in result.trace.splitlines()] == ["flush", "worker"]
         assert seen["due"] == []
+
+    def test_windowed_request_arms_its_deadline_at_admission(self):
+        """A request whose group waits for a batch window arms its
+        deadline at admission: it fires inside the window, and the
+        flush that hands the group to the pool arms no second one."""
+        matrix = scenario_matrix()
+
+        def scenario_factory(sched):
+            async def scenario():
+                engine = SolveEngine(
+                    batch_window=5.0,
+                    execution="host",
+                    clock=sched.clock,
+                    executor=sched.executor(cost=1.0),
+                )
+                key = engine.register(matrix, name="m")
+                with pytest.raises(RequestTimeoutError):
+                    await engine.solve(key, np.ones(matrix.n_rows),
+                                       timeout=0.5)
+                at = sched.clock.now()
+                await engine.close()
+                return at
+
+            return scenario()
+
+        at, fired, armed = run_armed(scenario_factory)
+        assert at == 0.5
+        assert armed == ["deadline", "flush"]
+        assert fired == ["deadline", "flush"]
+
+    def test_inline_request_arms_no_deadline_waiter(self):
+        """A warm idle engine serves a block inline, where a deadline
+        timer could not fire before the late-result check: no deadline
+        waiter is armed, and a block that overruns still ends its
+        request in one timeout."""
+        matrix = scenario_matrix()
+
+        def scenario_factory(sched):
+            async def scenario():
+                engine = SolveEngine(
+                    execution="host",
+                    clock=sched.clock,
+                    executor=sched.executor(cost=1.0, inline=True),
+                )
+                key = engine.register(matrix, name="m")
+                engine.registry.plan(key)  # warm: served inline
+                b = np.ones(matrix.n_rows)
+                served = await engine.solve(key, b, timeout=5.0)
+                with pytest.raises(RequestTimeoutError):
+                    await engine.solve(key, b, timeout=0.5)
+                at = sched.clock.now()
+                await engine.close()
+                return engine, served, at
+
+            return scenario()
+
+        (engine, served, at), fired, armed = run_armed(scenario_factory)
+        assert served.dispatch == "inline"
+        assert at == 2.0  # the late result, read after the second block
+        assert armed == fired == ["flush", "flush"]
+        assert len(engine.trace_log.events(kind="timeout")) == 1
+        assert len(engine.trace_log.events(kind="publish")) == 1
+
+    def test_pool_leg_arms_the_time_left(self, monkeypatch):
+        """A pool-bound request arms its deadline at dispatch, for the
+        time left: after an inline host step that fails at t=0.3, the
+        pool leg's timer fires at the admission deadline 0.5, not at
+        0.8 and not when the worker lands at 0.6."""
+        from repro.solvers.compiled import CompiledPlan
+
+        def broken(self, B, **kw):
+            raise SolverError("injected for test")
+
+        monkeypatch.setattr(CompiledPlan, "solve_many", broken)
+        matrix = scenario_matrix()
+
+        def scenario_factory(sched):
+            async def scenario():
+                engine = SolveEngine(
+                    clock=sched.clock,
+                    executor=sched.executor(cost=0.3, inline=True),
+                )
+                key = engine.register(matrix, name="m")
+                engine.registry.plan(key)  # warm: served inline
+                with pytest.raises(RequestTimeoutError):
+                    await engine.solve(key, np.ones(matrix.n_rows),
+                                       timeout=0.5)
+                at = sched.clock.now()
+                await engine.close()
+                return engine, at
+
+            return scenario()
+
+        (engine, at), fired, armed = run_armed(scenario_factory)
+        assert at == 0.5
+        assert armed == ["flush", "deadline"]
+        assert fired == ["flush", "deadline"]  # before the worker
+        (failure,) = engine.trace_log.events(kind="kernel-failure")
+        assert failure["lane"] == "host"
 
     def test_full_group_timer_leaves_the_next_group_its_window(self):
         """A group that reached ``max_batch`` was dispatched without its
