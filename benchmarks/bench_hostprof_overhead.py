@@ -17,7 +17,10 @@ a neighbour landing on the core) masquerade as profiler overhead.
 Best-of rather than median because at millisecond solve times on
 shared CI boxes the minimum is the least-contended estimate of each
 path's true cost.  The 5% budget is then checked against an envelope
-(budget + noise margin), not a single sample.
+(budget + noise margin), not a single sample.  Each width also records
+``profiler_us_per_solve``, the profiler's own microseconds per solve,
+so a profiler cost that holds still is told apart from a kernel that
+got faster under it.
 
 Writes ``benchmarks/_output/hostprof_overhead.json``.
 """
@@ -119,6 +122,9 @@ def test_hostprof_overhead(benchmark, output_dir, plan_and_system, width):
     benchmark.extra_info["bare_best_s"] = round(bare_s, 6)
     benchmark.extra_info["profiled_best_s"] = round(profiled_s, 6)
     benchmark.extra_info["overhead_fraction"] = round(overhead, 4)
+    # the absolute cost beside the ratio (see the module docstring)
+    profiler_us = (profiled_s - bare_s) * 1e6
+    benchmark.extra_info["profiler_us_per_solve"] = round(profiler_us, 2)
 
     doc_path = output_dir / "hostprof_overhead.json"
     doc = json.loads(doc_path.read_text()) if doc_path.exists() else {
@@ -133,6 +139,7 @@ def test_hostprof_overhead(benchmark, output_dir, plan_and_system, width):
         "bare_best_s": bare_s,
         "profiled_best_s": profiled_s,
         "overhead_fraction": overhead,
+        "profiler_us_per_solve": profiler_us,
     }
     doc_path.write_text(json.dumps(doc, indent=2, sort_keys=True))
 

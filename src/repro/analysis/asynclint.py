@@ -177,6 +177,38 @@ def _ancestors(node: ast.AST, parents: dict[int, ast.AST]) -> Iterator[ast.AST]:
 # ---------------------------------------------------------------------------
 
 
+def _reads_private_state(value: ast.AST) -> bool:
+    """Whether ``value`` reads ``self._x``.  A private method called on
+    ``self`` (``self._pending_solve(...)``) is behaviour, not a read of
+    shared state; a method called *on* a private attribute
+    (``self._pending.pop(key)``) still reads it."""
+    calls = {
+        id(node.func) for node in ast.walk(value) if isinstance(node, ast.Call)
+    }
+    return any(
+        _is_private_self_read(sub) and id(sub) not in calls
+        for sub in ast.walk(value)
+    )
+
+
+def _bound_names(target: ast.AST, value: Optional[ast.AST]):
+    """``(name, value)`` for every name an assignment binds, pairing each
+    element of a tuple or list target with the matching element of a
+    same-length tuple or list value (the whole value otherwise)."""
+    if isinstance(target, ast.Name):
+        yield target.id, value
+    elif isinstance(target, ast.Starred):
+        yield from _bound_names(target.value, value)
+    elif isinstance(target, (ast.Tuple, ast.List)):
+        paired = (
+            isinstance(value, (ast.Tuple, ast.List))
+            and len(value.elts) == len(target.elts)
+            and not any(isinstance(e, ast.Starred) for e in target.elts)
+        )
+        for i, elt in enumerate(target.elts):
+            yield from _bound_names(elt, value.elts[i] if paired else value)
+
+
 def _check_sl001(fn, path, allowed) -> list[LintFinding]:
     """Stale read across await: local bound from ``self._x`` used after a
     later ``await`` without rebinding."""
@@ -197,14 +229,11 @@ def _check_sl001(fn, path, allowed) -> list[LintFinding]:
             targets = (
                 node.targets if isinstance(node, ast.Assign) else [node.target]
             )
-            tainted = any(
-                _is_private_self_read(sub) for sub in ast.walk(value)
-            )
             for t in targets:
-                if isinstance(t, ast.Name):
-                    rebinds.setdefault(t.id, []).append(node.lineno)
-                    if tainted:
-                        binds.setdefault(t.id, []).append(node.lineno)
+                for name, part in _bound_names(t, value):
+                    rebinds.setdefault(name, []).append(node.lineno)
+                    if _reads_private_state(part):
+                        binds.setdefault(name, []).append(node.lineno)
         elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             loads.append((node.lineno, node.id))
     if not awaits:

@@ -230,7 +230,7 @@ class SpanRecorder:
         span.attrs.update(attrs)
         record = span.to_dict()
         if self.trace_log is not None:
-            self.trace_log.emit(**span_event(record))
+            self.trace_log.emit("span", span_event(record))
         with self._lock:
             self._finished += 1
         if self.sink is not None:

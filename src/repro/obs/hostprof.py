@@ -8,15 +8,16 @@ observable one.  This module gives the host lane the same
 first-class treatment at wall-clock resolution: every
 ``solve_many``/``solve`` call executed while a :class:`HostProfiler` is
 ambient records one :class:`HostLaunchProfile`, attributing each
-level's time to the three numpy segments of the executor —
+level's time to the three segments of the level executor —
 
-* ``gather``  — forming the ``(nnz, k)`` contribution block
-  (``vals * X[idx]``),
-* ``reduce``  — the segmented sum (``np.add.reduceat``),
-* ``scatter`` — writing the level's solution rows,
+* ``gather``  — reading the level's start values out of ``X``,
+* ``reduce``  — the level's one native ``csr_matvec`` (``csr_matvecs``
+  for a block), which sums every row's dependencies,
+* ``scatter`` — writing the level's solution rows back,
 
 with ``other`` absorbing loop overhead outside the timed segments, and
-records rows/s and nnz/s throughput per level.
+records rows/s and nnz/s throughput per level.  A sequential-variant
+solve is one native sweep and records one sample, all ``reduce``.
 
 Activation mirrors the simulator profiler exactly — the same ambient
 :func:`~repro.obs.profiler.profiling` context::
@@ -33,7 +34,7 @@ A :class:`HostProfiler` is distinguished from the simulator
 simulator for ``kind == "sim"`` instrumentation, so profiling the host
 lane never pushes traffic off it.  The executor pays one ContextVar
 read per call when detached, and the profiled solve is bit-identical to
-an unprofiled one — timing is observed around the numpy calls, never
+an unprofiled one — timing is observed around the kernel calls, never
 inside them.
 """
 
@@ -55,7 +56,7 @@ __all__ = [
 ]
 
 #: Wall-clock phases of one host-lane level step.  ``other`` is the
-#: remainder of the launch wall time not inside a timed numpy segment
+#: remainder of the launch wall time not inside a timed segment
 #: (interpreter loop overhead, slicing, the profiler's own clock reads).
 HOST_PHASES = ("gather", "reduce", "scatter", "other")
 
@@ -73,7 +74,7 @@ class HostLevelSample:
 
     @property
     def busy_s(self) -> float:
-        """Seconds inside this level's timed numpy segments."""
+        """Seconds inside this level's timed segments."""
         return self.gather_s + self.reduce_s + self.scatter_s
 
     @property

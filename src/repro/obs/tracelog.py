@@ -75,18 +75,17 @@ class TraceLog:
         self._emitted = 0
 
     # ------------------------------------------------------------------
-    def emit(
-        self, kind: str, *, trace_id: Optional[str] = None, **fields
-    ) -> dict:
-        """Append one event; returns the stored record."""
-        record = {
-            "seq": next(self._seq),
-            "ts": time.time(),
-            "kind": kind,
-        }
-        if trace_id is not None:
-            record["trace_id"] = trace_id
-        record.update(fields)
+    def emit(self, kind: str, record: dict) -> dict:
+        """Append one event and return it.
+
+        ``record`` is a dict the caller built for this event alone and
+        hands over: it is stamped with ``kind``, a per-log ``seq`` and a
+        wall-clock ``ts`` and stored as it is, not copied, so each
+        lifecycle record is built once.
+        """
+        record["kind"] = kind
+        record["seq"] = next(self._seq)
+        record["ts"] = time.time()
         with self._lock:
             self._events.append(record)
             self._emitted += 1

@@ -74,17 +74,19 @@ class SLOTracker:
     # ------------------------------------------------------------------
     def record(self, lane: str, latency_ms: float) -> None:
         """One completed request's wall-clock latency on ``lane``."""
-        with self._lock:
-            hist = self._lanes.get(lane)
-            if hist is None:
-                hist = Histogram(
-                    "slo_latency_ms",
-                    reservoir=self._reservoir,
-                    help="Completed-request latency by execution lane "
-                    "(milliseconds).",
-                    labels={"lane": lane},
-                )
-                self._lanes[lane] = hist
+        # lock-free on the hot path: a lane, once added, stays
+        hist = self._lanes.get(lane)
+        if hist is None:
+            with self._lock:
+                hist = self._lanes.get(lane)
+                if hist is None:
+                    hist = self._lanes[lane] = Histogram(
+                        "slo_latency_ms",
+                        reservoir=self._reservoir,
+                        help="Completed-request latency by execution lane "
+                        "(milliseconds).",
+                        labels={"lane": lane},
+                    )
         hist.observe(latency_ms)
 
     def metrics(self) -> tuple:

@@ -11,6 +11,7 @@ import numpy as np
 from repro.errors import SolverError
 from repro.gpu.device import DeviceSpec
 from repro.gpu.simt import SIMTEngine
+from repro.obs.profiler import active_profiler
 from repro.sparse.csr import CSRMatrix
 
 __all__ = [
@@ -23,8 +24,7 @@ __all__ = [
 ]
 
 # ``repro.obs.profiling`` is the third ambient-attachment context: every
-# engine built here also picks up the active cycle profiler (imported
-# lazily inside make_engine to keep solver import time flat).
+# engine built here also picks up the active cycle profiler.
 
 #: Tracer picked up by every engine created while a `tracing` block is
 #: active (lets callers trace a solve without touching solver APIs).
@@ -88,8 +88,6 @@ def instrumentation_active() -> bool:
     """
     if _ACTIVE_TRACER.get() is not None or _ACTIVE_SANITIZER.get() is not None:
         return True
-    from repro.obs.profiler import active_profiler
-
     profiler = active_profiler()
     return profiler is not None and getattr(profiler, "kind", "sim") == "sim"
 
@@ -120,8 +118,6 @@ def make_engine(device: DeviceSpec, *, max_cycles: int | None = None) -> SIMTEng
     else:
         engine = SIMTEngine(device, max_cycles=max_cycles)
     engine.tracer = _ACTIVE_TRACER.get()
-    from repro.obs.profiler import active_profiler
-
     profiler = active_profiler()
     # a host-lane (wall-clock) profiler has no cycle hooks; never hand
     # it to a simulated engine

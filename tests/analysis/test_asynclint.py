@@ -65,6 +65,63 @@ class TestSL001StaleRead:
         )
         assert findings == []
 
+    def test_tuple_unpacking_from_shared_state_fires(self):
+        findings = _lint(
+            """
+            async def flush(self):
+                depth, group = self._depth, self._pending
+                await asyncio.sleep(0)
+                return depth + len(group)
+            """
+        )
+        assert _rules(findings).count("SL001") == 2
+
+    def test_list_target_unpacking_shared_state_fires(self):
+        findings = _lint(
+            """
+            async def flush(self):
+                [first, *rest] = self._pending
+                await asyncio.sleep(0)
+                return rest
+            """
+        )
+        assert "SL001" in _rules(findings)
+
+    def test_tuple_element_from_local_is_clean(self):
+        # element-wise: only the name bound from self._pending is tainted
+        findings = _lint(
+            """
+            async def flush(self):
+                n, group = compute(), self._pending
+                await asyncio.sleep(0)
+                return n
+            """
+        )
+        assert findings == []
+
+    def test_private_method_result_is_clean(self):
+        # a private method's return value is not a read of shared state
+        findings = _lint(
+            """
+            async def solve(self, b):
+                req = self._pending_solve(b)
+                await asyncio.sleep(0)
+                return req
+            """
+        )
+        assert findings == []
+
+    def test_method_called_on_shared_state_still_fires(self):
+        findings = _lint(
+            """
+            async def flush(self, key):
+                group = self._pending.pop(key)
+                await asyncio.sleep(0)
+                return group
+            """
+        )
+        assert "SL001" in _rules(findings)
+
 
 class TestSL002DoublePublish:
     def test_two_unguarded_publishes_fire(self):

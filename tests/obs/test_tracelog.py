@@ -78,7 +78,7 @@ class TestRing:
     def test_capacity_bounds_memory_and_reports_drops(self):
         log = TraceLog(capacity=8)
         for i in range(20):
-            log.emit("tick", n=i)
+            log.emit("tick", {"n": i})
         s = log.summary()
         assert s == {
             "emitted": 20, "retained": 8, "dropped": 12, "capacity": 8,
@@ -94,7 +94,7 @@ class TestRing:
     def test_seq_is_monotonic(self):
         log = TraceLog()
         for _ in range(5):
-            log.emit("a")
+            log.emit("a", {})
         seqs = [e["seq"] for e in log.events()]
         assert seqs == sorted(seqs)
         assert len(set(seqs)) == 5
@@ -104,9 +104,9 @@ class TestQueries:
     def test_filter_by_kind_and_trace_id(self):
         log = TraceLog()
         t1, t2 = new_id(), new_id()
-        log.emit("enqueue", trace_id=t1)
-        log.emit("enqueue", trace_id=t2)
-        log.emit("publish", trace_id=t1)
+        log.emit("enqueue", {"trace_id": t1})
+        log.emit("enqueue", {"trace_id": t2})
+        log.emit("publish", {"trace_id": t1})
         assert len(log.events(kind="enqueue")) == 2
         assert [e["kind"] for e in log.events(trace_id=t1)] == [
             "enqueue", "publish"
@@ -115,10 +115,12 @@ class TestQueries:
     def test_request_timeline_includes_batch_events(self):
         log = TraceLog()
         t1, t2 = new_id(), new_id()
-        log.emit("enqueue", trace_id=t1)
-        log.emit("enqueue", trace_id=t2)
-        log.emit("launch", batch_id="b1", width=2, trace_ids=[t1, t2])
-        log.emit("publish", trace_id=t1)
+        log.emit("enqueue", {"trace_id": t1})
+        log.emit("enqueue", {"trace_id": t2})
+        log.emit(
+            "launch", {"batch_id": "b1", "width": 2, "trace_ids": [t1, t2]}
+        )
+        log.emit("publish", {"trace_id": t1})
         kinds = [e["kind"] for e in log.request_timeline(t1)]
         assert kinds == ["enqueue", "launch", "publish"]
         # t2's timeline shares the launch but not t1's publish
@@ -130,8 +132,8 @@ class TestQueries:
 class TestSerialization:
     def test_jsonl_round_trip(self, tmp_path):
         log = TraceLog()
-        log.emit("enqueue", trace_id="abc", n_rhs=1)
-        log.emit("publish", trace_id="abc", latency_ms=1.5)
+        log.emit("enqueue", {"trace_id": "abc", "n_rhs": 1})
+        log.emit("publish", {"trace_id": "abc", "latency_ms": 1.5})
         path = tmp_path / "events.jsonl"
         assert log.write_jsonl(str(path)) == 2  # header is not an event
         lines = path.read_text().splitlines()
@@ -157,7 +159,7 @@ class TestThreadSafety:
 
         def worker(k: int) -> None:
             for i in range(per_thread):
-                log.emit("tick", thread=k, n=i)
+                log.emit("tick", {"thread": k, "n": i})
 
         threads = [
             threading.Thread(target=worker, args=(k,))

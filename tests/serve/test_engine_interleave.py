@@ -216,15 +216,15 @@ class TestScenarioSuite:
             f for f in engine_invariants() if f.__name__ == "trail_ends_once"
         ]
         log = TraceLog()
-        log.emit("enqueue", trace_id="t1")
-        log.emit("publish", trace_id="t1")
-        log.emit("reject", trace_id="t2")  # never admitted: no terminal
+        log.emit("enqueue", {"trace_id": "t1"})
+        log.emit("publish", {"trace_id": "t1"})
+        log.emit("reject", {"trace_id": "t2"})  # never admitted: no terminal
         value = {"engine": SimpleNamespace(trace_log=log)}
         trail_ends_once(None, value)
         # a late failure of a timed-out request must add no second end
-        log.emit("enqueue", trace_id="t3")
-        log.emit("timeout", trace_id="t3")
-        log.emit("fail", trace_id="t3")
+        log.emit("enqueue", {"trace_id": "t3"})
+        log.emit("timeout", {"trace_id": "t3"})
+        log.emit("fail", {"trace_id": "t3"})
         with pytest.raises(AssertionError, match="t3"):
             trail_ends_once(None, value)
 

@@ -4,10 +4,11 @@ Mirror of ``test_host_equivalence.py`` for the
 :class:`~repro.solvers.compiled.CompiledPlan`: the fast-lane plan must
 agree with the cycle-level simulator on every synthetic domain, both
 triangular orientations, and every right-hand-side layout — under both
-the level-scheduled numpy executor (``schedule="level"``) and the
-in-place ``csr_matvec`` sweep (``schedule="sequential"``), which must
-also equal :func:`scipy.sparse.linalg.spsolve_triangular` bit for bit
-on these unit-diagonal factors.
+the level executor of one ``csr_matvec`` per level
+(``schedule="level"``) and the in-place ``csr_matvec`` sweep
+(``schedule="sequential"``), which must equal each other bit for bit,
+and :func:`scipy.sparse.linalg.spsolve_triangular` bit for bit on these
+unit-diagonal factors.
 
 Matrices are kept small (n = 80) because each comparison runs the SIMT
 simulator — the point is agreement, not throughput.
@@ -78,6 +79,56 @@ class TestLower:
             system.L, schedule=schedule
         ).solve(system.b)
         np.testing.assert_allclose(x_comp, x_host, **TOL)
+
+
+class TestLevelEqualsSweep:
+    """Both variants sum each row as ``csr_matvec`` does — start value,
+    then the dependencies in ``idx`` order — so they agree exactly."""
+
+    @pytest.mark.parametrize("k", [1, 2, 8])
+    def test_level_equals_sequential_bit_for_bit(self, domain_system, k):
+        L = domain_system.L
+        B = np.random.default_rng(k).standard_normal((L.n_rows, k))
+        X_level = build_compiled_plan(L, schedule="level").solve_many(B)
+        X_seq = build_compiled_plan(L, schedule="sequential").solve_many(B)
+        assert np.array_equal(X_level, X_seq)
+
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("domain", ["combinatorial", "random", "road"])
+    def test_level_mixing_rows_with_and_without_dependencies(
+        self, domain, k
+    ):
+        # each dependency-free row moves as late as its dependents
+        # allow: still a valid order, and a later level now holds rows
+        # with and without dependencies
+        from repro.analysis.levels import LevelSchedule, compute_levels
+
+        L = generate(domain, N, seed=13)
+        base = compute_levels(L)
+        level = base.level_of_row.copy()
+        rows = np.repeat(np.arange(L.n_rows), np.diff(L.row_ptr))
+        off = L.col_idx != rows
+        latest = np.full(L.n_rows, base.n_levels - 1)
+        np.minimum.at(latest, L.col_idx[off], level[rows[off]] - 1)
+        free = level == 0
+        level[free] = latest[free]
+        order = np.lexsort((np.arange(L.n_rows), level))
+        level_ptr = np.searchsorted(
+            level[order], np.arange(base.n_levels + 1)
+        )
+        mixed = LevelSchedule(level, level_ptr, order)
+
+        plan = build_compiled_plan(L, schedule="level", base=mixed)
+        has_deps = np.diff(plan.row_ptr) > 0
+        levels = np.split(has_deps, plan.level_ptr[1:-1])
+        assert any(lv.any() and not lv.all() for lv in levels)
+        B = np.random.default_rng(5).standard_normal((L.n_rows, k))
+        X = plan.solve_many(B)
+        assert np.array_equal(
+            X, build_compiled_plan(L, schedule="sequential").solve_many(B)
+        )
+        for c in range(k):
+            np.testing.assert_allclose(L.matvec(X[:, c]), B[:, c], **TOL)
 
 
 class TestUpper:
@@ -334,7 +385,6 @@ class TestSequentialArrays:
         values = [getattr(plan, f.name) for f in fields(plan)]
         assert all(isinstance(v, (np.ndarray, int, str)) for v in values)
         arrays = [v for v in values if isinstance(v, np.ndarray)]
-        arrays.append(plan._rel)  # derived in __post_init__
         assert plan.nbytes == sum(a.nbytes for a in arrays)
         assert plan.coeff_nnz == L.nnz
         assert plan.n_rows == L.n_rows

@@ -717,10 +717,14 @@ class TestJournalCLI:
 
         with JournalWriter(tmp_path) as w:
             for i in range(5):
-                w.record_solve(matrix="m", lane="host", latency_ms=1.0,
-                               n_levels=10, granularity=0.5, ts=float(i))
-            w.record_solve(matrix="m", lane="host", latency_ms=99.0,
-                           n_levels=10, granularity=0.5, ts=9.0)
+                w.record_event(
+                    "solve", matrix="m", lane="host", latency_ms=1.0,
+                    n_levels=10, granularity=0.5, ts=float(i),
+                )
+            w.record_event(
+                "solve", matrix="m", lane="host", latency_ms=99.0,
+                n_levels=10, granularity=0.5, ts=9.0,
+            )
         rc = main(["journal", "report", str(tmp_path)])
         out = capsys.readouterr().out
         assert rc == 1
