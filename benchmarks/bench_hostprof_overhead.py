@@ -4,7 +4,7 @@ Guards the tentpole budget of ``repro.obs.hostprof``: attaching a
 :class:`HostProfiler` to a :class:`CompiledPlan` solve must cost less
 than 5% wall time, across batch widths, and must not change a single
 bit of the answer.  The profiler adds two ``perf_counter`` reads per
-timed numpy segment (three segments per non-empty level), so its cost
+timed numpy segment (three segments per level), so its cost
 is O(levels) while the work is O(nnz × k) — the overhead fraction
 *shrinks* as the batch widens, which the per-width ``extra_info``
 ratios make visible.
@@ -22,7 +22,8 @@ path's true cost.  The 5% budget is then checked against an envelope
 so a profiler cost that holds still is told apart from a kernel that
 got faster under it.
 
-Writes ``benchmarks/_output/hostprof_overhead.json``.
+Writes ``benchmarks/_output/hostprof_overhead.json``, holding this run's
+header and only the widths this run measured.
 """
 
 from __future__ import annotations
@@ -66,6 +67,21 @@ def plan_and_system():
     return plan, system
 
 
+@pytest.fixture(scope="module")
+def artifact(plan_and_system):
+    """This run's artifact: its header, and the widths it measures as
+    they finish — never a document left by an earlier run."""
+    plan, system = plan_and_system
+    return {
+        "budget": OVERHEAD_BUDGET,
+        "noise_margin": NOISE_MARGIN,
+        "n_rows": system.L.n_rows,
+        "n_levels": plan.n_levels,
+        "repeats": REPEATS,
+        "widths": {},
+    }
+
+
 def _interleaved_best(repeats, bare_fn, profiled_fn):
     """Best-of-N for both paths, alternating bare/profiled each repeat.
 
@@ -85,7 +101,9 @@ def _interleaved_best(repeats, bare_fn, profiled_fn):
 
 
 @pytest.mark.parametrize("width", BATCH_WIDTHS)
-def test_hostprof_overhead(benchmark, output_dir, plan_and_system, width):
+def test_hostprof_overhead(
+    benchmark, output_dir, plan_and_system, artifact, width
+):
     plan, system = plan_and_system
     B = np.column_stack(
         [(r + 1.0) * system.b for r in range(width)]
@@ -126,22 +144,15 @@ def test_hostprof_overhead(benchmark, output_dir, plan_and_system, width):
     profiler_us = (profiled_s - bare_s) * 1e6
     benchmark.extra_info["profiler_us_per_solve"] = round(profiler_us, 2)
 
-    doc_path = output_dir / "hostprof_overhead.json"
-    doc = json.loads(doc_path.read_text()) if doc_path.exists() else {
-        "budget": OVERHEAD_BUDGET,
-        "noise_margin": NOISE_MARGIN,
-        "n_rows": system.L.n_rows,
-        "n_levels": plan.n_levels,
-        "repeats": REPEATS,
-        "widths": {},
-    }
-    doc["widths"][str(width)] = {
+    artifact["widths"][str(width)] = {
         "bare_best_s": bare_s,
         "profiled_best_s": profiled_s,
         "overhead_fraction": overhead,
         "profiler_us_per_solve": profiler_us,
     }
-    doc_path.write_text(json.dumps(doc, indent=2, sort_keys=True))
+    (output_dir / "hostprof_overhead.json").write_text(
+        json.dumps(artifact, indent=2, sort_keys=True)
+    )
 
     assert overhead < OVERHEAD_BUDGET + NOISE_MARGIN, (
         f"host profiler overhead {overhead:.1%} exceeds the "

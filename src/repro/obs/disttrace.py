@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import threading
 import time
+from bisect import bisect_left, insort
 from collections import OrderedDict, deque
 from contextlib import contextmanager
 from typing import IO, Callable, Iterable, Optional, Union
@@ -341,9 +342,13 @@ class ClockAligner:
 
 def _percentile(values: list[float], q: float) -> float:
     """Linear-interpolation percentile of an unsorted list (q in 0..1)."""
-    if not values:
+    return _sorted_percentile(sorted(values), q)
+
+
+def _sorted_percentile(ordered: list[float], q: float) -> float:
+    """:func:`_percentile` of an already ascending list."""
+    if not ordered:
         return 0.0
-    ordered = sorted(values)
     if len(ordered) == 1:
         return ordered[0]
     pos = q * (len(ordered) - 1)
@@ -387,6 +392,9 @@ class TraceCollector:
         self._max_traces = max_traces
         self._hops: dict[str, deque] = {}
         self._roots: deque = deque(maxlen=self._ROOT_RESERVOIR)
+        # the same durations kept ascending, so the adaptive threshold
+        # is an O(1) read instead of a sort per root span
+        self._roots_sorted: list[float] = []
         self._exemplars: deque = deque(maxlen=exemplar_capacity)
         self._span_count = 0
         self._dropped_traces = 0
@@ -442,9 +450,23 @@ class TraceCollector:
             reservoir.append(duration)
             is_root = span.get("parent_id") is None
             if is_root:
-                self._roots.append(duration)
+                self._add_root(duration)
         if is_root:
             self._maybe_capture(trace_id, duration)
+
+    def _add_root(self, duration: float) -> None:
+        """Append to the root reservoir and its ascending copy (caller
+        holds the lock): the evicted oldest value leaves both."""
+        roots, ordered = self._roots, self._roots_sorted
+        if len(roots) == roots.maxlen:
+            old = roots[0]
+            i = bisect_left(ordered, old)
+            if i < len(ordered) and ordered[i] == old:
+                del ordered[i]
+            else:  # a NaN compares unequal to itself: drop the object
+                ordered.remove(old)
+        roots.append(duration)
+        insort(ordered, duration)
 
     # ------------------------------------------------------------------
     # slow-request exemplars
@@ -452,21 +474,22 @@ class TraceCollector:
     def slow_threshold_ms(self) -> float:
         """The active slow-request threshold: the explicit ``slow_ms``
         when configured, else the p95 of observed root durations (the
-        SLO tracker's tail percentile, derived from live data)."""
+        SLO tracker's tail percentile, derived from live data), read
+        from the reservoir's ascending copy without a sort."""
         if self.slow_ms is not None:
             return float(self.slow_ms)
         with self._lock:
-            roots = list(self._roots)
-        return _percentile(roots, 0.95)
+            return _sorted_percentile(self._roots_sorted, 0.95)
 
     def _maybe_capture(self, trace_id: str, total_ms: float) -> None:
-        if total_ms < self.slow_threshold_ms():
+        threshold = self.slow_threshold_ms()
+        if total_ms < threshold:
             return
         spans = self.spans(trace_id)
         exemplar = {
             "trace_id": trace_id,
             "total_ms": total_ms,
-            "threshold_ms": self.slow_threshold_ms(),
+            "threshold_ms": threshold,
             "dominant_hop": self.dominant_hop(trace_id),
             "spans": spans,
         }

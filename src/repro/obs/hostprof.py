@@ -10,9 +10,11 @@ first-class treatment at wall-clock resolution: every
 ambient records one :class:`HostLaunchProfile`, attributing each
 level's time to the three segments of the level executor —
 
-* ``gather``  — reading the level's start values out of ``X``,
+* ``gather``  — starting the level's sums at ``-0.0`` (level 0's also
+  takes in the copy of ``B``),
 * ``reduce``  — the level's one native ``csr_matvec`` (``csr_matvecs``
-  for a block), which sums every row's dependencies,
+  for a block), which scales every row's own ``b_i`` and sums its
+  dependencies,
 * ``scatter`` — writing the level's solution rows back,
 
 with ``other`` absorbing loop overhead outside the timed segments, and

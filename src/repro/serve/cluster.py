@@ -146,15 +146,22 @@ def _worker_main(conn, worker_id: int, config: dict) -> None:
 async def _worker_serve(conn, worker_id: int, config: dict) -> None:
     """The worker's asyncio serve loop.
 
-    One engine, one shard of the registry.  Pipe reads and writes are
-    blocking, so each goes through its own single-thread executor; the
-    1-thread send pool doubles as the serializer that keeps concurrent
-    replies from interleaving bytes on the pipe.  Solve requests run as
-    retained tasks (serve-lint SL005) so slow solves never block the
-    read loop — pipelined requests keep the engine's coalescing fed.
+    One engine, one shard of the registry, and one thread: frames are
+    read and written on the event loop itself, with no thread hand-off
+    per frame.  The pipe's descriptor is registered with
+    ``loop.add_reader``, which sets an :class:`asyncio.Event`; the loop
+    reads every frame the pipe holds (``conn.poll()``, then
+    ``recv_bytes``) and waits on the event only once the pipe is empty.
+    Replies go out through a direct :func:`send_frame` call, and since
+    the loop thread is the pipe's only writer, no two frames can
+    interleave.  A reply larger than the pipe buffer holds the loop
+    until the router's reader thread, which always drains, has read it.
+    Solve requests run as retained tasks (serve-lint SL005) so slow
+    solves never block the read loop — pipelined requests keep the
+    engine's coalescing fed.  EOF ends the worker; ``OP_CLOSE`` drains
+    the in-flight solves first.
     """
     import asyncio
-    from concurrent.futures import ThreadPoolExecutor
 
     from repro.serve.engine import SolveEngine
 
@@ -181,19 +188,13 @@ async def _worker_serve(conn, worker_id: int, config: dict) -> None:
     arena = PlanArena()
     slabs = SegmentCache()
     recorder = SpanRecorder(f"shard-{worker_id}", trace_log=engine.trace_log)
-    recv_pool = ThreadPoolExecutor(
-        max_workers=1, thread_name_prefix=f"repro-shard{worker_id}-recv"
-    )
-    send_pool = ThreadPoolExecutor(
-        max_workers=1, thread_name_prefix=f"repro-shard{worker_id}-send"
-    )
     tasks: set = set()
 
-    async def reply(header: dict, body: bytes = b"") -> None:
+    def reply(header: dict, body: bytes = b"") -> None:
         # every reply piggybacks whatever finished spans are buffered —
         # traces ship on existing frames, never on their own RPC
         header.setdefault(SPANS_KEY, recorder.drain())
-        await loop.run_in_executor(send_pool, send_frame, conn, header, body)
+        send_frame(conn, header, body)
 
     async def handle_solve(header: dict, body: bytes) -> None:
         rid = header["rid"]
@@ -256,91 +257,104 @@ async def _worker_serve(conn, worker_id: int, config: dict) -> None:
                     out["slab"] = slab_name
                 else:
                     payload = np.ascontiguousarray(X).tobytes()
-            await reply(out, payload)
+            reply(out, payload)
         except BaseException as exc:  # noqa: BLE001 - forwarded to router
-            await reply({
+            reply({
                 "op": OP_RESULT, "rid": rid, "ok": False,
                 "error": type(exc).__name__, "message": str(exc),
             })
 
-    running = True
-    while running:
-        try:
-            data = await loop.run_in_executor(recv_pool, conn.recv_bytes)
-        except (EOFError, OSError):
-            break  # router died or closed the pipe; exit with it
-        header, body = unpack_frame(data)
-        op = header.get("op")
-        rid = header.get("rid")
-        if op == OP_SOLVE:
-            task = asyncio.ensure_future(handle_solve(header, body))
-            tasks.add(task)
-            task.add_done_callback(tasks.discard)
-        elif op == OP_REGISTER:
-            ctx = SpanContext.from_wire(header.get(SPAN_CONTEXT_KEY))
-            reg_trace = ctx.trace_id if ctx else None
-            reg_parent = ctx.span_id if ctx else None
+    readable = asyncio.Event()
+    fd = conn.fileno()
+    loop.add_reader(fd, readable.set)
+    try:
+        running = True
+        while running:
+            readable.clear()
             try:
-                with recorder.span(
-                    "arena-attach", trace_id=reg_trace, parent_id=reg_parent,
-                ) as sp:
-                    matrix = arena.attach(
-                        PlanHandle.from_json(header["handle"])
-                    )
-                    reg_trace = sp.trace_id
-                with recorder.span(
-                    "registry-plan", trace_id=reg_trace, parent_id=reg_parent,
-                ):
-                    key = engine.register(
-                        matrix, name=header.get("name") or None
-                    )
-                    try:
-                        registry.plan(key)
-                    except SolverError:
-                        # no host plan for this matrix: the engine's
-                        # ladder quarantines the host step at its
-                        # first solve, as it would in process
-                        pass
-                await reply({"op": OP_RESULT, "rid": rid, "ok": True,
-                             "key": key})
-            except BaseException as exc:  # noqa: BLE001 - forwarded
-                await reply({
+                if not conn.poll():
+                    await readable.wait()
+                    continue
+                data = conn.recv_bytes()
+            except (EOFError, OSError):
+                break  # router died or closed the pipe; exit with it
+            header, body = unpack_frame(data)
+            op = header.get("op")
+            rid = header.get("rid")
+            if op == OP_SOLVE:
+                task = asyncio.ensure_future(handle_solve(header, body))
+                tasks.add(task)
+                task.add_done_callback(tasks.discard)
+            elif op == OP_REGISTER:
+                ctx = SpanContext.from_wire(header.get(SPAN_CONTEXT_KEY))
+                reg_trace = ctx.trace_id if ctx else None
+                reg_parent = ctx.span_id if ctx else None
+                try:
+                    with recorder.span(
+                        "arena-attach", trace_id=reg_trace,
+                        parent_id=reg_parent,
+                    ) as sp:
+                        matrix = arena.attach(
+                            PlanHandle.from_json(header["handle"])
+                        )
+                        reg_trace = sp.trace_id
+                    with recorder.span(
+                        "registry-plan", trace_id=reg_trace,
+                        parent_id=reg_parent,
+                    ):
+                        key = engine.register(
+                            matrix, name=header.get("name") or None
+                        )
+                        try:
+                            registry.plan(key)
+                        except SolverError:
+                            # no host plan for this matrix: the engine's
+                            # ladder quarantines the host step at its
+                            # first solve, as it would in process
+                            pass
+                    reply({"op": OP_RESULT, "rid": rid, "ok": True,
+                           "key": key})
+                except BaseException as exc:  # noqa: BLE001 - forwarded
+                    reply({
+                        "op": OP_RESULT, "rid": rid, "ok": False,
+                        "error": type(exc).__name__, "message": str(exc),
+                    })
+            elif op == OP_PING:
+                # the reply's wall-clock stamp is the worker half of the
+                # router's NTP-style offset estimate; buffered spans drain
+                # on the same frame (health checks double as trace
+                # flushes)
+                reply({"op": OP_RESULT, "rid": rid, "ok": True,
+                       "pong": True, "pid": os.getpid(),
+                       "worker_id": worker_id, "wall": time.time()})
+            elif op == OP_SNAPSHOT:
+                reply({"op": OP_RESULT, "rid": rid, "ok": True,
+                       "snapshot": _jsonable(engine.snapshot())})
+            elif op == OP_TRACE:
+                log = engine.trace_log
+                reply({"op": OP_RESULT, "rid": rid, "ok": True,
+                       "events": _jsonable(log.events()),
+                       "summary": _jsonable(log.summary())})
+            elif op == OP_CLOSE:
+                running = False
+                if tasks:
+                    await asyncio.gather(*tasks, return_exceptions=True)
+                await engine.close()
+                reply({"op": OP_RESULT, "rid": rid, "ok": True})
+            else:
+                reply({
                     "op": OP_RESULT, "rid": rid, "ok": False,
-                    "error": type(exc).__name__, "message": str(exc),
+                    "error": "ClusterError",
+                    "message": f"unknown op {op!r}",
                 })
-        elif op == OP_PING:
-            # the reply's wall-clock stamp is the worker half of the
-            # router's NTP-style offset estimate; buffered spans drain
-            # on the same frame (health checks double as trace flushes)
-            await reply({"op": OP_RESULT, "rid": rid, "ok": True,
-                         "pong": True, "pid": os.getpid(),
-                         "worker_id": worker_id, "wall": time.time()})
-        elif op == OP_SNAPSHOT:
-            await reply({"op": OP_RESULT, "rid": rid, "ok": True,
-                         "snapshot": _jsonable(engine.snapshot())})
-        elif op == OP_TRACE:
-            await reply({"op": OP_RESULT, "rid": rid, "ok": True,
-                         "events": _jsonable(engine.trace_log.events()),
-                         "summary": _jsonable(engine.trace_log.summary())})
-        elif op == OP_CLOSE:
-            running = False
-            if tasks:
-                await asyncio.gather(*tasks, return_exceptions=True)
-            await engine.close()
-            await reply({"op": OP_RESULT, "rid": rid, "ok": True})
-        else:
-            await reply({
-                "op": OP_RESULT, "rid": rid, "ok": False,
-                "error": "ClusterError", "message": f"unknown op {op!r}",
-            })
+    finally:
+        loop.remove_reader(fd)
     if tasks:
         await asyncio.gather(*tasks, return_exceptions=True)
     if journal is not None:
         journal.close()
     arena.detach_all()
     slabs.close_all()
-    send_pool.shutdown(wait=True)
-    recv_pool.shutdown(wait=False)
 
 
 # ---------------------------------------------------------------------------

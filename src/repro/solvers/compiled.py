@@ -8,24 +8,28 @@ serve tier never set it.
 Both variants hold the same scaled functional form of ``L``: every row
 keeps its off-diagonal dependencies with the diagonal division folded
 into the coefficients (dependency ``j`` contributes ``-L[i,j]/L[i,i]``
-on ``x_j``), so a solve starts from ``X = B * inv_diag``.  They differ
-only in the row order and in how the rows run.
+on ``x_j``).  They differ in the row order, in where the diagonal
+scale ``1/L[i,i]`` of row ``i``'s own ``b_i`` is applied, and in how
+the rows run.
 
-* ``"level"`` — rows in level order, one native SciPy ``csr_matvec``
-  (``csr_matvecs`` for a block) per level with dependencies: gather the
-  level's start values, run the native call over the level's slice of
-  ``row_ptr``, scatter the sums back.  Wide, shallow levels amortize
-  that per-level dispatch over many rows, so shallow matrices keep
-  this kernel.
+* ``"level"`` — rows in level order, each led by the entry
+  ``(i, 1/L[i,i])`` that scales its own ``b_i``, and one native SciPy
+  ``csr_matvec`` (``csr_matvecs`` for a block) per level over a copy
+  of ``B``: start the level's sums at ``-0.0``, run the native call
+  over the level's slice of ``row_ptr`` (it reads each row's
+  still-unscaled ``b_i`` and its already-final dependencies), scatter
+  the sums back.  Wide, shallow levels amortize that per-level
+  dispatch over many rows, so shallow matrices keep this kernel.
 
 * ``"sequential"`` — rows in natural order, run by one native SciPy
   ``csr_matvec`` (``csr_matvecs`` for a block) whose input and output
-  are both ``X``.  It visits rows in increasing order and each row reads
-  only ``x_j`` with ``j < i``, already final, so the one call is a
-  complete forward substitution: each row is solved as soon as its own
-  dependencies are, with no level barrier and no per-level interpreter
-  dispatch.  That is the host form of the paper's argument that at
-  fine granularity synchronization decides SpTRSV speed, and the fused
+  are both ``X = B * inv_diag``.  It visits rows in increasing order
+  and each row reads only ``x_j`` with ``j < i``, already final, so the
+  one call is a complete forward substitution: each row is solved as
+  soon as its own dependencies are, with no level barrier and no
+  per-level interpreter dispatch.  That is the host form of the paper's
+  argument that at fine granularity synchronization decides SpTRSV
+  speed, and the fused
   sequential sweep Li (arXiv:1710.04985) prefers for small triangular
   solves.  Deep, skinny matrices, which would pay per-level dispatch
   thousands of times per solve, take it.
@@ -38,9 +42,12 @@ attribute, so it records one step whose time counts as ``reduce``.
 Either way the profiled solve runs the same loop as an unprofiled one
 and its answer is bit-identical.
 
-Both variants sum every row the same way — start value first, then
-the dependencies in ``idx`` order — so their answers are
-bit-identical to each other.
+Both variants sum every row the same way — the scaled ``b_i`` first,
+then the dependencies in ``idx`` order — so their answers are
+bit-identical to each other: the level variant's ``-0.0`` start is the
+IEEE additive identity (``-0.0 + v == v`` bit for bit, signed zeros
+included), so its first addition yields exactly the sequential
+variant's start value ``b_i * (1/L[i,i])``.
 """
 
 from __future__ import annotations
@@ -116,23 +123,24 @@ class CompiledPlan:
     base_levels:
         Levels of the matrix's level schedule.
     inv_diag:
-        ``1 / L[i, i]`` by original row: the start scale
-        ``X = B * inv_diag`` of both variants.
+        ``1 / L[i, i]`` by original row: the sequential variant's start
+        scale ``X = B * inv_diag``, and the level variant's leading
+        coefficient of each row.
     row_ptr, idx, vals:
-        The scaled rows, in both variants: plan row ``p`` owns
+        The scaled rows: plan row ``p`` of original row ``i`` owns
         ``idx[row_ptr[p]:row_ptr[p+1]]`` / ``vals[...]``, its
-        off-diagonal ``x`` inputs (every one below the row's own
-        original index) and their coefficients ``-L[i, j] / L[i, i]``.
-        The span is empty exactly when the row has no dependencies.
-        ``row_ptr`` and ``idx`` share one integer dtype, as
-        ``csr_matvec`` requires.  Sequential plan row ``p`` is original
-        row ``p``.
+        off-diagonal ``x`` inputs (every one below ``i``) and their
+        coefficients ``-L[i, j] / L[i, i]``.  In the level variant the
+        span first holds ``(i, 1 / L[i, i])``, so it is never empty and
+        ``len(idx) == nnz(L)``; in the sequential one it is empty
+        exactly when the row has no dependencies, and plan row ``p`` is
+        original row ``p``.  ``row_ptr`` and ``idx`` share one integer
+        dtype, as ``csr_matvec`` requires.
     rows, level_ptr:
         The level variant's order, empty in the sequential one.
         ``rows`` maps plan rows to original rows (level order) and
         ``level_ptr`` holds the plan-row spans per level.  A level may
-        mix rows with and without dependencies: a row with no
-        dependencies has an empty span and keeps its start value.
+        mix rows with and without dependencies.
     """
 
     schedule: str
@@ -152,18 +160,20 @@ class CompiledPlan:
             )
         if self.schedule == "sequential":
             return
-        # per-level executor steps, for the levels with dependencies:
-        # (level rows, unrebased row_ptr slice, row count, nnz), views
+        # per-level executor steps, one per level: (level rows,
+        # unrebased row_ptr slice, plan-row span, row count, nnz), views
         # and Python ints, so the loop does no arithmetic of its own
         lp = self.level_ptr.tolist()
         ea = self.row_ptr[self.level_ptr].tolist()
         steps = tuple(
             (self.rows[lp[k]: lp[k + 1]], self.row_ptr[lp[k]: lp[k + 1] + 1],
-             lp[k + 1] - lp[k], ea[k + 1] - ea[k])
+             lp[k], lp[k + 1], lp[k + 1] - lp[k], ea[k + 1] - ea[k])
             for k in range(len(lp) - 1)
-            if ea[k + 1] > ea[k]
         )
         object.__setattr__(self, "_steps", steps)
+        object.__setattr__(
+            self, "_widest", max((st[4] for st in steps), default=0)
+        )
 
     @property
     def n_rows(self) -> int:
@@ -178,8 +188,11 @@ class CompiledPlan:
 
     @property
     def coeff_nnz(self) -> int:
-        """Coefficients per solve: ``nnz(L)``, the off-diagonal ones in
-        ``vals`` and the diagonal in ``inv_diag``."""
+        """Coefficients per solve: ``nnz(L)``, all in ``vals`` in the
+        level variant; the off-diagonal ones in ``vals`` and the
+        diagonal in ``inv_diag`` in the sequential one."""
+        if self.schedule == "level":
+            return len(self.idx)
         return len(self.idx) + self.n_rows
 
     @property
@@ -229,14 +242,11 @@ class CompiledPlan:
         profiler = active_host_profiler()
         if profiler is not None:
             return self._execute_profiled(B, profiler)
-        X = np.multiply(B, self.inv_diag[:, None], order="C")
         if self.schedule == "sequential":
-            self._sweep(X)
-        else:
-            self._levels(X)
-        return X
+            return self._sweep(B)
+        return self._levels(B)
 
-    def _sweep(self, X: np.ndarray) -> None:
+    def _sweep(self, B: np.ndarray) -> np.ndarray:
         """The sequential variant: one native sweep over the C-ordered
         ``X = B * inv_diag``, with ``X`` as both input and output.
 
@@ -247,45 +257,56 @@ class CompiledPlan:
         reads only finished entries and the call is a complete forward
         substitution.
         """
+        X = np.multiply(B, self.inv_diag[:, None], order="C")
         n, k = X.shape
         x = X.reshape(-1)
         if k == 1:
             csr_matvec(n, n, self.row_ptr, self.idx, self.vals, x, x)
         else:
             csr_matvecs(n, n, k, self.row_ptr, self.idx, self.vals, x, x)
+        return X
 
-    def _levels(self, X: np.ndarray, raw: list | None = None) -> None:
-        """The level variant over the C-ordered ``X = B * inv_diag``:
-        one loop per width, shared by profiled and unprofiled solves.
-        With ``raw`` given, each level's ``(rows, nnz, gather_s,
-        reduce_s, scatter_s)`` is appended to it, the clock read only
-        between the operations (a level's gather time starts where the
-        previous level's scatter ended, so it takes in the loop's own
-        step).
+    def _levels(self, B: np.ndarray, raw: list | None = None) -> np.ndarray:
+        """The level variant over ``X``, a C-ordered copy of ``B``: one
+        loop per width, shared by profiled and unprofiled solves.  With
+        ``raw`` given, each level's ``(rows, nnz, gather_s, reduce_s,
+        scatter_s)`` is appended to it, the clock read only between the
+        operations (a level's gather time starts where the previous
+        level's scatter ended, so it takes in the loop's own step, and
+        level 0's takes in the copy).
 
-        Per level with dependencies: gather the level's start values
-        into ``s``, run one native ``csr_matvec`` (``csr_matvecs`` for a
-        block) of the level's rows with ``X`` as input and ``s`` as
-        output, and scatter ``s`` back.  The call takes the level's
-        slice of ``row_ptr`` unrebased, so it reads ``idx``/``vals``
-        where the whole plan keeps them; every dependency sits in an
-        earlier level, already final.  A level whose rows partly have no
-        dependencies needs nothing special: an empty row keeps its start
-        value.  One right-hand side runs on the flat vector, the
-        cheapest gather and scatter numpy has; a block moves whole
-        ``k``-wide rows, ``take(axis=0)`` to gather and one opaque
-        ``8k``-byte item per row through a ``np.void`` view to scatter.
+        Per level: start the level's sums ``s`` at ``-0.0``, run one
+        native ``csr_matvec`` (``csr_matvecs`` for a block) of the
+        level's rows with ``X`` as input and ``s`` as output, and
+        scatter ``s`` back.  Each row's first entry multiplies its own
+        ``b_i``, which ``X`` still holds unscaled, by ``1/L[i,i]``; its
+        dependencies sit in earlier levels, already final.  The call
+        takes the level's slice of ``row_ptr`` unrebased, so it reads
+        ``idx``/``vals`` where the whole plan keeps them.
+
+        One right-hand side runs on the flat vector, the cheapest
+        scatter numpy has, and its sums live in one ``n``-long buffer
+        filled with ``-0.0`` once per solve, each level's ``s`` a view
+        of its plan-row span.  A block scatters whole ``k``-wide rows,
+        one opaque ``8k``-byte item per row through a ``np.void`` view,
+        and refills one buffer the size of the widest level per level:
+        a second ``(n, k)`` array beside ``X`` would double the solve's
+        large allocations, which the allocator may hand back to the OS
+        and fault in again on every solve (a width-16 circuit-20000
+        solve took 2.2x as long that way).
         """
-        n, k = X.shape
-        x = X.reshape(-1)
-        idx, vals = self.idx, self.vals
         clock = time.perf_counter
         timed = raw is not None
         if timed:
             t0 = clock()
+        X = np.array(B, order="C")
+        n, k = X.shape
+        x = X.reshape(-1)
+        idx, vals = self.idx, self.vals
         if k == 1:
-            for level_rows, ptr, m, nnz in self._steps:
-                s = x[level_rows]
+            sums = np.full(n, -0.0)
+            for level_rows, ptr, lo, hi, m, nnz in self._steps:
+                s = sums[lo:hi]
                 if timed:
                     t1 = clock()
                 csr_matvec(m, n, ptr, idx, vals, x, s)
@@ -296,48 +317,43 @@ class CompiledPlan:
                     t3 = clock()
                     raw.append((m, nnz, t1 - t0, t2 - t1, t3 - t2))
                     t0 = t3
-            return
+            return X
         row = np.dtype((np.void, X.itemsize * k))
         x_rows = X.view(row)[:, 0]
-        take = X.take
-        for level_rows, ptr, m, nnz in self._steps:
-            s = take(level_rows, axis=0)
+        sums = np.empty(self._widest * k)
+        for level_rows, ptr, lo, hi, m, nnz in self._steps:
+            s = sums[:m * k]
+            s.fill(-0.0)
             if timed:
                 t1 = clock()
             csr_matvecs(m, n, k, ptr, idx, vals, x, s)
             if timed:
                 t2 = clock()
-            x_rows[level_rows] = s.view(row)[:, 0]
+            x_rows[level_rows] = s.view(row)
             if timed:
                 t3 = clock()
                 raw.append((m, nnz, t1 - t0, t2 - t1, t3 - t2))
                 t0 = t3
+        return X
 
     def _execute_profiled(self, B: np.ndarray, profiler) -> np.ndarray:
         """The executor with wall-clock attribution.
 
         Same operations, in the same order, as the unprofiled solve —
-        bit-identical output; the clock is only read *around* them.  In
-        the level variant the first sample is level 0 plus every row's
-        own ``b`` term (the ``X = B * inv_diag`` pass), then one sample
-        per level with dependencies (:meth:`_levels`); the sequential
+        bit-identical output; the clock is only read *around* them.  The
+        level variant records one sample per level (:meth:`_levels`),
+        level 0's gather taking in the copy of ``B``; the sequential
         variant records its one sweep as one sample.
         """
         clock = time.perf_counter
         raw: list[tuple] = []
         t_launch = clock()
-        X = np.multiply(B, self.inv_diag[:, None], order="C")
         if self.schedule == "sequential":
-            self._sweep(X)
+            X = self._sweep(B)
             raw.append((self.n_rows, self.coeff_nnz, 0.0,
                         clock() - t_launch, 0.0))
         else:
-            if self.n_levels:
-                raw.append((
-                    int(self.level_ptr[1]), self.n_rows,
-                    0.0, 0.0, clock() - t_launch,
-                ))
-            self._levels(X, raw)
+            X = self._levels(B, raw)
         wall_s = clock() - t_launch
         profiler.record(
             HostLaunchProfile(
@@ -386,23 +402,31 @@ def build_compiled_plan(
         level_fields = {}
 
     # scaled dependency lists, fully vectorized: plan row p holds its
-    # off-diagonal dependencies, pre-divided by the diagonal
+    # off-diagonal dependencies, pre-divided by the diagonal.  A level
+    # plan row leads with its own b_i times 1 / L[i,i] (lead = 1), so
+    # the level's native call applies the diagonal scale itself
+    lead = int(schedule == "level")
     off_lo = L.row_ptr[:-1]
-    dep_counts = (diag_pos - off_lo).astype(np.int64)[order]
-
-    dep_ptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(dep_counts, out=dep_ptr[1:])
-    total_dep = int(dep_ptr[-1])
-    src = np.repeat(off_lo[order] - dep_ptr[:-1], dep_counts) + np.arange(
-        total_dep, dtype=np.int64
+    counts = (diag_pos - off_lo + lead).astype(np.int64)[order]
+    row_ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(counts, out=row_ptr[1:])
+    starts = row_ptr[:-1]
+    src = np.repeat(off_lo[order] - starts - lead, counts) + np.arange(
+        int(row_ptr[-1]), dtype=np.int64
     )
+    if lead:
+        src[starts] = diag_pos[order]
+    idx = L.col_idx[src].astype(np.int64)
+    vals = -L.values[src] * np.repeat(inv_diag[order], counts)
+    if lead:
+        vals[starts] = inv_diag[order]
     return CompiledPlan(
         schedule=schedule,
         base_levels=base.n_levels,
         inv_diag=inv_diag,
-        row_ptr=dep_ptr,
-        idx=L.col_idx[src].astype(np.int64),
-        vals=-L.values[src] * np.repeat(inv_diag[order], dep_counts),
+        row_ptr=row_ptr,
+        idx=idx,
+        vals=vals,
         **level_fields,
     )
 

@@ -8,6 +8,7 @@ span shipment) lives in ``tests/serve/test_cluster_trace.py``.
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.errors import TraceSchemaError
@@ -270,6 +271,40 @@ class TestTraceCollector:
         assert collector.slow_threshold_ms() == pytest.approx(19.05)
         # the slowest request is always >= the running p95 -> captured
         assert any(e["trace_id"] == "t19" for e in collector.exemplars())
+
+    def test_adaptive_threshold_equals_a_full_sort_under_eviction(self):
+        # the threshold reads a sorted copy of the root reservoir kept
+        # beside it: after every ingest it must equal the sort-based
+        # p95 of the last 512 roots, to the bit, and capture the same
+        # exemplars that threshold selects
+        from repro.obs.disttrace import _percentile
+
+        rng = np.random.default_rng(3)
+        durations = (rng.integers(0, 60, size=2100) / 8.0).tolist()
+        collector = TraceCollector(exemplar_capacity=4096)
+        expected = []
+        for i, dur in enumerate(durations):
+            collector.record(make_span("request", f"t{i}", start=float(i),
+                                       dur_ms=dur))
+            roots = list(collector._roots)
+            assert len(roots) == min(i + 1, 512)
+            assert roots[-1] == dur
+            threshold = _percentile(roots, 0.95)
+            assert collector.slow_threshold_ms() == threshold
+            if dur >= threshold:
+                expected.append((f"t{i}", dur, threshold))
+        got = [(e["trace_id"], e["total_ms"], e["threshold_ms"])
+               for e in collector.exemplars()]
+        assert got == expected
+        assert len(set(durations)) < 100  # repeated durations throughout
+
+    def test_nan_root_leaves_the_sorted_copy_with_the_reservoir(self):
+        collector = TraceCollector()
+        collector.record(make_span("request", "nan", dur_ms=float("nan")))
+        for i in range(600):
+            collector.record(make_span("request", f"t{i}", start=float(i),
+                                       dur_ms=float(i % 7)))
+        assert collector._roots_sorted == sorted(collector._roots)
 
     def test_exemplar_ring_is_bounded(self):
         collector = TraceCollector(slow_ms=0.0, exemplar_capacity=3)

@@ -315,6 +315,85 @@ class TestFailureRecovery:
             ShardRouter(n_workers=0)
 
 
+class TestWorkerLoop:
+    """A worker reads and writes its frames on its event loop: one
+    writer per pipe, so no reply can interleave with another."""
+
+    def test_reply_larger_than_the_pipe_buffer_among_pipelined_solves(
+        self,
+    ):
+        import json
+
+        # ~1,500 solves fill the worker's TraceLog, so the OP_TRACE
+        # reply is over 1 MiB: many times the 64 KiB pipe buffer, so
+        # it goes out in many partial writes while the solves before
+        # and after it are in flight
+        system = lower_triangular_system(random_unit_lower(N, 0.1, seed=21))
+        with ShardRouter(n_workers=1, execution="host",
+                         request_timeout=30.0) as router:
+            key = router.register(system.L)
+            warm = [router.submit(key, system.b, single=True)
+                    for _ in range(1500)]
+            for fut in warm:
+                fut.result(timeout=30.0)
+            futs = [router.submit(key, system.b, single=True)
+                    for _ in range(16)]
+            (events,) = router.trace_events().values()
+            futs += [router.submit(key, system.b, single=True)
+                     for _ in range(16)]
+            for fut in futs:
+                np.testing.assert_allclose(
+                    fut.result(timeout=30.0).x, system.x_true,
+                    rtol=1e-9, atol=1e-12,
+                )
+        assert len(json.dumps(events)) > 1024 * 1024
+        assert sum(e["kind"] == "publish" for e in events) > 500
+
+    def test_pipelined_submits_over_two_matrices_on_one_worker(self):
+        systems = [
+            lower_triangular_system(random_unit_lower(N, 0.1, seed=seed))
+            for seed in (31, 32)
+        ]
+        with ShardRouter(n_workers=1, execution="host",
+                         request_timeout=60.0) as router:
+            keys = [router.register(s.L) for s in systems]
+            futs = []
+            for i in range(64):
+                key, system = keys[i % 2], systems[i % 2]
+                scale = float(i + 1)
+                if i % 4 < 2:
+                    fut = router.submit(key, scale * system.b, single=True)
+                else:
+                    fut = router.submit(
+                        key, np.column_stack([system.b, scale * system.b])
+                    )
+                futs.append((fut, scale, system))
+            for fut, scale, system in futs:
+                x = fut.result(timeout=60.0).x
+                expect = scale * system.x_true
+                if x.ndim == 2:
+                    np.testing.assert_allclose(
+                        x[:, 0], system.x_true, rtol=1e-9, atol=1e-12
+                    )
+                    x = x[:, 1]
+                np.testing.assert_allclose(x, expect, rtol=1e-9, atol=1e-9)
+
+    def test_close_ends_every_worker_cleanly(self):
+        before = set(leaked_segments())
+        router = ShardRouter(n_workers=2, execution="host",
+                             request_timeout=60.0)
+        system = lower_triangular_system(random_unit_lower(N, 0.1, seed=5))
+        key = router.register(system.L)
+        futs = [router.submit(key, np.column_stack([system.b] * 8))
+                for _ in range(8)]
+        for fut in futs:
+            fut.result(timeout=60.0)
+        processes = [w.process for w in router._workers.values()]
+        router.close()
+        assert [p.exitcode for p in processes] == [0, 0]
+        assert set(leaked_segments()) - before == set()
+
+
 class TestOnePlanType:
     """Workers serve the router's rule-picked plan variant zero-copy."""
 

@@ -93,6 +93,35 @@ class TestLevelEqualsSweep:
         X_seq = build_compiled_plan(L, schedule="sequential").solve_many(B)
         assert np.array_equal(X_level, X_seq)
 
+    @pytest.mark.parametrize("k", [1, 2, 8])
+    def test_signed_zeros_agree_byte_for_byte(self, domain_system, k):
+        # the level variant starts each row's sum at -0.0 and adds the
+        # scaled b_i; the sweep starts at the scaled b_i itself.  Only
+        # the additive identity -0.0 keeps a -0.0 answer's sign bit
+        L = domain_system.L
+        rng = np.random.default_rng(k)
+        B = rng.standard_normal((L.n_rows, k))
+        B[rng.random(B.shape) < 0.5] = 0.0
+        B[rng.random(B.shape) < 0.5] *= -1.0
+        B[:, 0] = -0.0
+        X_level = build_compiled_plan(L, schedule="level").solve_many(B)
+        X_seq = build_compiled_plan(L, schedule="sequential").solve_many(B)
+        assert X_level.tobytes() == X_seq.tobytes()
+        assert np.signbit(X_seq[:, 0]).any()
+
+    @pytest.mark.parametrize("k", [1, 2, 8])
+    def test_float32_and_fortran_inputs_agree_byte_for_byte(
+        self, domain_system, k
+    ):
+        L = domain_system.L
+        B = np.random.default_rng(k).standard_normal((L.n_rows, k))
+        level = build_compiled_plan(L, schedule="level")
+        seq = build_compiled_plan(L, schedule="sequential")
+        for rhs in (B.astype(np.float32), np.asfortranarray(B)):
+            X_level = level.solve_many(rhs)
+            assert X_level.flags.c_contiguous
+            assert X_level.tobytes() == seq.solve_many(rhs).tobytes()
+
     @pytest.mark.parametrize("k", [1, 3])
     @pytest.mark.parametrize("domain", ["combinatorial", "random", "road"])
     def test_level_mixing_rows_with_and_without_dependencies(
@@ -119,7 +148,8 @@ class TestLevelEqualsSweep:
         mixed = LevelSchedule(level, level_ptr, order)
 
         plan = build_compiled_plan(L, schedule="level", base=mixed)
-        has_deps = np.diff(plan.row_ptr) > 0
+        # each level-plan row leads with its own diagonal entry
+        has_deps = np.diff(plan.row_ptr) > 1
         levels = np.split(has_deps, plan.level_ptr[1:-1])
         assert any(lv.any() and not lv.all() for lv in levels)
         B = np.random.default_rng(5).standard_normal((L.n_rows, k))

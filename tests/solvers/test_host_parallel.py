@@ -56,7 +56,8 @@ class TestPlan:
     def test_plan_packs_all_off_diagonals(self):
         L = random_unit_lower(50, 0.1, seed=1)
         plan = build_plan(L)
-        assert len(plan.vals) == L.nnz - L.n_rows
+        # the off-diagonals plus each row's leading 1 / L[i,i]
+        assert len(plan.vals) == L.nnz
         assert plan.coeff_nnz == L.nnz
         assert sorted(plan.rows.tolist()) == list(range(50))
 
@@ -68,7 +69,7 @@ class TestPlan:
         assert plan.n_levels == plan.base_levels
 
     def test_plan_diag_matches(self):
-        # the level variant keeps 1 / L[i,i] apart and gathers only x
+        # 1 / L[i,i] by original row; idx holds only original rows
         L = random_unit_lower(30, 0.2, seed=3)
         plan = build_plan(L)
         diag = L.values[L.row_ptr[1:] - 1]
