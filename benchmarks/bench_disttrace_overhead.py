@@ -9,14 +9,14 @@ time()`` reads per hop plus one extra JSON header key per frame — all
 O(1) per request while the work is O(nnz × k) per solve plus the pipe
 round trip, so the fraction shrinks as requests widen.
 
-Timing protocol follows ``bench_hostprof_overhead.py``: *interleaved*
+Timing protocol follows ``bench_journal_overhead.py``: *interleaved*
 best-of-N — every repeat drives one pipelined burst through the
 untraced router and one through the traced router back-to-back, each
 path keeping its own best, so slow system drift hits both paths
 instead of masquerading as tracing overhead.  Worker spawn cost (a
 fresh interpreter importing numpy, identical either way) is excluded:
 both routers are built and warmed before the clock starts.  The noise
-margin is wider than the in-process profiler bench's because every
+margin is wider than the in-process journal bench's because every
 sample rides multi-process pipe round trips on a shared box.
 
 Writes ``benchmarks/_output/disttrace_overhead.json``.

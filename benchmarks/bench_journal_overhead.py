@@ -8,10 +8,9 @@ write + flush per solve — O(1) per request against a solve that is
 O(nnz) numpy work — so the fraction shrinks as matrices grow; the
 budget is checked at a serving-shaped size, not on toy systems.
 
-Timing protocol: *interleaved* best-of-N, same as
-``bench_hostprof_overhead.py`` — every repeat times a bare burst and a
-journaled burst back-to-back so machine drift hits both paths equally,
-and each path keeps its own best.  The assertion envelope is
+Timing protocol: *interleaved* best-of-N — every repeat times a bare
+burst and a journaled burst back-to-back so machine drift hits both
+paths equally, and each path keeps its own best.  The assertion envelope is
 budget + noise margin; the JSON artifact carries the raw ratio for
 trend-watching, next to ``journal_us_per_solve``, the journal's own
 microseconds per solve in the burst.

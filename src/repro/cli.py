@@ -283,10 +283,10 @@ def build_parser() -> argparse.ArgumentParser:
              n_rows=800, requests=16, execution="auto",
              func=_cmd_serve_stats)
     p_srv.add_argument("--profile", action="store_true",
-                       help="attach the per-lane profiler: every launch "
-                       "event in the trace log carries a phase digest "
-                       "(wall-clock gather/reduce/scatter on the host "
-                       "lane, cycle phases on the simulator lane)")
+                       help="attach the cycle profiler: every simulator "
+                       "launch event in the trace log carries a cycle "
+                       "phase digest; a host launch's time is its "
+                       "exec_ms")
 
     p_cl = sub.add_parser(
         "serve-cluster",

@@ -7,12 +7,6 @@ Three lenses over one solve pipeline:
   compute, cross-warp spin-wait, intra-warp poll wait, memory stall or
   idle, producing :class:`SolveProfile` objects (the measurable form of
   the paper's Writing-First-vs-busy-wait argument).
-* **Host-lane wall-clock attribution** — :class:`HostProfiler` /
-  :func:`host_phase_digest` attribute the vectorized host executor's
-  wall time per level to gather / reduce / scatter segments with
-  rows- and nnz-per-second throughput, through the *same* ambient
-  :func:`profiling` context — observability for the lane that serves
-  production traffic, without leaving it.
 * **Exporters** — :func:`write_chrome_trace` (Perfetto/chrome://tracing),
   :func:`render_flame` (terminal), :func:`profile_json` /
   :func:`phase_digest` (machine-readable, shared with ``analyze --json``).
@@ -42,14 +36,6 @@ from repro.obs.profiler import (
     active_profiler,
     profile_solve,
     profiling,
-)
-from repro.obs.hostprof import (
-    HOST_PHASES,
-    HostLaunchProfile,
-    HostLevelSample,
-    HostProfiler,
-    active_host_profiler,
-    host_phase_digest,
 )
 from repro.obs.chrome import (
     PHASE_COLORS,
@@ -91,12 +77,6 @@ __all__ = [
     "profiling",
     "active_profiler",
     "profile_solve",
-    "HOST_PHASES",
-    "HostLevelSample",
-    "HostLaunchProfile",
-    "HostProfiler",
-    "active_host_profiler",
-    "host_phase_digest",
     "chrome_trace",
     "write_chrome_trace",
     "spans_chrome_trace",

@@ -3,7 +3,7 @@
 One request through the cluster crosses three clocks and at least two
 processes: the router enqueues and frames it, a shard worker decodes it,
 looks up the plan, solves, and replies.  None of the per-process tools
-(:class:`~repro.obs.tracelog.TraceLog`, the profilers) can say *which
+(:class:`~repro.obs.tracelog.TraceLog`, the profiler) can say *which
 hop* made a slow request slow — this module can, by propagating **span
 context** through the :mod:`repro.serve.shardproto` frame headers and
 reassembling the pieces on the router side:
@@ -12,11 +12,10 @@ reassembling the pieces on the router side:
   trace T, under parent span S".  Older peers ignore the extra header
   key; newer versions than we speak simply read as "no context", so the
   protocol stays backward- and forward-compatible.
-* :class:`SpanRecorder` — per-process span factory.  Spans are recorded
-  into the process-local :class:`TraceLog` (one ``"span"`` event each,
-  so a worker's JSONL dump shows the router-minted trace ids) and
-  buffered for shipment; workers piggyback the buffer on reply frames
-  and health-check (ping) replies — there is no extra RPC for traces.
+* :class:`SpanRecorder` — per-process span factory.  A worker buffers
+  its finished spans for shipment and piggybacks the buffer on reply
+  frames and health-check (ping) replies — there is no extra RPC for
+  traces; the router's own spans go straight to its collector.
 * :class:`ClockAligner` — workers stamp spans with their own
   ``time.time()``; the router estimates each worker's clock offset
   NTP-style from ping request/reply pairs (offset = worker wall clock
@@ -44,7 +43,7 @@ from collections import OrderedDict, deque
 from contextlib import contextmanager
 from typing import IO, Callable, Iterable, Optional, Union
 
-from repro.obs.tracelog import TraceLog, new_id, write_tracelog
+from repro.obs.tracelog import new_id, write_tracelog
 
 __all__ = [
     "SPAN_CONTEXT_VERSION",
@@ -178,23 +177,19 @@ class SpanRecorder:
     ``sink`` (router side) receives each finished span dict immediately
     — typically :meth:`TraceCollector.record`.  Without a sink (worker
     side) finished spans accumulate in a bounded buffer until
-    :meth:`drain` ships them piggybacked on a reply frame.  When a
-    ``trace_log`` is attached, every finished span also lands there as
-    one ``"span"`` event, so process-local JSONL dumps carry the
-    cluster-wide trace ids.  Thread-safe.
+    :meth:`drain` ships them piggybacked on a reply frame.
+    Thread-safe.
     """
 
     def __init__(
         self,
         process: str,
         *,
-        trace_log: Optional[TraceLog] = None,
         sink: Optional[Callable[[dict], None]] = None,
         capacity: int = 4096,
         clock: Callable[[], float] = time.time,
     ) -> None:
         self.process = process
-        self.trace_log = trace_log
         self.sink = sink
         self.clock = clock
         self._lock = threading.Lock()
@@ -225,13 +220,11 @@ class SpanRecorder:
         )
 
     def finish(self, span: Span, **attrs) -> dict:
-        """Close a span: stamp the end time, log it, buffer or sink it."""
+        """Close a span: stamp the end time, buffer or sink it."""
         if span.end is None:
             span.end = self.clock()
         span.attrs.update(attrs)
         record = span.to_dict()
-        if self.trace_log is not None:
-            self.trace_log.emit("span", span_event(record))
         with self._lock:
             self._finished += 1
         if self.sink is not None:

@@ -54,12 +54,7 @@ def active_profiler() -> Optional["Profiler"]:
 @contextmanager
 def profiling(profiler: Optional["Profiler"] = None):
     """Attach ``profiler`` (or a fresh cycle profiler) to every engine
-    built inside the block.  Yields the profiler.
-
-    Also accepts a :class:`~repro.obs.hostprof.HostProfiler`: the same
-    ambient context serves both lanes, and the attached profiler's
-    ``kind`` decides who picks it up (simulated engines for ``"sim"``,
-    the host executor for ``"host"``)."""
+    built inside the block.  Yields the profiler."""
     if profiler is None:
         profiler = Profiler()
     token = _ACTIVE_PROFILER.set(profiler)
@@ -208,12 +203,6 @@ class _LaunchRecorder:
 class Profiler:
     """Collects launch profiles from every engine it is attached to.
 
-    The ``kind`` attribute ("sim") distinguishes this cycle profiler
-    from the wall-clock :class:`~repro.obs.hostprof.HostProfiler`
-    ("host") when either is attached via the shared :func:`profiling`
-    context: engines only adopt ``kind == "sim"`` profilers, and the
-    serving lane policy only forces the simulator for them.
-
     Parameters
     ----------
     slices:
@@ -225,8 +214,6 @@ class Profiler:
         Bound on retained slices per launch; beyond it the launch is
         flagged ``slices_truncated`` and totals remain exact.
     """
-
-    kind = "sim"
 
     def __init__(self, *, slices: bool = True, max_slices: int = 200_000) -> None:
         self.record_slices = slices

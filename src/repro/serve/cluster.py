@@ -99,6 +99,10 @@ DEFAULT_INLINE_MAX = 2048
 #: poisoned shard) must not become an infinite respawn storm.
 _MAX_DEATHS = 5
 
+#: Seconds a worker has to answer its boot ping, and a replayed
+#: registration to be acknowledged.
+_SPAWN_TIMEOUT = 60.0
+
 
 @dataclass(frozen=True)
 class ClusterResponse(SolveResponse):
@@ -187,7 +191,7 @@ async def _worker_serve(conn, worker_id: int, config: dict) -> None:
     )
     arena = PlanArena()
     slabs = SegmentCache()
-    recorder = SpanRecorder(f"shard-{worker_id}", trace_log=engine.trace_log)
+    recorder = SpanRecorder(f"shard-{worker_id}")
     tasks: set = set()
 
     def reply(header: dict, body: bytes = b"") -> None:
@@ -402,11 +406,8 @@ class ShardRouter:
         inline_max: int = DEFAULT_INLINE_MAX,
         request_timeout: Optional[float] = 30.0,
         respawn: bool = True,
-        ring_replicas: int = 64,
-        spawn_timeout: float = 60.0,
         tracing: bool = True,
         slow_ms: Optional[float] = None,
-        exemplar_capacity: int = 32,
         journal_dir: Optional[str] = None,
     ) -> None:
         if n_workers <= 0:
@@ -423,7 +424,6 @@ class ShardRouter:
         self.inline_max = inline_max
         self.request_timeout = request_timeout
         self.respawn = respawn
-        self.spawn_timeout = spawn_timeout
         self._ctx = multiprocessing.get_context(start_method)
         self._config = {
             "execution": execution,
@@ -437,7 +437,7 @@ class ShardRouter:
         self._registry = MatrixRegistry()  # router-side: keys and names
         self._arena = PlanArena()
         self._slabs = SlabPool()
-        self._ring = HashRing(replicas=ring_replicas)
+        self._ring = HashRing()
         self._workers: dict[str, _WorkerHandle] = {}
         self._published: dict[str, tuple[PlanHandle, Optional[str]]] = {}
         self._lock = threading.Lock()  # workers table / ring / published
@@ -459,7 +459,6 @@ class ShardRouter:
             self._collector = TraceCollector(
                 aligner=self._aligner,
                 slow_ms=slow_ms,
-                exemplar_capacity=exemplar_capacity,
             )
             self._recorder = SpanRecorder(
                 "router", sink=self._collector.record
@@ -507,7 +506,7 @@ class ShardRouter:
         """Wait for a started worker to answer a ping: a worker that
         cannot import/boot fails here, not on the first real request."""
         try:
-            self._request(handle, {"op": OP_PING}, timeout=self.spawn_timeout)
+            self._request(handle, {"op": OP_PING}, timeout=_SPAWN_TIMEOUT)
         except ReproError as exc:
             raise ClusterError(
                 f"worker {handle.node} failed to start: {exc}"
@@ -595,7 +594,7 @@ class ShardRouter:
             )
             header[SPAN_CONTEXT_KEY] = root.context.to_wire()
         try:
-            self._request(worker, header, timeout=self.spawn_timeout)
+            self._request(worker, header, timeout=_SPAWN_TIMEOUT)
         except BaseException as exc:
             if root is not None:
                 self._recorder.finish(root, error=type(exc).__name__)
@@ -1031,23 +1030,27 @@ class ShardRouter:
     def write_trace_jsonl(self, path) -> int:
         """Merged fleet trace as one ``tracelog/2`` JSONL file.
 
-        Router spans (``process == "router"``; a root ``request`` span
-        keeps its ``worker`` attr, the shard that served it) first, then
-        every worker's TraceLog events tagged with their node name — one
-        file ``repro-sptrsv replay`` and offline tooling can read end to
-        end.  Returns the number of event lines written (header
-        excluded).
+        Every span the collector holds first, on the router's aligned
+        clock: router spans (``process == "router"``; a root
+        ``request`` span keeps its ``worker`` attr, the shard that
+        served it) and worker spans, each tagged ``worker`` = its
+        process, which is the node name.  Then every worker's TraceLog
+        events tagged with their node name — one file ``repro-sptrsv
+        replay`` and offline tooling can read end to end.  Returns the
+        number of event lines written (header excluded).
         """
+        # fetched first: the replies drain the workers' buffered spans
+        # into the collector
+        worker_events = sorted(self.trace_events().items())
         events = []
         if self._collector is not None:
-            events.extend(
-                span_event(span)
-                for span in self._collector.all_spans()
-                # worker spans come from their own TraceLog
-                if span.get("process") == "router"
-            )
-        for node, worker_events in sorted(self.trace_events().items()):
-            events.extend(dict(e, worker=node) for e in worker_events)
+            for span in self._collector.all_spans():
+                event = span_event(span)
+                if event["process"] != "router":
+                    event["worker"] = event["process"]
+                events.append(event)
+        for node, node_events in worker_events:
+            events.extend(dict(e, worker=node) for e in node_events)
         return write_tracelog(path, events)
 
     def router_stats(self) -> dict:

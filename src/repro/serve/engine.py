@@ -55,13 +55,9 @@ Execution model
     failed step is quarantined for that matrix like any kernel failure.
     An ambient tracer, sanitizer, or *cycle* profiler forces the
     simulator, because cycle attribution requires actually simulating.
-    ``profile=True`` does **not** change lanes: host-lane launches get
-    a wall-clock phase digest from a
-    :class:`~repro.obs.hostprof.HostProfiler` (gather/reduce/scatter
-    attribution), sim-lane launches a cycle digest — the same
-    ``profile`` field in both trace events, the lane decided by the
-    execution policy alone.  A profiled host block runs the same
-    operations as an unprofiled one, so its answers are bit-identical.
+    ``profile=True`` does **not** change lanes: sim-lane launches get
+    a cycle digest in their trace event's ``profile`` field, and a
+    host-lane launch's time is its ``exec_ms``.
 * Robustness: a kernel that raises ``HazardError``/``SolverError`` on a
   matrix is recorded in telemetry and *quarantined for that matrix* —
   later requests walk the :func:`~repro.solvers.select.solver_chain`
@@ -111,11 +107,6 @@ from repro.errors import (
     UnknownMatrixError,
 )
 from repro.gpu.device import SIM_SMALL, DeviceSpec
-from repro.obs.hostprof import (
-    HostProfiler,
-    active_host_profiler,
-    host_phase_digest,
-)
 from repro.obs.journal import feature_fragment
 from repro.obs.profiler import Profiler, profiling
 from repro.obs.report import phase_digest
@@ -218,12 +209,11 @@ class SolveEngine:
         #: bounded structured event log; every request gets a trace id
         #: and an enqueue → launch → publish event trail
         self.trace_log = trace_log if trace_log is not None else TraceLog()
-        #: when True, every launch event carries a phase digest native
-        #: to its lane: wall-clock gather/reduce/scatter for host-lane
-        #: launches, aggregate cycle phases (no slices, O(warps)
-        #: overhead) for simulator launches.  Does not affect lane
-        #: choice — only ambient sim-kind instrumentation forces the
-        #: simulator.
+        #: when True, every simulator launch event carries a digest of
+        #: its aggregate cycle phases (no slices, O(warps) overhead);
+        #: host launches carry their ``exec_ms`` alone.  Does not
+        #: affect lane choice — only ambient cycle-level
+        #: instrumentation forces the simulator.
         self.profile = profile
         #: execution lane policy: "auto" | "host" | "sim"
         self.execution = execution
@@ -842,10 +832,10 @@ class SolveEngine:
         )
 
     def _sim_forced(self) -> bool:
-        """Ambient cycle-level instrumentation (tracer, sanitizer, or a
-        sim-kind profiler) — only the simulator can serve it.  Note that
-        ``profile=True`` is *not* a forcing condition: the host lane
-        profiles itself at wall-clock resolution."""
+        """Ambient cycle-level instrumentation (tracer, sanitizer, or
+        profiler) — only the simulator can serve it.  Note that
+        ``profile=True`` is *not* a forcing condition: it digests only
+        the launches that run on the simulator anyway."""
         return instrumentation_active()
 
     def _run_plan(
@@ -861,22 +851,11 @@ class SolveEngine:
         variant the registry picked for this matrix.  ``dispatch``
         ("inline" or "pool") says where the block ran, for its launch
         event."""
-        # an ambient host profiler (caller-attached) keeps collecting
-        # across blocks; otherwise profile=True gets a fresh per-launch
-        # one so the trace digest covers exactly this block
-        profiler = active_host_profiler()
-        first_new = len(profiler.launches) if profiler is not None else 0
         t0 = time.perf_counter()
         plan = self.registry.plan(entry.key)
-        if profiler is None and self.profile:
-            profiler = HostProfiler()
-            with profiling(profiler):
-                X = plan.solve_many(B)
-        else:
-            X = plan.solve_many(B)
+        X = plan.solve_many(B)
         _check_finite(HOST_LANE, X)
         exec_ms = (time.perf_counter() - t0) * 1e3
-        launches = profiler.launches[first_new:] if profiler is not None else ()
         outcome = BlockOutcome(
             X=X,
             solver_name=HOST_LANE,
@@ -888,9 +867,7 @@ class SolveEngine:
             dispatch=dispatch,
         )
         return self._emit_launch(
-            entry, outcome, batch_id, trace_ids,
-            host_phase_digest(launches, solver_name=HOST_LANE)
-            if launches else None,
+            entry, outcome, batch_id, trace_ids, None,
             n_levels=plan.n_levels,
             base_levels=plan.base_levels, schedule=plan.schedule,
         )

@@ -82,14 +82,13 @@ def instrumentation_active() -> bool:
     The serving layer uses this to force the simulator lane: cycle-level
     attribution only exists when the kernel actually runs on the
     simulator, so a host fast-path solve would silently produce an empty
-    trace/profile.  A wall-clock host profiler
-    (:class:`repro.obs.hostprof.HostProfiler`, ``kind == "host"``) does
-    NOT count — the host lane serves it itself.
+    trace/profile.
     """
-    if _ACTIVE_TRACER.get() is not None or _ACTIVE_SANITIZER.get() is not None:
-        return True
-    profiler = active_profiler()
-    return profiler is not None and getattr(profiler, "kind", "sim") == "sim"
+    return (
+        _ACTIVE_TRACER.get() is not None
+        or _ACTIVE_SANITIZER.get() is not None
+        or active_profiler() is not None
+    )
 
 
 def _env_sanitizer():
@@ -118,12 +117,7 @@ def make_engine(device: DeviceSpec, *, max_cycles: int | None = None) -> SIMTEng
     else:
         engine = SIMTEngine(device, max_cycles=max_cycles)
     engine.tracer = _ACTIVE_TRACER.get()
-    profiler = active_profiler()
-    # a host-lane (wall-clock) profiler has no cycle hooks; never hand
-    # it to a simulated engine
-    if profiler is not None and getattr(profiler, "kind", "sim") != "sim":
-        profiler = None
-    engine.profiler = profiler
+    engine.profiler = active_profiler()
     sanitizer = _ACTIVE_SANITIZER.get()
     if sanitizer is None:
         sanitizer = _env_sanitizer()

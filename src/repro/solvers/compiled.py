@@ -34,14 +34,6 @@ the rows run.
   solves.  Deep, skinny matrices, which would pay per-level dispatch
   thousands of times per solve, take it.
 
-An ambient :class:`~repro.obs.hostprof.HostProfiler` gets one launch
-profile per solve.  The level variant attributes each level's time to
-gather/reduce/scatter, ``reduce`` being the native call; the
-sequential variant is one native call with no boundaries to
-attribute, so it records one step whose time counts as ``reduce``.
-Either way the profiled solve runs the same loop as an unprofiled one
-and its answer is bit-identical.
-
 Both variants sum every row the same way — the scaled ``b_i`` first,
 then the dependencies in ``idx`` order — so their answers are
 bit-identical to each other: the level variant's ``-0.0`` start is the
@@ -63,7 +55,6 @@ from repro.analysis.granularity import HIGH_GRANULARITY_THRESHOLD
 from repro.analysis.levels import LevelSchedule, compute_levels
 from repro.errors import SolverError
 from repro.gpu.device import DeviceSpec
-from repro.obs.hostprof import HostLaunchProfile, active_host_profiler
 from repro.solvers.base import PreprocessInfo, SolveResult, SpTRSVSolver
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.triangular import check_solvable
@@ -161,13 +152,12 @@ class CompiledPlan:
         if self.schedule == "sequential":
             return
         # per-level executor steps, one per level: (level rows,
-        # unrebased row_ptr slice, plan-row span, row count, nnz), views
-        # and Python ints, so the loop does no arithmetic of its own
+        # unrebased row_ptr slice, plan-row span, row count), views and
+        # Python ints, so the loop does no arithmetic of its own
         lp = self.level_ptr.tolist()
-        ea = self.row_ptr[self.level_ptr].tolist()
         steps = tuple(
             (self.rows[lp[k]: lp[k + 1]], self.row_ptr[lp[k]: lp[k + 1] + 1],
-             lp[k], lp[k + 1], lp[k + 1] - lp[k], ea[k + 1] - ea[k])
+             lp[k], lp[k + 1], lp[k + 1] - lp[k])
             for k in range(len(lp) - 1)
         )
         object.__setattr__(self, "_steps", steps)
@@ -239,9 +229,6 @@ class CompiledPlan:
             )
         if B.shape[1] == 0:
             raise SolverError("B must have at least one right-hand side")
-        profiler = active_host_profiler()
-        if profiler is not None:
-            return self._execute_profiled(B, profiler)
         if self.schedule == "sequential":
             return self._sweep(B)
         return self._levels(B)
@@ -266,14 +253,9 @@ class CompiledPlan:
             csr_matvecs(n, n, k, self.row_ptr, self.idx, self.vals, x, x)
         return X
 
-    def _levels(self, B: np.ndarray, raw: list | None = None) -> np.ndarray:
+    def _levels(self, B: np.ndarray) -> np.ndarray:
         """The level variant over ``X``, a C-ordered copy of ``B``: one
-        loop per width, shared by profiled and unprofiled solves.  With
-        ``raw`` given, each level's ``(rows, nnz, gather_s, reduce_s,
-        scatter_s)`` is appended to it, the clock read only between the
-        operations (a level's gather time starts where the previous
-        level's scatter ended, so it takes in the loop's own step, and
-        level 0's takes in the copy).
+        loop per width.
 
         Per level: start the level's sums ``s`` at ``-0.0``, run one
         native ``csr_matvec`` (``csr_matvecs`` for a block) of the
@@ -295,76 +277,25 @@ class CompiledPlan:
         and fault in again on every solve (a width-16 circuit-20000
         solve took 2.2x as long that way).
         """
-        clock = time.perf_counter
-        timed = raw is not None
-        if timed:
-            t0 = clock()
         X = np.array(B, order="C")
         n, k = X.shape
         x = X.reshape(-1)
         idx, vals = self.idx, self.vals
         if k == 1:
             sums = np.full(n, -0.0)
-            for level_rows, ptr, lo, hi, m, nnz in self._steps:
+            for level_rows, ptr, lo, hi, m in self._steps:
                 s = sums[lo:hi]
-                if timed:
-                    t1 = clock()
                 csr_matvec(m, n, ptr, idx, vals, x, s)
-                if timed:
-                    t2 = clock()
                 x[level_rows] = s
-                if timed:
-                    t3 = clock()
-                    raw.append((m, nnz, t1 - t0, t2 - t1, t3 - t2))
-                    t0 = t3
             return X
         row = np.dtype((np.void, X.itemsize * k))
         x_rows = X.view(row)[:, 0]
         sums = np.empty(self._widest * k)
-        for level_rows, ptr, lo, hi, m, nnz in self._steps:
+        for level_rows, ptr, lo, hi, m in self._steps:
             s = sums[:m * k]
             s.fill(-0.0)
-            if timed:
-                t1 = clock()
             csr_matvecs(m, n, k, ptr, idx, vals, x, s)
-            if timed:
-                t2 = clock()
             x_rows[level_rows] = s.view(row)
-            if timed:
-                t3 = clock()
-                raw.append((m, nnz, t1 - t0, t2 - t1, t3 - t2))
-                t0 = t3
-        return X
-
-    def _execute_profiled(self, B: np.ndarray, profiler) -> np.ndarray:
-        """The executor with wall-clock attribution.
-
-        Same operations, in the same order, as the unprofiled solve —
-        bit-identical output; the clock is only read *around* them.  The
-        level variant records one sample per level (:meth:`_levels`),
-        level 0's gather taking in the copy of ``B``; the sequential
-        variant records its one sweep as one sample.
-        """
-        clock = time.perf_counter
-        raw: list[tuple] = []
-        t_launch = clock()
-        if self.schedule == "sequential":
-            X = self._sweep(B)
-            raw.append((self.n_rows, self.coeff_nnz, 0.0,
-                        clock() - t_launch, 0.0))
-        else:
-            X = self._levels(B, raw)
-        wall_s = clock() - t_launch
-        profiler.record(
-            HostLaunchProfile(
-                n_rows=self.n_rows,
-                n_rhs=B.shape[1],
-                n_levels=self.n_levels,
-                nnz=self.coeff_nnz,
-                wall_s=wall_s,
-                raw=tuple(raw),
-            )
-        )
         return X
 
 

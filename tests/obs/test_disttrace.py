@@ -20,7 +20,7 @@ from repro.obs.disttrace import (
     SpanRecorder,
     TraceCollector,
 )
-from repro.obs.tracelog import TraceLog, new_id
+from repro.obs.tracelog import new_id
 from repro.serve.replay import load_events, replay_file
 
 
@@ -117,20 +117,6 @@ class TestSpanRecorder:
         rec.finish(rec.start("request"))
         assert len(seen) == 1 and seen[0]["name"] == "request"
         assert rec.drain() == []
-
-    def test_finished_spans_land_in_trace_log(self):
-        log = TraceLog()
-        rec = SpanRecorder("shard-1", trace_log=log, clock=FakeClock())
-        sp = rec.start("plan", attrs={"matrix": "m0"})
-        rec.finish(sp)
-        events = log.events()
-        assert len(events) == 1
-        ev = events[0]
-        assert ev["kind"] == "span"
-        assert ev["trace_id"] == sp.trace_id
-        assert ev["span"] == "plan"
-        assert ev["process"] == "shard-1"
-        assert ev["matrix"] == "m0"
 
     def test_context_manager_records_error_and_reraises(self):
         rec = SpanRecorder("router", clock=FakeClock())

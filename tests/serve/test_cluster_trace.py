@@ -224,3 +224,20 @@ class TestTracingDisabled:
             with pytest.raises(ClusterError, match="tracing"):
                 r.chrome_trace()
         assert set(leaked_segments()) <= before
+
+
+class TestWorkerRing:
+    def test_worker_spans_leave_the_engine_ring_to_requests(self):
+        # a worker ships its spans to the router and keeps only its
+        # engine's enqueue/launch/publish trail in the 4,096-event
+        # ring, so 1,200 width-1 solves keep every publish event there
+        system = lower_triangular_system(random_unit_lower(60, 0.1, seed=9))
+        with ShardRouter(n_workers=1, execution="host",
+                         request_timeout=60.0) as router:
+            key = router.register(system.L)
+            trace_ids = {router.solve(key, system.b).trace_id
+                         for _ in range(1200)}
+            (events,) = router.trace_events().values()
+        published = {e["trace_id"] for e in events if e["kind"] == "publish"}
+        assert len(trace_ids) == 1200
+        assert trace_ids <= published

@@ -481,8 +481,8 @@ class TestExecutionLanes:
         assert snap["registry"]["hits"] > 0
 
     def test_profile_keeps_host_lane(self):
-        # profile=True must NOT push traffic off the fast path: the
-        # host lane profiles itself at wall-clock resolution
+        # profile=True must NOT push traffic off the fast path; a host
+        # launch's time is its exec_ms, with no digest beside it
         system = make_system(n=80, seed=23)
 
         async def main():
@@ -500,12 +500,8 @@ class TestExecutionLanes:
         assert snap["lanes"]["host"]["batches"] == 1
         assert snap["lanes"]["sim"]["batches"] == 0
         launches = [e for e in events if e["kind"] == "launch"]
-        assert launches and all("profile" in e for e in launches)
-        digest = launches[0]["profile"]
-        assert digest["lane"] == "host"
-        assert set(digest["phases"]) == {
-            "gather", "reduce", "scatter", "other"
-        }
+        assert launches and all("profile" not in e for e in launches)
+        assert all(e["exec_ms"] > 0 for e in launches)
 
     def test_ambient_tracer_forces_sim_lane(self):
         from repro.gpu.trace import Tracer

@@ -385,8 +385,9 @@ class TestServeStatsTrace:
         kinds = {e["kind"] for e in events}
         assert {"enqueue", "launch", "publish"} <= kinds
         assert "batch" not in kinds  # the launch carries the batch
-        launches = [e for e in events if e["kind"] == "launch"]
-        assert all("profile" in e for e in launches)
+        host = [e for e in events
+                if e["kind"] == "launch" and e["lane"] == "host"]
+        assert host and all("profile" not in e for e in host)
 
     def test_snapshot_json_includes_trace_summary(self, capsys):
         import json
