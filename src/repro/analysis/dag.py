@@ -10,10 +10,14 @@ solvers themselves never materialize it.
 
 from __future__ import annotations
 
-import networkx as nx
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from repro.sparse.csr import CSRMatrix
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["dependency_dag", "dependency_edge_count", "critical_path"]
 
@@ -24,6 +28,8 @@ def dependency_dag(L: CSRMatrix) -> "nx.DiGraph":
     Edge ``j -> i`` means component ``x_i`` consumes ``x_j``.  Diagonal
     elements produce no edge.
     """
+    import networkx as nx  # 285 modules: kept off the serve tier's import path
+
     g = nx.DiGraph()
     g.add_nodes_from(range(L.n_rows))
     rows = np.repeat(np.arange(L.n_rows, dtype=np.int64), L.row_lengths())

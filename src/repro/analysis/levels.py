@@ -93,89 +93,55 @@ class LevelSchedule:
         return int(self.level_sizes().max())
 
 
-#: Iterations of the vectorized relaxation before falling back to the
-#: serial sweep (deep-level matrices converge slowly under relaxation).
-_RELAXATION_LIMIT = 96
-
-
 def compute_levels(L: CSRMatrix) -> LevelSchedule:
     """Compute the level schedule of a lower triangular CSR matrix.
 
-    Two strategies share the exact same semantics:
-
-    * a vectorized fixed-point relaxation (one O(nnz) ``reduceat`` pass
-      per level) — fast for the wide, shallow matrices the paper targets;
-    * a serial forward sweep — taken over when the level count exceeds
-      :data:`_RELAXATION_LIMIT` (deep FEM/chain structures), where
-      relaxation would need one pass per level.
+    One forward sweep over the strictly-lower entries in CSR order: each
+    entry ``L[i, j]`` raises ``level[i]`` to at least ``level[j] + 1``.
+    Every entry of row ``j < i`` comes before the entries of row ``i``,
+    so ``level[j]`` is final when it is read.  A row without
+    dependencies stays at level 0 and a row with any starts at 1, so
+    entries that read a dependency-free row are settled before the sweep
+    and skipped.  The cost is O(nnz) whatever the level count: at most
+    one Python step per strictly-lower entry over plain lists, plus a
+    few whole-array numpy passes for the validation, the ``level_ptr``
+    histogram and the stable ``order`` sort.
     """
     n = L.n_rows
     if not L.is_square:
         raise NotTriangularError(f"matrix must be square, got {L.shape}")
+    col_idx = L.col_idx
     rows = np.repeat(np.arange(n, dtype=np.int64), L.row_lengths())
-    if np.any(L.col_idx > rows):
-        bad = int(np.nonzero(L.col_idx > rows)[0][0])
+    upper = col_idx > rows
+    if np.any(upper):
+        bad = int(np.nonzero(upper)[0][0])
         raise NotTriangularError(
             f"upper-triangular element stored at position {bad} "
-            f"(row {int(rows[bad])}, col {int(L.col_idx[bad])})"
+            f"(row {int(rows[bad])}, col {int(col_idx[bad])})"
         )
 
-    level = _levels_by_relaxation(n, rows, L.col_idx)
-    if level is None:
-        level = _levels_serial(L)
-
-    n_levels = int(level.max()) + 1 if n else 0
-    level_ptr = np.zeros(n_levels + 1, dtype=np.int64)
-    np.add.at(level_ptr, level + 1, 1)
-    np.cumsum(level_ptr, out=level_ptr)
-    # stable sort keeps ascending row order inside each level
-    order = np.argsort(level, kind="stable").astype(np.int64)
-    return LevelSchedule(level_of_row=level, level_ptr=level_ptr, order=order)
-
-
-def _levels_by_relaxation(
-    n: int, rows: np.ndarray, col_idx: np.ndarray
-) -> np.ndarray | None:
-    """Fixed-point relaxation of ``level[i] = 1 + max(level[deps])``.
-
-    Returns ``None`` when convergence exceeds :data:`_RELAXATION_LIMIT`
-    iterations (the caller falls back to the serial sweep).
-    """
     strict = col_idx < rows
-    src = col_idx[strict]
-    dst_counts = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(dst_counts, rows[strict] + 1, 1)
-    ptr = np.cumsum(dst_counts)
-    if len(src) == 0:
-        return np.zeros(n, dtype=np.int64)
-    nonempty = ptr[:-1] != ptr[1:]
-    starts = ptr[:-1][nonempty]  # strictly increasing, tiles src exactly
+    dst, src = rows[strict], col_idx[strict]
+    # a row with dependencies is at level >= 1, and an entry that reads a
+    # dependency-free row contributes exactly that: only entries reading
+    # a row that has dependencies of its own go through the sweep
+    has_deps = np.bincount(dst, minlength=n) > 0
+    chained = has_deps[src]
+    level = has_deps.astype(np.int64).tolist()
+    for i, j in zip(dst[chained].tolist(), src[chained].tolist()):
+        lj = level[j]
+        if lj >= level[i]:
+            level[i] = lj + 1
+    level_of_row = np.array(level, dtype=np.int64)
 
-    level = np.zeros(n, dtype=np.int64)
-    seg_max = np.zeros(n, dtype=np.int64)
-    for _ in range(_RELAXATION_LIMIT):
-        cand = level[src] + 1
-        seg_max[nonempty] = np.maximum.reduceat(cand, starts)
-        new_level = np.maximum(level, seg_max)
-        if np.array_equal(new_level, level):
-            return level
-        level = new_level
-    return None
-
-
-def _levels_serial(L: CSRMatrix) -> np.ndarray:
-    """Serial forward sweep (dependencies precede their consumers)."""
-    n = L.n_rows
-    level = np.zeros(n, dtype=np.int64)
-    row_ptr = L.row_ptr
-    col_idx = L.col_idx
-    for i in range(n):
-        lo, hi = int(row_ptr[i]), int(row_ptr[i + 1])
-        cols = col_idx[lo:hi]
-        deps = cols[cols < i]
-        if deps.size:
-            level[i] = level[deps].max() + 1
-    return level
+    sizes = np.bincount(level_of_row)
+    level_ptr = np.zeros(len(sizes) + 1, dtype=np.int64)
+    np.cumsum(sizes, out=level_ptr[1:])
+    # stable sort keeps ascending row order inside each level
+    order = np.argsort(level_of_row, kind="stable").astype(np.int64)
+    return LevelSchedule(
+        level_of_row=level_of_row, level_ptr=level_ptr, order=order
+    )
 
 
 #: Levels wider than this never join a merged group — wide levels already

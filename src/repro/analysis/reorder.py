@@ -18,7 +18,6 @@ be mapped back with :func:`apply_inverse_permutation`.
 
 from __future__ import annotations
 
-import networkx as nx
 import numpy as np
 
 from repro.analysis.levels import LevelSchedule, compute_levels
@@ -88,6 +87,8 @@ def reorder_reverse_cuthill_mckee(L: CSRMatrix) -> tuple[CSRMatrix, np.ndarray]:
     is treated symmetrically, which is how RCM is defined anyway).
     Returns ``(L_rcm, perm)``.
     """
+    import networkx as nx  # 285 modules: kept off the serve tier's import path
+
     if not L.is_square:
         raise NotTriangularError(f"need a square matrix, got {L.shape}")
     n = L.n_rows

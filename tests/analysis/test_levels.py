@@ -1,13 +1,19 @@
 """Level-set computation tests (Section 2.1/2.2 semantics)."""
 
+import hashlib
+
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis.levels import _levels_serial, compute_levels
+from repro.analysis.dag import dependency_dag
+from repro.analysis.levels import compute_levels
+from repro.datasets import generate
 from repro.datasets.synthetic import banded, chain, diagonal
 from repro.errors import NotTriangularError
 from repro.sparse.convert import dense_to_csr
+from repro.sparse.csr import CSRMatrix
 
 from tests.conftest import build_csr, random_unit_lower
 
@@ -97,26 +103,146 @@ class TestStructures:
             compute_levels(m)
 
 
-class TestRelaxationEquivalence:
-    """The vectorized relaxation and the serial sweep must agree exactly."""
+def _longest_path_levels(L) -> list[int]:
+    """Reference levels: longest path into each node of the dependency
+    DAG, taken in networkx's topological order rather than row order."""
+    g = dependency_dag(L)
+    level = [0] * L.n_rows
+    for v in nx.topological_sort(g):
+        preds = [level[u] for u in g.predecessors(v)]
+        level[v] = 1 + max(preds) if preds else 0
+    return level
 
-    @settings(max_examples=30, deadline=None)
-    @given(
-        n=st.integers(1, 60),
-        density=st.floats(0.0, 0.5),
-        seed=st.integers(0, 99_999),
+
+def _shuffled_rows(L, seed: int) -> CSRMatrix:
+    """``L`` with the stored entries of every row in a random order
+    (bypasses the sorted-column validation on purpose)."""
+    rng = np.random.default_rng(seed)
+    cols = L.col_idx.copy()
+    vals = L.values.copy()
+    for i in range(L.n_rows):
+        lo, hi = int(L.row_ptr[i]), int(L.row_ptr[i + 1])
+        perm = lo + rng.permutation(hi - lo)
+        cols[lo:hi] = L.col_idx[perm]
+        vals[lo:hi] = L.values[perm]
+    return CSRMatrix(
+        L.n_rows, L.n_cols, L.row_ptr.copy(), cols, vals, _validated=True
     )
-    def test_agreement_property(self, n, density, seed):
-        L = random_unit_lower(n, density, seed=seed)
-        sched = compute_levels(L)
-        assert np.array_equal(sched.level_of_row, _levels_serial(L))
 
-    def test_deep_matrix_falls_back_to_serial(self):
-        # > _RELAXATION_LIMIT levels forces the serial path
-        L = chain(200)
+
+@st.composite
+def lower_matrices(draw):
+    """Random lower matrices, chains, bands and diagonal-only matrices,
+    some with rows of no dependencies in the middle (zeroed-out rows)."""
+    kind = draw(st.sampled_from(["random", "chain", "band", "diagonal"]))
+    n = draw(st.integers(1, 70))
+    seed = draw(st.integers(0, 99_999))
+    if kind == "random":
+        L = random_unit_lower(n, draw(st.floats(0.0, 0.5)), seed=seed)
+    elif kind == "chain":
+        L = chain(n, seed, width=draw(st.integers(1, 4)))
+    elif kind == "band":
+        L = banded(
+            n, seed, bandwidth=draw(st.integers(1, 8)),
+            fill=draw(st.floats(0.1, 1.0)),
+        )
+    else:
+        L = diagonal(n, seed)
+    isolated = draw(st.sets(st.integers(0, n - 1), max_size=n // 3 + 1))
+    if isolated:
+        # drop every off-diagonal entry of the chosen rows
+        rows = np.repeat(np.arange(n), L.row_lengths())
+        keep = ~(np.isin(rows, sorted(isolated)) & (L.col_idx < rows))
+        L = build_csr(
+            {
+                (int(r), int(c)): float(v)
+                for r, c, v in zip(rows[keep], L.col_idx[keep], L.values[keep])
+            },
+            n,
+        )
+    return L
+
+
+class TestLongestPathOracle:
+    """``compute_levels`` agrees row by row with an independent
+    longest-path pass over the dependency DAG."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(L=lower_matrices(), shuffle=st.booleans(), seed=st.integers(0, 999))
+    def test_levels_match_longest_paths(self, L, shuffle, seed):
+        if shuffle:
+            L = _shuffled_rows(L, seed)
         sched = compute_levels(L)
-        assert sched.n_levels == 200
-        assert np.array_equal(sched.level_of_row, _levels_serial(L))
+        assert sched.level_of_row.dtype == np.int64
+        assert sched.level_of_row.tolist() == _longest_path_levels(L)
+        assert np.array_equal(
+            sched.order, np.argsort(sched.level_of_row, kind="stable")
+        )
+        assert np.array_equal(
+            np.diff(sched.level_ptr), np.bincount(sched.level_of_row)
+        )
+
+    def test_unsorted_columns_give_the_sorted_answer(self):
+        L = random_unit_lower(90, 0.2, seed=11)
+        a, b = compute_levels(L), compute_levels(_shuffled_rows(L, 5))
+        for field in ("level_of_row", "level_ptr", "order"):
+            assert np.array_equal(getattr(a, field), getattr(b, field))
+
+    def test_empty_matrix(self):
+        empty = CSRMatrix(0, 0, np.zeros(1), np.zeros(0), np.zeros(0))
+        sched = compute_levels(empty)
+        assert sched.n_levels == 0
+        assert sched.level_ptr.tolist() == [0]
+        assert sched.order.dtype == np.int64 and sched.order.size == 0
+
+    def test_deep_chain(self):
+        sched = compute_levels(chain(5000))
+        assert sched.n_levels == 5000
+        assert np.array_equal(sched.level_of_row, np.arange(5000))
+
+
+#: blake2b-128 of ``level_of_row``, ``level_ptr`` and ``order`` (int64
+#: bytes, in that order) for the perfbench workload matrices, recorded
+#: with the two-strategy implementation this sweep replaced (fixed-point
+#: relaxation up to 96 levels, a per-row loop beyond).
+_SCHEDULE_DIGESTS = {
+    ("circuit", 2000, (), 0): "a213682546e581b2d76b50c2dec20bf7",
+    ("circuit", 2000, (), 1): "54e94ae29ce6cfa2be8268fc70b4f41d",
+    ("circuit", 2000, (), 2): "ed725a3638b8be8f25f63127e421eff6",
+    ("graph", 2000, (), 0): "f8d1bcac8dc790f9acf7793511b3204a",
+    ("graph", 2000, (), 1): "4d99a12caa3dfd5d4e8a3b5016871659",
+    ("graph", 2000, (), 2): "1912cc91125257708949baf3c74408f7",
+    ("lp", 2000, (), 0): "aabb166a437632d12b53f12cc9038ab8",
+    ("lp", 2000, (), 1): "cec7c488a6fc00e6135d65580180ca0f",
+    ("lp", 2000, (), 2): "8a9ac36aa478b472a9d558db3b30cec3",
+    ("chain", 4000, (), 0): "d95e8e2246645691eecf41bf1f892161",
+    ("chain", 4000, (), 1): "d95e8e2246645691eecf41bf1f892161",
+    ("chain", 4000, (), 2): "d95e8e2246645691eecf41bf1f892161",
+    ("fem", 20000, (("bandwidth", 4),), 0): "41daec2eef62bff9a7a4fabe7129bb44",
+    ("fem", 20000, (("bandwidth", 4),), 1): "41daec2eef62bff9a7a4fabe7129bb44",
+    ("fem", 20000, (("bandwidth", 4),), 2): "41daec2eef62bff9a7a4fabe7129bb44",
+    ("circuit", 20000, (), 0): "c43d29bd556dfab39aa56b68b3693093",
+    ("circuit", 20000, (), 1): "acaf45f00fcd0ce14c4d3b27d5e55d60",
+    ("circuit", 20000, (), 2): "4e941b994f63ca8a9274a5cd8cbacfdb",
+    ("lp", 20000, (), 0): "a02af2de929897d53ad6c6b46ce22805",
+    ("lp", 20000, (), 1): "00c1f1125d57dcb072067a2666081e05",
+    ("lp", 20000, (), 2): "e216f0eb27adc25ef294f771c2b71c7d",
+}
+
+
+class TestWorkloadSchedules:
+    """The perfbench workload matrices keep their exact schedules."""
+
+    @pytest.mark.parametrize(
+        "domain,n_rows,params,seed", sorted(_SCHEDULE_DIGESTS)
+    )
+    def test_schedule_bytes_unchanged(self, domain, n_rows, params, seed):
+        sched = compute_levels(generate(domain, n_rows, seed=seed, **dict(params)))
+        h = hashlib.blake2b(digest_size=16)
+        for arr in (sched.level_of_row, sched.level_ptr, sched.order):
+            assert arr.dtype == np.int64
+            h.update(arr.tobytes())
+        assert h.hexdigest() == _SCHEDULE_DIGESTS[domain, n_rows, params, seed]
 
 
 class TestMergeLevels:

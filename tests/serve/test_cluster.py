@@ -328,15 +328,19 @@ class TestWorkerLoop:
         # their enqueue/launch/publish trails, so the OP_TRACE reply is
         # about 1 MB: many times the 64 KiB pipe buffer, so it goes out
         # in many partial writes while the solves before and after it
-        # are in flight
+        # are in flight.  The warm-up goes in windows of 512: a worker
+        # that reads its pipe faster than it solves would otherwise see
+        # all 1,500 in flight at once and reject them past the engine's
+        # max_queue of 1,024
         system = lower_triangular_system(random_unit_lower(N, 0.1, seed=21))
         with ShardRouter(n_workers=1, execution="host",
                          request_timeout=30.0) as router:
             key = router.register(system.L)
-            warm = [router.submit(key, system.b, single=True)
-                    for _ in range(1500)]
-            for fut in warm:
-                fut.result(timeout=30.0)
+            for window in (512, 512, 476):
+                warm = [router.submit(key, system.b, single=True)
+                        for _ in range(window)]
+                for fut in warm:
+                    fut.result(timeout=30.0)
             futs = [router.submit(key, system.b, single=True)
                     for _ in range(16)]
             (events,) = router.trace_events().values()
@@ -473,25 +477,36 @@ class TestOnePlanType:
             assert worker_hits(router) - before == expected
 
 
+def _loaded_after(module: str, prefix: str) -> str:
+    """Modules under ``prefix`` that a fresh interpreter holds after
+    importing ``module``, as the printed sorted list."""
+    import os
+    import subprocess
+    import sys
+
+    import repro
+
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    code = (
+        f"import sys, {module}; print(sorted(m for m in "
+        f"sys.modules if m.startswith({prefix!r})))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True,
+    )
+    return out.stdout.strip()
+
+
 class TestBootImports:
     def test_cluster_import_leaves_scipy_sparse_linalg_unloaded(self):
         # every worker boots by importing this module; the fast lane's
         # kernel comes from scipy.sparse._sparsetools, and pulling in
         # the sparse linalg stack would add to each boot's import time
-        import os
-        import subprocess
-        import sys
+        assert _loaded_after("repro.serve.cluster", "scipy.sparse.linalg") == "[]"
 
-        import repro
-
-        src = os.path.dirname(os.path.dirname(repro.__file__))
-        code = (
-            "import sys, repro.serve.cluster; print(sorted(m for m in "
-            "sys.modules if m.startswith('scipy.sparse.linalg')))"
-        )
-        out = subprocess.run(
-            [sys.executable, "-c", code],
-            env={**os.environ, "PYTHONPATH": src},
-            capture_output=True, text=True, check=True,
-        )
-        assert out.stdout.strip() == "[]"
+    def test_serve_import_leaves_networkx_unloaded(self):
+        # networkx (~285 modules, ~0.1 s) serves only the DAG view and
+        # RCM reordering; no worker or engine needs it to boot
+        assert _loaded_after("repro.serve", "networkx") == "[]"
