@@ -37,8 +37,12 @@ Two measurements:
   (the thread hop an idle engine skips is priced as it is on a busy
   one-CPU host).  ``engine_over_raw`` must stay <= 2.3; the artifact
   also records ``engine_self_us``, the engine's own microseconds per
-  solve (engine minus raw best).  Artifact:
-  ``benchmarks/_output/serving_engine_overhead.json``.
+  solve (engine minus raw best), and ``block_kernel_us``: pinned
+  best-of-40 kernel microseconds on the deep chain-4000 and fem-20000,
+  in the variant the registry picks, of a width-2 block given as its
+  columns (a coalesced batch) against two width-1 solves, and of the
+  ``solve_multi`` array path at k = 2 and k = 8 (no bound on these).
+  Artifact: ``benchmarks/_output/serving_engine_overhead.json``.
 
 Smoke-sized by default; scale with ``REPRO_BENCH_SERVE_ROWS`` /
 ``REPRO_BENCH_SERVE_REQUESTS`` and ``REPRO_BENCH_LANE_DOMAINS`` /
@@ -60,7 +64,7 @@ import numpy as np
 from benchmarks.conftest import run_once
 from repro.datasets import generate
 from repro.gpu.device import SIM_SMALL
-from repro.serve import SolveEngine
+from repro.serve import MatrixRegistry, SolveEngine
 from repro.solvers import WritingFirstCapelliniSolver
 from repro.sparse import lower_triangular_system
 
@@ -95,6 +99,12 @@ OVERHEAD_ROWS = 2000
 OVERHEAD_REPEATS = 40
 #: Ceiling on warm engine latency over the raw plan solve it serves.
 ENGINE_OVER_RAW_MAX = 2.3
+#: Deep matrices of the block-kernel timings: (label, domain, rows,
+#: generator parameters), as perfbench's deep-pair workload builds them.
+BLOCK_KERNEL_MATRICES = (
+    ("chain-4000", "chain", 4000, {}),
+    ("fem-20000", "fem", 20000, {"bandwidth": 4}),
+)
 
 
 def _serving_session():
@@ -464,9 +474,47 @@ def _engine_overhead() -> dict:
     return {"raw_s": raw_s, "engine_s": engine_s, "lane": lane}
 
 
+def _block_kernels() -> dict:
+    """Interleaved best-of-N kernel µs of the engine's block forms.
+
+    ``columns_k2`` is a coalesced width-2 block as the engine passes it
+    (its two columns), ``two_k1`` two width-1 solves of the same
+    columns, ``multi_k2``/``multi_k8`` the ``solve_multi`` path, which
+    hands the plan an ``(n, k)`` array.
+    """
+    doc = {}
+    rng = np.random.default_rng(0)
+    for label, domain, n_rows, params in BLOCK_KERNEL_MATRICES:
+        registry = MatrixRegistry()
+        plan = registry.plan(registry.register(generate(domain, n_rows, 1,
+                                                        **params)))
+        B8 = rng.standard_normal((n_rows, 8))
+        cols = [np.ascontiguousarray(B8[:, c]) for c in range(2)]
+        runs = {
+            "columns_k2": lambda: plan.solve_many(cols),
+            "two_k1": lambda: (plan.solve_many(cols[:1]),
+                               plan.solve_many(cols[1:])),
+            "multi_k2": lambda: plan.solve_many(B8[:, :2]),
+            "multi_k8": lambda: plan.solve_many(B8),
+        }
+        best = dict.fromkeys(runs, float("inf"))
+        for _ in range(OVERHEAD_REPEATS):
+            for name, fn in runs.items():
+                t0 = time.perf_counter()
+                fn()
+                best[name] = min(best[name], time.perf_counter() - t0)
+        doc[label] = {
+            "schedule": plan.schedule,
+            **{name: round(t * 1e6, 2) for name, t in best.items()},
+        }
+    return doc
+
+
 def test_engine_overhead(benchmark, output_dir):
     """A warm, idle engine's solve takes at most 2.3x its kernel's time."""
     r = run_once(benchmark, _engine_overhead)
+    with _one_cpu():
+        blocks = _block_kernels()
     ratio = r["engine_s"] / r["raw_s"]
     doc = {
         "config": {
@@ -483,6 +531,8 @@ def test_engine_overhead(benchmark, output_dir):
         # the engine's own time per solve, beside the ratio it moves
         "engine_self_us": round((r["engine_s"] - r["raw_s"]) * 1e6, 2),
         "bound": ENGINE_OVER_RAW_MAX,
+        # kernel µs of the block forms; recorded, not gated
+        "block_kernel_us": blocks,
     }
     (output_dir / "serving_engine_overhead.json").write_text(
         json.dumps(doc, indent=2, sort_keys=True) + "\n"
@@ -493,6 +543,12 @@ def test_engine_overhead(benchmark, output_dir):
         f"{doc['engine_best_ms']} ms, engine/raw {doc['engine_over_raw']}, "
         f"engine self {doc['engine_self_us']} us"
     )
+    for label, t in blocks.items():
+        print(
+            f"{label} ({t['schedule']}) kernel us: columns k=2 "
+            f"{t['columns_k2']}, two k=1 {t['two_k1']}, solve_multi k=2 "
+            f"{t['multi_k2']}, k=8 {t['multi_k8']}"
+        )
     benchmark.extra_info["engine_over_raw"] = doc["engine_over_raw"]
 
     assert r["lane"] == "host"

@@ -162,8 +162,12 @@ async def _worker_serve(conn, worker_id: int, config: dict) -> None:
     until the router's reader thread, which always drains, has read it.
     Solve requests run as retained tasks (serve-lint SL005) so slow
     solves never block the read loop — pipelined requests keep the
-    engine's coalescing fed.  EOF ends the worker; ``OP_CLOSE`` drains
-    the in-flight solves first.
+    engine's coalescing fed.  While the worker holds the engine's
+    ``max_queue`` solve tasks it reads no further frame until one of
+    them finishes, so a burst larger than the queue waits in the pipe,
+    and the router's blocking :func:`send_frame` throttles it, instead
+    of being refused with ``QueueFullError``.  EOF ends the worker;
+    ``OP_CLOSE`` drains the in-flight solves first.
     """
     import asyncio
 
@@ -180,12 +184,13 @@ async def _worker_serve(conn, worker_id: int, config: dict) -> None:
         journal = JournalWriter(
             config["journal_dir"], shard=f"shard-{worker_id}"
         )
+    max_queue = config.get("max_queue", 1024)
     engine = SolveEngine(
         registry=registry,
         execution=config.get("execution", "host"),
         max_batch=config.get("max_batch", 32),
         batch_window=config.get("batch_window", 0.0),
-        max_queue=config.get("max_queue", 1024),
+        max_queue=max_queue,
         default_timeout=None,  # the router owns request deadlines
         journal=journal,
     )
@@ -289,6 +294,12 @@ async def _worker_serve(conn, worker_id: int, config: dict) -> None:
                 task = asyncio.ensure_future(handle_solve(header, body))
                 tasks.add(task)
                 task.add_done_callback(tasks.discard)
+                # each task holds at most one engine request, so the
+                # engine's queue never fills from this pipe
+                while len(tasks) >= max_queue:
+                    await asyncio.wait(
+                        tasks, return_when=asyncio.FIRST_COMPLETED
+                    )
             elif op == OP_REGISTER:
                 ctx = SpanContext.from_wire(header.get(SPAN_CONTEXT_KEY))
                 reg_trace = ctx.trace_id if ctx else None

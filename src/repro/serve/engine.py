@@ -35,7 +35,10 @@ Execution model
 
   - ``"host"`` — the registry's cached
     :class:`~repro.solvers.compiled.CompiledPlan`, solved with
-    ``solve_many`` over the whole block.  This is the production fast
+    ``solve_many`` over the whole block: a coalesced batch as its
+    columns, which the plan writes once into its kernel's start form,
+    a ``solve_multi`` block as its ``(n, k)`` array.  Only a simulator
+    step stacks a batch's columns.  This is the production fast
     path: one native ``csr_matvec`` sweep, or one native call per
     level, instead of thousands of interpreter-stepped simulated
     cycles.  The plan's schedule variant is a property of the matrix,
@@ -346,7 +349,7 @@ class SolveEngine:
             "queue_depth": self._depth,
         })
         req = self._pending_solve(B, trace_id, timeout)
-        self._dispatch(entry, B, False, trace_id, (req,), (slice(None),))
+        self._dispatch(entry, B, trace_id, (req,), (slice(None),))
         return await self._settled(entry, req, B.shape[1])
 
     def quarantined(self, ref: str) -> frozenset[str]:
@@ -540,14 +543,13 @@ class SolveEngine:
     def _dispatch_batch(
         self, entry: RegisteredMatrix, batch: list[PendingSolve]
     ) -> None:
-        """One coalesced block: column ``i`` is request ``i``'s answer."""
-        width = len(batch)
-        B = (
-            batch[0].b.reshape(-1, 1)
-            if width == 1
-            else np.stack([r.b for r in batch], axis=1)
+        """One coalesced block, passed as its columns: column ``i`` is
+        request ``i``'s right-hand side and answer.  The host step
+        writes the columns straight into its kernel's start form; only
+        a simulator step stacks them (:meth:`_execute_block`)."""
+        self._dispatch(
+            entry, [r.b for r in batch], new_id(), batch, range(len(batch))
         )
-        self._dispatch(entry, B, width > 1, new_id(), batch, range(width))
 
     def _settle(
         self,
@@ -717,14 +719,15 @@ class SolveEngine:
     def _dispatch(
         self,
         entry: RegisteredMatrix,
-        B: np.ndarray,
-        coalesced: bool,
+        B,
         batch_id: str,
         reqs,
         cols,
     ) -> None:
         """Serve one block inline on the event loop or on the pool, and
-        settle each of ``reqs`` with its column in ``cols``.
+        settle each of ``reqs`` with its column in ``cols``.  ``B`` is
+        an ``(n, k)`` array (a ``solve_multi`` block) or a list of ``k``
+        columns (a coalesced batch).
 
         The one dispatch point of the engine.  An idle engine runs a
         warm host-lane block right here (:meth:`_serves_inline`), before
@@ -743,8 +746,7 @@ class SolveEngine:
             ladder_at = time.perf_counter()
             try:
                 outcome = self._run_inline(
-                    self._run_plan, entry, B, coalesced, batch_id,
-                    trace_ids, "inline",
+                    self._run_plan, entry, B, batch_id, trace_ids, "inline"
                 )
             except FALLBACK_ERRORS as exc:
                 if self.execution == "host":
@@ -773,14 +775,14 @@ class SolveEngine:
         self._pool_blocks += 1
         self._spawn(
             self._on_pool(
-                entry, B, coalesced, batch_id, trace_ids, reqs, cols,
-                suspects, block_at, ladder_at,
+                entry, B, batch_id, trace_ids, reqs, cols, suspects,
+                block_at, ladder_at,
             )
         )
 
     async def _on_pool(
-        self, entry, B, coalesced, batch_id, trace_ids, reqs, cols,
-        suspects, block_at, ladder_at,
+        self, entry, B, batch_id, trace_ids, reqs, cols, suspects,
+        block_at, ladder_at,
     ) -> None:
         """Run ``_execute_block`` on the worker pool inside a copy of
         this task's context — ambient instrumentation (tracer/sanitizer/
@@ -792,8 +794,8 @@ class SolveEngine:
             outcome = await asyncio.get_running_loop().run_in_executor(
                 self._executor,
                 lambda: ctx.run(
-                    self._execute_block, entry, B, coalesced, batch_id,
-                    trace_ids, suspects,
+                    self._execute_block, entry, B, batch_id, trace_ids,
+                    suspects,
                 ),
             )
         except BaseException as exc:  # noqa: BLE001 - forwarded to callers
@@ -841,14 +843,15 @@ class SolveEngine:
     def _run_plan(
         self,
         entry: RegisteredMatrix,
-        B: np.ndarray,
-        coalesced: bool,
+        B,
         batch_id: str,
         trace_ids: tuple,
         dispatch: str = "pool",
     ) -> BlockOutcome:
         """Host fast lane: the registry's cached plan, in the schedule
-        variant the registry picked for this matrix.  ``dispatch``
+        variant the registry picked for this matrix, given the block in
+        either form (:meth:`CompiledPlan.solve_many
+        <repro.solvers.compiled.CompiledPlan.solve_many>`).  ``dispatch``
         ("inline" or "pool") says where the block ran, for its launch
         event."""
         t0 = time.perf_counter()
@@ -861,7 +864,7 @@ class SolveEngine:
             solver_name=HOST_LANE,
             exec_ms=exec_ms,
             cycles=0,
-            batch_width=B.shape[1] if coalesced else 1,
+            batch_width=len(trace_ids),
             lane="host",
             schedule=plan.schedule,
             dispatch=dispatch,
@@ -876,7 +879,6 @@ class SolveEngine:
         self,
         entry: RegisteredMatrix,
         B: np.ndarray,
-        coalesced: bool,
         batch_id: str,
         trace_ids: tuple,
     ) -> BlockOutcome:
@@ -886,7 +888,7 @@ class SolveEngine:
             res = capellini_sptrsm(entry.matrix, B, device=self.device)
         return self._sim_outcome(
             entry, f"{BATCHED_KERNEL}-SpTRSM", res.X, res.exec_ms,
-            res.stats.cycles, coalesced, profiler, batch_id, trace_ids,
+            res.stats.cycles, profiler, batch_id, trace_ids,
         )
 
     def _run_solver(
@@ -894,7 +896,6 @@ class SolveEngine:
         solver: SpTRSVSolver,
         entry: RegisteredMatrix,
         B: np.ndarray,
-        coalesced: bool,
         batch_id: str,
         trace_ids: tuple,
     ) -> BlockOutcome:
@@ -909,12 +910,12 @@ class SolveEngine:
             entry, solver.name, np.stack([r.x for r in results], axis=1),
             sum(r.exec_ms for r in results),
             sum(r.stats.cycles for r in results if r.stats is not None),
-            coalesced, profiler, batch_id, trace_ids,
+            profiler, batch_id, trace_ids,
         )
 
     def _sim_outcome(
-        self, entry, name, X, exec_ms, cycles, coalesced, profiler,
-        batch_id, trace_ids,
+        self, entry, name, X, exec_ms, cycles, profiler, batch_id,
+        trace_ids,
     ) -> BlockOutcome:
         _check_finite(name, X)
         outcome = BlockOutcome(
@@ -922,7 +923,7 @@ class SolveEngine:
             solver_name=name,
             exec_ms=exec_ms,
             cycles=cycles,
-            batch_width=X.shape[1] if coalesced else 1,
+            batch_width=len(trace_ids),
         )
         return self._emit_launch(
             entry, outcome, batch_id, trace_ids,
@@ -975,13 +976,16 @@ class SolveEngine:
     def _execute_block(
         self,
         entry: RegisteredMatrix,
-        B: np.ndarray,
-        coalesced: bool,
-        batch_id: str = "",
-        trace_ids: tuple = (),
+        B,
+        batch_id: str,
+        trace_ids: tuple,
         suspects: Optional[dict] = None,
     ) -> BlockOutcome:
         """Solve a block on the first ladder step that succeeds.
+
+        ``B`` is the block as :meth:`_dispatch` got it.  The host step
+        takes it as it is; the first simulator step stacks a block given
+        as its columns into one ``(n, k)`` array, once.
 
         Quarantined steps are skipped up front rather than retried; a
         step that raises one of :data:`FALLBACK_ERRORS` is quarantined
@@ -999,19 +1003,22 @@ class SolveEngine:
         ladder_at = time.perf_counter()
         if self.execution == "host" and not self._sim_forced():
             # forced host lane: failures propagate to the caller
-            outcome = self._run_plan(entry, B, coalesced, batch_id, trace_ids)
+            outcome = self._run_plan(entry, B, batch_id, trace_ids)
             outcome.ladder_at, outcome.done_at = ladder_at, time.perf_counter()
             return outcome
         quarantined = self._quarantined_names(entry.key)
         suspects = dict(suspects or {})
         failures: list[str] = list(suspects)
-        for name, lane, runner in self._ladder(entry, B.shape[1]):
+        k = len(B) if isinstance(B, list) else B.shape[1]
+        for name, lane, runner in self._ladder(entry, k):
             if name in quarantined or name in failures:
                 if name not in failures:
                     failures.append(name)
                 continue
+            if lane == "sim" and isinstance(B, list):
+                B = np.stack(B, axis=1)
             try:
-                outcome = runner(entry, B, coalesced, batch_id, trace_ids)
+                outcome = runner(entry, B, batch_id, trace_ids)
             except FALLBACK_ERRORS as exc:
                 if isinstance(exc, NonFiniteAnswerError):
                     suspects[name] = (lane, exc)

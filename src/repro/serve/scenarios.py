@@ -8,7 +8,9 @@ traffic pattern, and returns ``{"engine": ..., "results": [...]}`` for
 the invariant checks in :func:`engine_invariants`.  The ``inline-*``
 scenarios build their executor with ``inline=True``, so an idle engine
 serves a warm block inline on the loop: a non-yielding step that holds
-virtual time for the executor's ``cost``.
+virtual time for the executor's ``cost``; ``inline-failover`` is the
+one whose inline host step fails, so the rest of the ladder runs on the
+pool.
 
 These are the fixtures behind ``repro-sptrsv check-interleavings`` and
 the CI interleaving smoke; the concurrency-bug regression tests in
@@ -38,6 +40,7 @@ __all__ = [
     "engine_invariants",
     "inline_arrival_scenario",
     "inline_deadline_scenario",
+    "inline_failover_scenario",
     "late_failure_scenario",
     "scenario_matrix",
     "timeout_scenario",
@@ -261,6 +264,68 @@ async def inline_arrival_scenario(sched) -> dict:
     return {"engine": engine, "results": list(results), "n_requests": 3}
 
 
+def _failover_matrix():
+    """A 3×3 factor the host plan cannot solve but the simulator can.
+
+    The plan pre-divides ``L[1,0] = 1e300`` by ``L[1,1] = 1e-10``, so its
+    coefficient is ``-inf``, and with ``b_0 = 0`` the host answer is
+    ``-inf * 0 = NaN``; the simulator subtracts ``L[1,0] * x_0 = 0``
+    before it divides and answers finitely."""
+    return dense_to_csr(np.array([
+        [1.0, 0.0, 0.0],
+        [1e300, 1e-10, 0.0],
+        [0.5, 0.25, 1.0],
+    ]))
+
+
+async def inline_failover_scenario(sched) -> dict:
+    """A coalesced width-2 block whose inline host step fails over to
+    the pool ladder: the host answer is non-finite, so the pool leg
+    stacks the block's columns for the batched simulator, which serves
+    both requests, each exactly once, and the host step is quarantined.
+    The inline step holds the loop for 1.0 virtual second and the pool
+    leg for another."""
+    matrix = _failover_matrix()
+    engine = SolveEngine(  # execution="auto": the host step, then the sim
+        batch_window=0.0,
+        max_batch=2,
+        clock=sched.clock,
+        executor=sched.executor(cost=1.0, inline=True),
+    )
+    key = engine.register(matrix, name="interleave-inline-failover")
+    with np.errstate(over="ignore"):
+        engine.registry.plan(key)  # warm: an idle engine serves it inline
+    rhs = [np.array([0.0, 1.0 + i, 2.0 + i]) for i in range(2)]
+    results = await asyncio.gather(
+        *(engine.solve(key, b) for b in rhs), return_exceptions=True
+    )
+    await engine.close()
+    for i, res in enumerate(results):
+        if not isinstance(res, SolveResponse):
+            raise AssertionError(f"request {i} failed: {res!r}")
+        if not np.allclose(matrix.matvec(res.x), rhs[i]):
+            raise AssertionError(f"request {i} returned a wrong solution")
+        if (res.fallback_from, res.batch_width) != ("CompiledFused", 2):
+            raise AssertionError(
+                f"request {i} was not served by the pair's fallback: "
+                f"{res.fallback_from!r} at width {res.batch_width}"
+            )
+    served = [
+        (e["lane"], e["dispatch"], e["n_rhs"])
+        for e in engine.trace_log.events(kind="launch")
+    ]
+    if served != [("sim", "pool", 2)]:
+        raise AssertionError(f"expected one stacked pool launch: {served}")
+    if sched.clock.now() != 2.0:
+        raise AssertionError(
+            f"the host step did not run inline before the pool leg "
+            f"(done at t={sched.clock.now()})"
+        )
+    if "CompiledFused" not in engine.quarantined(key):
+        raise AssertionError("the failed host step was not quarantined")
+    return {"engine": engine, "results": list(results), "n_requests": 2}
+
+
 #: name → scenario factory, as exposed by ``check-interleavings``.
 SCENARIOS = {
     "coalesce": coalesce_scenario,
@@ -269,6 +334,7 @@ SCENARIOS = {
     "late-failure": late_failure_scenario,
     "inline-deadline": inline_deadline_scenario,
     "inline-arrival": inline_arrival_scenario,
+    "inline-failover": inline_failover_scenario,
 }
 
 

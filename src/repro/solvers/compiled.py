@@ -23,16 +23,24 @@ the rows run.
 
 * ``"sequential"`` — rows in natural order, run by one native SciPy
   ``csr_matvec`` (``csr_matvecs`` for a block) whose input and output
-  are both ``X = B * inv_diag``.  It visits rows in increasing order
-  and each row reads only ``x_j`` with ``j < i``, already final, so the
-  one call is a complete forward substitution: each row is solved as
-  soon as its own dependencies are, with no level barrier and no
-  per-level interpreter dispatch.  That is the host form of the paper's
+  are both its start form ``X = B * inv_diag``.  It visits rows in
+  increasing order and each row reads only ``x_j`` with ``j < i``,
+  already final, so the one call is a complete forward substitution:
+  each row is solved as soon as its own dependencies are, with no
+  level barrier and no per-level interpreter dispatch.  That is the host form of the paper's
   argument that at fine granularity synchronization decides SpTRSV
   speed, and the fused
   sequential sweep Li (arXiv:1710.04985) prefers for small triangular
   solves.  Deep, skinny matrices, which would pay per-level dispatch
   thousands of times per solve, take it.
+
+Each solve writes its input once into a fresh C-ordered ``(n, k)``
+array already in its kernel's start form (``B * inv_diag`` for the
+sequential variant, a copy of ``B`` for the level one) and runs the
+kernel in place on it.  A block given as its columns, as the serve
+engine passes a coalesced batch, is written column by column and never
+stacked first; the scale is then one ``np.multiply`` per column, not a
+broadcast whose inner loop is ``k`` long, and the same IEEE product.
 
 Both variants sum every row the same way — the scaled ``b_i`` first,
 then the dependencies in ``idx`` order — so their answers are
@@ -212,30 +220,64 @@ class CompiledPlan:
             )
         return self.solve_many(b.reshape(-1, 1))[:, 0]
 
-    def solve_many(self, B: np.ndarray) -> np.ndarray:
+    def solve_many(self, B) -> np.ndarray:
         """Solve ``L X = B`` for all columns.
 
-        Accepts 1-D ``b`` (promoted to one column), float32, and
-        non-contiguous / Fortran-ordered inputs, mirroring
-        :func:`repro.solvers.multirhs.capellini_sptrsm`; always returns
-        a fresh C-ordered ``(n, k)`` float64 array.
+        ``B`` is an ``(n, k)`` array, or 1-D ``b`` (one column), in
+        float32 or float64, C- or Fortran-ordered or strided, mirroring
+        :func:`repro.solvers.multirhs.capellini_sptrsm`.  A list or
+        tuple is the block given as its ``k`` columns, each a length-``n``
+        vector: they are written once, straight into the kernel's start
+        form, with no stacked ``(n, k)`` copy of ``B`` before it.  Both
+        forms give bit-identical answers.  Always returns a fresh
+        C-ordered ``(n, k)`` float64 array.
         """
-        B = np.asarray(B, dtype=np.float64)
-        if B.ndim == 1:
-            B = B.reshape(-1, 1)
-        if B.ndim != 2 or B.shape[0] != self.n_rows:
-            raise SolverError(
-                f"B must have shape ({self.n_rows}, k), got {B.shape}"
-            )
-        if B.shape[1] == 0:
-            raise SolverError("B must have at least one right-hand side")
+        if isinstance(B, (list, tuple)):
+            X = self._start_columns(B)
+        else:
+            B = np.asarray(B, dtype=np.float64)
+            if B.ndim == 1:
+                B = B.reshape(-1, 1)
+            if B.ndim != 2 or B.shape[0] != self.n_rows:
+                raise SolverError(
+                    f"B must have shape ({self.n_rows}, k), got {B.shape}"
+                )
+            if B.shape[1] == 0:
+                raise SolverError("B must have at least one right-hand side")
+            if self.schedule == "sequential":
+                X = np.multiply(B, self.inv_diag[:, None], order="C")
+            else:
+                X = np.array(B, order="C")
         if self.schedule == "sequential":
-            return self._sweep(B)
-        return self._levels(B)
+            self._sweep(X)
+        else:
+            self._levels(X)
+        return X
 
-    def _sweep(self, B: np.ndarray) -> np.ndarray:
+    def _start_columns(self, columns) -> np.ndarray:
+        """The start form of a block given as its columns: each written
+        once into a fresh C-ordered ``(n, k)`` array, scaled by
+        ``inv_diag`` on the way in for the sequential variant."""
+        n = self.n_rows
+        if not columns:
+            raise SolverError("B must have at least one right-hand side")
+        X = np.empty((n, len(columns)))
+        scale = self.schedule == "sequential"
+        for c, b in enumerate(columns):
+            if np.shape(b) != (n,):
+                raise SolverError(
+                    f"column {c} has shape {np.shape(b)}, expected ({n},)"
+                )
+            if scale:
+                np.multiply(b, self.inv_diag, out=X[:, c])
+            else:
+                X[:, c] = b
+        return X
+
+    def _sweep(self, X: np.ndarray) -> None:
         """The sequential variant: one native sweep over the C-ordered
-        ``X = B * inv_diag``, with ``X`` as both input and output.
+        start form ``X = B * inv_diag``, in place, with ``X`` as both
+        input and output.
 
         ``csr_matvec`` runs ``sum = y[i]; sum += vals[e] * x[idx[e]];
         y[i] = sum`` for rows in increasing order (``csr_matvecs`` the
@@ -244,18 +286,16 @@ class CompiledPlan:
         reads only finished entries and the call is a complete forward
         substitution.
         """
-        X = np.multiply(B, self.inv_diag[:, None], order="C")
         n, k = X.shape
         x = X.reshape(-1)
         if k == 1:
             csr_matvec(n, n, self.row_ptr, self.idx, self.vals, x, x)
         else:
             csr_matvecs(n, n, k, self.row_ptr, self.idx, self.vals, x, x)
-        return X
 
-    def _levels(self, B: np.ndarray) -> np.ndarray:
-        """The level variant over ``X``, a C-ordered copy of ``B``: one
-        loop per width.
+    def _levels(self, X: np.ndarray) -> None:
+        """The level variant, in place over its C-ordered start form
+        ``X``, a copy of ``B``: one loop per width.
 
         Per level: start the level's sums ``s`` at ``-0.0``, run one
         native ``csr_matvec`` (``csr_matvecs`` for a block) of the
@@ -277,7 +317,6 @@ class CompiledPlan:
         and fault in again on every solve (a width-16 circuit-20000
         solve took 2.2x as long that way).
         """
-        X = np.array(B, order="C")
         n, k = X.shape
         x = X.reshape(-1)
         idx, vals = self.idx, self.vals
@@ -287,7 +326,7 @@ class CompiledPlan:
                 s = sums[lo:hi]
                 csr_matvec(m, n, ptr, idx, vals, x, s)
                 x[level_rows] = s
-            return X
+            return
         row = np.dtype((np.void, X.itemsize * k))
         x_rows = X.view(row)[:, 0]
         sums = np.empty(self._widest * k)
@@ -296,7 +335,6 @@ class CompiledPlan:
             s.fill(-0.0)
             csr_matvecs(m, n, k, ptr, idx, vals, x, s)
             x_rows[level_rows] = s.view(row)
-        return X
 
 
 def build_compiled_plan(

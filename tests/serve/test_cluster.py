@@ -6,6 +6,9 @@ chaos/respawn and shutdown-audit tests build their own so they can
 kill and close freely.
 """
 
+import asyncio
+import multiprocessing
+import threading
 import time
 
 import numpy as np
@@ -17,8 +20,15 @@ from repro.errors import (
     UnknownMatrixError,
     WorkerDiedError,
 )
-from repro.serve.arena import leaked_segments
-from repro.serve.cluster import ShardRouter
+from repro.serve.arena import PlanArena, leaked_segments
+from repro.serve.cluster import ShardRouter, _worker_serve
+from repro.serve.shardproto import (
+    OP_CLOSE,
+    OP_REGISTER,
+    OP_SOLVE,
+    recv_frame,
+    send_frame,
+)
 from repro.sparse.triangular import lower_triangular_system
 
 from tests.conftest import random_unit_lower
@@ -328,19 +338,17 @@ class TestWorkerLoop:
         # their enqueue/launch/publish trails, so the OP_TRACE reply is
         # about 1 MB: many times the 64 KiB pipe buffer, so it goes out
         # in many partial writes while the solves before and after it
-        # are in flight.  The warm-up goes in windows of 512: a worker
-        # that reads its pipe faster than it solves would otherwise see
-        # all 1,500 in flight at once and reject them past the engine's
-        # max_queue of 1,024
+        # are in flight.  The warm-up goes in one burst, past the
+        # engine's max_queue of 1,024: the worker stops reading while it
+        # holds that many solves, so the rest wait in the pipe
         system = lower_triangular_system(random_unit_lower(N, 0.1, seed=21))
         with ShardRouter(n_workers=1, execution="host",
                          request_timeout=30.0) as router:
             key = router.register(system.L)
-            for window in (512, 512, 476):
-                warm = [router.submit(key, system.b, single=True)
-                        for _ in range(window)]
-                for fut in warm:
-                    fut.result(timeout=30.0)
+            warm = [router.submit(key, system.b, single=True)
+                    for _ in range(1500)]
+            for fut in warm:
+                fut.result(timeout=30.0)
             futs = [router.submit(key, system.b, single=True)
                     for _ in range(16)]
             (events,) = router.trace_events().values()
@@ -397,6 +405,54 @@ class TestWorkerLoop:
         router.close()
         assert [p.exitcode for p in processes] == [0, 0]
         assert set(leaked_segments()) - before == set()
+
+    def test_burst_past_max_queue_waits_in_the_pipe(self):
+        """A pipelined burst larger than the worker engine's
+        ``max_queue`` is throttled, not refused: every frame is in the
+        pipe before the worker reads its first, so a worker that read
+        on regardless would hold the whole burst at once and its engine
+        would refuse all but ``max_queue`` of it with ``QueueFullError``."""
+        system = lower_triangular_system(random_unit_lower(N, 0.1, seed=7))
+        key = system.L.content_fingerprint()
+        arena = PlanArena()
+        router_end, worker_end = multiprocessing.Pipe()
+        burst = 12
+        try:
+            handle = arena.publish(key, system.L)
+            send_frame(router_end, {
+                "op": OP_REGISTER, "rid": 0, "handle": handle.to_json(),
+            })
+            for rid in range(1, burst + 1):
+                send_frame(
+                    router_end,
+                    {"op": OP_SOLVE, "rid": rid, "key": key,
+                     "shape": [N, 1], "single": True},
+                    (float(rid) * system.b).tobytes(),
+                )
+            worker = threading.Thread(
+                target=asyncio.run,
+                args=(_worker_serve(worker_end, 0, {"max_queue": 4}),),
+                daemon=True,
+            )
+            worker.start()
+            replies = [recv_frame(router_end, timeout=30.0)
+                       for _ in range(burst + 1)]
+            send_frame(router_end, {"op": OP_CLOSE, "rid": burst + 1})
+            recv_frame(router_end, timeout=30.0)
+            worker.join(timeout=30.0)
+        finally:
+            router_end.close()
+            worker_end.close()
+            arena.close()
+        assert not worker.is_alive()
+        registered, _ = replies[0]
+        assert registered["ok"] and registered["key"] == key
+        assert [h.get("error") for h, _ in replies[1:] if not h["ok"]] == []
+        for header, body in replies[1:]:
+            np.testing.assert_allclose(
+                np.frombuffer(body), header["rid"] * system.x_true,
+                rtol=1e-9, atol=1e-9,
+            )
 
 
 class TestOnePlanType:

@@ -732,6 +732,76 @@ class TestCompiledLane:
             f"CompiledFused->{resp.solver}": 1
         }
 
+    @pytest.mark.parametrize("shape", ["deep", "shallow"])
+    def test_coalesced_pair_answers_like_solve_multi(self, shape):
+        # a coalesced block reaches the plan as its columns; its answers
+        # are the stacked block's, byte for byte
+        system = (
+            self.deep_system(seed=5) if shape == "deep"
+            else make_system(n=120, seed=33)
+        )
+        b1, b2 = system.b, -0.5 * system.b
+
+        async def main():
+            async with SolveEngine() as engine:
+                key = engine.register(system.L, name="m")
+                engine.registry.plan(key)
+                pair = await asyncio.gather(
+                    engine.solve(key, b1), engine.solve(key, b2)
+                )
+                block = await engine.solve_multi(
+                    key, np.column_stack([b1, b2])
+                )
+            return pair, block
+
+        pair, block = run(main())
+        assert [r.batch_width for r in pair] == [2, 2]
+        assert {r.schedule for r in pair} == {
+            "sequential" if shape == "deep" else "level"
+        }
+        for c, resp in enumerate(pair):
+            assert resp.lane == block.lane == "host"
+            assert resp.x.tobytes() == block.x[:, c].tobytes()
+
+    def test_coalesced_host_failure_stacks_for_the_sim(self, monkeypatch):
+        # the inline host step fails on the pair's columns; the pool
+        # leg stacks them into one block for the batched simulator
+        from repro.solvers.compiled import CompiledPlan
+
+        system = make_system(n=90, seed=34)
+        given = []
+
+        def explode(self, B, **kw):
+            given.append(type(B))
+            raise injected_hazard()
+
+        monkeypatch.setattr(CompiledPlan, "solve_many", explode)
+
+        async def main():
+            async with SolveEngine() as engine:
+                key = engine.register(system.L, name="m")
+                engine.registry.plan(key)  # warm: the pair runs inline
+                pair = await asyncio.gather(
+                    engine.solve(key, system.b),
+                    engine.solve(key, 2.0 * system.b),
+                )
+                launches = engine.trace_log.events(kind="launch")
+                failures = engine.trace_log.events(kind="kernel-failure")
+            return pair, launches, failures
+
+        pair, launches, failures = run(main())
+        assert given == [list]
+        assert [f["lane"] for f in failures] == ["host"]
+        (launch,) = launches
+        assert launch["lane"] == "sim" and launch["dispatch"] == "pool"
+        assert launch["n_rhs"] == launch["width"] == 2
+        for scale, resp in zip((1.0, 2.0), pair):
+            np.testing.assert_allclose(resp.x, scale * system.x_true,
+                                       rtol=1e-9)
+            assert resp.fallback_from == "CompiledFused"
+            assert resp.batch_width == 2
+            assert resp.solver.endswith("-SpTRSM")
+
     def test_compiled_execution_mode_is_gone(self):
         with pytest.raises(ValueError, match="execution"):
             SolveEngine(execution="compiled")

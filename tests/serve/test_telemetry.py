@@ -179,7 +179,8 @@ class TestEventFold:
         real = CompiledPlan.solve_many
 
         def host_fails_on_flaky(self, B, **kw):
-            if B.shape[0] == flaky.L.n_rows:
+            # the plan's size, not B's: a coalesced block is its columns
+            if self.n_rows == flaky.L.n_rows:
                 raise SolverError("injected host-lane failure")
             return real(self, B, **kw)
 

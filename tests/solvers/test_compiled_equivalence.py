@@ -161,6 +161,59 @@ class TestLevelEqualsSweep:
             np.testing.assert_allclose(L.matvec(X[:, c]), B[:, c], **TOL)
 
 
+class TestColumnForm:
+    """A block given as its columns is written once into the kernel's
+    start form and answers byte for byte like the stacked block."""
+
+    @staticmethod
+    def _columns(L, k):
+        rng = np.random.default_rng(k)
+        B = rng.standard_normal((L.n_rows, k))
+        B[rng.random(B.shape) < 0.3] = 0.0
+        B[rng.random(B.shape) < 0.5] *= -1.0
+        B[:, 0] = -0.0
+        return [B[:, c].copy() for c in range(k)]
+
+    @pytest.mark.parametrize("k", [1, 2, 8])
+    def test_columns_equal_the_stacked_block(self, domain_system, schedule, k):
+        plan = build_compiled_plan(domain_system.L, schedule=schedule)
+        columns = self._columns(domain_system.L, k)
+        X = plan.solve_many(columns)
+        assert X.shape == (domain_system.L.n_rows, k)
+        assert X.flags.c_contiguous
+        assert X.tobytes() == plan.solve_many(np.stack(columns, 1)).tobytes()
+        assert X.tobytes() == plan.solve_many(tuple(columns)).tobytes()
+
+    @pytest.mark.parametrize("k", [1, 2, 8])
+    def test_level_columns_equal_the_sweep(self, domain_system, k):
+        L = domain_system.L
+        columns = self._columns(L, k)
+        X_level = build_compiled_plan(L, schedule="level").solve_many(columns)
+        X_seq = build_compiled_plan(L, schedule="sequential").solve_many(
+            columns
+        )
+        assert X_level.tobytes() == X_seq.tobytes()
+        assert np.signbit(X_seq[:, 0]).any()
+
+    def test_columns_are_left_untouched(self, schedule):
+        L = generate("chain", N, seed=13)
+        columns = self._columns(L, 2)
+        before = [c.tobytes() for c in columns]
+        build_compiled_plan(L, schedule=schedule).solve_many(columns)
+        assert [c.tobytes() for c in columns] == before
+
+    @pytest.mark.parametrize(
+        "columns",
+        [[], [np.zeros(N - 1)], [np.zeros(N), np.zeros((N, 1))]],
+        ids=["none", "short", "2d"],
+    )
+    def test_rejects_bad_columns(self, schedule, columns):
+        plan = build_compiled_plan(generate("chain", N, seed=13),
+                                   schedule=schedule)
+        with pytest.raises(SolverError):
+            plan.solve_many(columns)
+
+
 class TestUpper:
     def test_upper_matches_simulator(self, domain_system, schedule):
         system = domain_system
